@@ -363,11 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(argv: list[str], ap: argparse.ArgumentParser) -> list[str]:
     """Config precedence: flags > key=value config file > defaults.  The file
-    contributes flags that are absent from the command line."""
+    contributes flags that are absent from the command line; a flag counts
+    as present in both the ``--flag value`` and ``--flag=value`` forms.  A
+    key set to true becomes a bare switch and one set to false is dropped."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        ap.error("argument --config: expected one argument")
     path = argv[idx + 1]
+    present = {a.partition("=")[0] for a in argv if a.startswith("--")}
     extra = []
     with open(path) as fh:
         for line in fh:
@@ -376,8 +381,10 @@ def _apply_config_file(argv: list[str], ap: argparse.ArgumentParser) -> list[str
                 continue
             key, _, value = line.partition("=")
             flag = "--" + key.strip().replace("_", "-")
-            if flag not in argv:
-                extra.extend([flag, value.strip()])
+            value = value.strip()
+            if flag in present or value.lower() == "false":
+                continue
+            extra.extend([flag] if value.lower() == "true" else [flag, value])
     return argv + extra
 
 
@@ -385,12 +392,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        argv = _apply_config_file(argv, ap)
+        args = ap.parse_args(_apply_config_file(argv, ap))
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    try:
-        args = ap.parse_args(argv)
     except SystemExit as exc:
         return _EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.perf_counter()

@@ -11,19 +11,29 @@ need no polynomial: their exponents are 2 e^(2 pi i / d) in closed form.
 
 Roots are found by Aberth-Ehrlich simultaneous iteration started from a
 perturbed circle, run in double precision on the factored form (in log
-space, so huge factorial constants never overflow), then Newton-polished
-with mpmath at twice the requested working precision.  Residuals of the
-returned roots are certified against the exact integer coefficients.
+space, so huge factorial constants never overflow).  Each returned root
+z_k carries an inclusion disk |w - z_k| <= r_k = deg |p/p'(z_k)|, which
+holds at least one zero of p (Bini-Fiorentino, Numer. Algorithms 2000);
+r_k includes a bound on the rounding error of evaluating p/p'.  Roots
+whose disk meets the real axis are snapped onto it and the rest are made
+exact conjugate pairs before the radii are taken at the returned points.
+When the disks are pairwise disjoint each holds exactly one zero, a disk
+centred on the real axis holds a real zero, and the roots are certified.
+
+mpmath runs only on demand: when the caller asks for more than 64 bits, or
+when the double-precision disks are too wide or overlap, the roots are
+Newton-polished at twice the requested precision and certified the same
+way at that precision.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from mpmath import mp, mpc
 
 from .families import Family, FamilyInstance
 from .gammafn import reciprocal_gamma
@@ -34,9 +44,9 @@ class NoPolynomialError(ValueError):
 
 
 class RootConvergenceError(RuntimeError):
-    def __init__(self, message: str, residuals=None):
+    def __init__(self, message: str, radii=None):
         super().__init__(message)
-        self.residuals = residuals
+        self.radii = radii
 
 
 class IndeterminateRegimeError(ValueError):
@@ -48,6 +58,9 @@ class AmplitudeError(ValueError):
 
 
 REGIME_GUARD_BAND = 1e-6
+# largest relative inclusion radius max_k r_k / max(1, |z_k|) accepted
+CERTIFIED_TOLERANCE = 1e-10
+_EPS = 2.0 ** -52
 
 
 def indicial_shifts(instance: FamilyInstance) -> tuple[list[int], int]:
@@ -90,16 +103,22 @@ def eval_indicial(instance: FamilyInstance, z: complex) -> complex:
 @dataclass(frozen=True)
 class Spectrum:
     """All indicial roots of one instance, sorted by decreasing real part
-    (ties by decreasing imaginary part), with certified residuals."""
+    (ties by decreasing imaginary part), with certified inclusion disks."""
 
     instance: FamilyInstance
-    roots: tuple  # mpmath mpc values, high precision
+    # Python complex from the double-precision certificate; mpmath values
+    # when the roots were polished (precision > 64 or the double
+    # certificate failed).  complex(r) works on every item.
+    roots: tuple
     principal_root: complex
     alpha: float
     beta: float
-    certified_error: float
+    certified_error: float  # max_k r_k / max(1, |z_k|) over the inclusion disks
     precision: int
     scale: int = field(repr=False, default=1)  # max |integer coefficient|
+    # inclusion radii r_k, one per root: |w - roots[k]| <= r_k holds exactly
+    # one zero w, and the disks are pairwise disjoint
+    radii: tuple = field(repr=False, default=())
 
     @property
     def degree(self) -> int:
@@ -116,7 +135,7 @@ class Spectrum:
         return complex(self.alpha, self.beta)
 
 
-def _aberth_double(shifts: Sequence[int], const: int, maxiter: int = 400) -> np.ndarray:
+def _aberth_double(shifts: Sequence[int], log_c: float, maxiter: int = 400) -> np.ndarray:
     """Aberth-Ehrlich in double precision on the factored polynomial.
 
     Works in log space: p/p' = (1 - exp(log c - log prod)) / sum 1/(z+s),
@@ -124,7 +143,6 @@ def _aberth_double(shifts: Sequence[int], const: int, maxiter: int = 400) -> np.
     """
     deg = len(shifts)
     sh = np.asarray(shifts, dtype=float)
-    log_c = math.log(const) if const < 1e300 else _log_big_int(const)
     center = -sh.mean()
     radius = math.exp(log_c / deg) + (sh.max() - sh.min()) / 2.0 + 1.0
     angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
@@ -150,34 +168,43 @@ def _aberth_double(shifts: Sequence[int], const: int, maxiter: int = 400) -> np.
     return z
 
 
-def _log_big_int(n: int) -> float:
-    bits = n.bit_length() - 64
-    if bits <= 0:
-        return math.log(n)
-    return math.log(n >> bits) + bits * math.log(2.0)
+def _radii_double(shifts: Sequence[int], log_c: float, points: Sequence[complex]) -> list[float]:
+    """Inclusion radii deg |p/p'(z)| evaluated in double precision.
 
-
-def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
-    """Locate all indicial roots, certify residuals, extract (alpha, beta).
-
-    ``precision`` is the working precision in bits (>= 64); polishing and
-    certification run at twice that.
+    p/p' = (1 - exp(E)) / S with E = log c - sum log(z+s) and
+    S = sum 1/(z+s).  Both sums are taken with math.fsum per component.
+    The rounding bound charges E with 2 eps (|log(z+s)| + 1) per log term,
+    2 eps (|log c| + 1) for log c and eps |E| for the sum, exp with 2 eps,
+    and S with 4 eps |1/(z+s)| per term.  A point whose S cannot be bounded
+    away from 0 gets radius inf.
     """
-    if precision < 64:
-        raise ValueError("precision must be >= 64 bits")
-    shifts, const = indicial_shifts(instance)
     deg = len(shifts)
-    if deg < 2:
-        raise RootConvergenceError(f"degree {deg} < 2, nothing to solve")
+    zs = np.asarray(points, dtype=complex)[:, None] + np.asarray(shifts, dtype=float)[None, :]
+    logs = np.log(zs)
+    log_abs = np.abs(logs).sum(axis=1)
+    inv = 1.0 / zs
+    inv_abs = np.abs(inv).sum(axis=1)
+    radii = []
+    for k in range(len(zs)):
+        e = complex(math.fsum([log_c, *(-logs[k].real).tolist()]),
+                    -math.fsum(logs[k].imag.tolist()))
+        slack = 2.0 * _EPS * (log_abs[k] * (1.0 + deg * _EPS) + deg + abs(log_c) + 1.0) \
+            + _EPS * abs(e)
+        q = cmath.exp(e)
+        num = (abs(1.0 - q) + abs(q) * math.expm1(slack + 2.0 * _EPS)) * (1.0 + 4.0 * _EPS)
+        s = complex(math.fsum(inv[k].real.tolist()), math.fsum(inv[k].imag.tolist()))
+        den = abs(s) * (1.0 - 2.0 * _EPS) - 4.0 * _EPS * inv_abs[k] * (1.0 + deg * _EPS)
+        radii.append(deg * num / den * (1.0 + 4.0 * _EPS) if den > 0.0 else math.inf)
+    return radii
 
-    approx = _aberth_double(shifts, const)
 
-    coeffs = build_indicial(instance)
-    scale = max(abs(a) for a in coeffs)
-    polish_prec = 2 * precision
-    with mp.workprec(polish_prec):
+def _certify_mp(shifts: Sequence[int], const: int, approx, prec: int):
+    """Newton-polish approximate roots with mpmath at ``prec`` bits and
+    certify them with inclusion disks evaluated at that precision."""
+    from mpmath import mp, mpc
+
+    with mp.workprec(prec):
         roots = []
-        residuals = []
         for z0 in approx:
             z = mpc(z0.real, z0.imag)
             for _ in range(6):
@@ -187,29 +214,118 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
                     term = z + s
                     prod *= term
                     s1 += 1 / term
-                f = prod - const
-                step = f / (prod * s1)
+                step = (prod - const) / (prod * s1)
                 z -= step
-                if abs(step) <= 2.0 ** (-polish_prec + 8) * (1 + abs(z)):
+                if abs(step) <= 2.0 ** (-prec + 8) * (1 + abs(z)):
                     break
-            prod = mpc(1)
-            for s in shifts:
-                prod *= z + s
-            residuals.append(abs(prod - const))
             roots.append(z)
+        return _certify(roots, lambda pts: _radii_mp(shifts, const, pts))
 
-    # evaluation slack: deg multiplications at polish precision near |c|
-    slack = (deg + 2) * const * mp.mpf(2) ** (-polish_prec + 1)
-    worst = max(residuals)
-    certified = float((worst + slack) / scale)
-    if certified > 1e-10:
+
+def _radii_mp(shifts: Sequence[int], const: int, points) -> list[float]:
+    """Inclusion radii deg |p/p'(z)| evaluated with mpmath at the current
+    working precision.
+
+    p = prod - c and p' = prod S.  Each complex operation is charged a
+    relative error of 4 units in the last place, so the product and the
+    sum S = sum 1/(z+s) carry at most gamma = 4 (deg+2) 2^-prec each.
+    Radii are rounded up to floats.
+    """
+    from mpmath import mp, mpc
+
+    deg = len(shifts)
+    gamma = 4 * (deg + 2) * mp.mpf(2) ** (-mp.prec)
+    radii = []
+    for z in points:
+        prod, s1, inv_abs = mpc(1), mpc(0), mp.mpf(0)
+        for s in shifts:
+            term = z + s
+            prod *= term
+            inv = 1 / term
+            s1 += inv
+            inv_abs += abs(inv)
+        num = abs(prod - const) * (1 + gamma) + gamma * abs(prod) * (1 + gamma)
+        den = abs(prod) * (1 - gamma) * (abs(s1) - gamma * inv_abs)
+        r = deg * num / den * (1 + gamma) if den > 0 else mp.inf
+        radii.append(math.nextafter(float(r), math.inf))
+    return radii
+
+
+def _symmetrize(points, radii):
+    """Snap points whose disk meets the real axis onto it and mirror the
+    upper half-plane into the lower one.  None when the halves differ in
+    size, i.e. when the points cannot be the zeros of a real polynomial."""
+    real = [p.real for p, r in zip(points, radii) if abs(p.imag) <= r]
+    upper = [p for p, r in zip(points, radii) if p.imag > r]
+    if 2 * len(upper) + len(real) != len(points):
+        return None
+    return [p + 0j for p in real] + upper + [p.conjugate() for p in upper]
+
+
+def _disjoint(points, radii) -> bool:
+    """Pairwise disjointness of the disks, with the rounding of the
+    distances charged to each pair."""
+    z = np.array([complex(p) for p in points])
+    r = np.asarray(radii, dtype=float)
+    slack = 2.0 * _EPS * np.abs(z)
+    gap = np.abs(z[:, None] - z[None, :]) - (slack[:, None] + slack[None, :]) \
+        - (r[:, None] + r[None, :])
+    np.fill_diagonal(gap, np.inf)
+    return bool((gap > 0.0).all())
+
+
+def _certify(points, radius_fn: Callable) -> tuple[list, list[float], float] | None:
+    """Symmetrise ``points`` under conjugation and certify them.
+
+    Returns the points, their radii taken at the returned points and
+    max_k r_k / max(1, |z_k|), or None when the disks are not pairwise
+    disjoint (then they need not hold one root each).
+    """
+    points = _symmetrize(points, radius_fn(points))
+    if points is None:
+        return None
+    radii = radius_fn(points)
+    if not _disjoint(points, radii):
+        return None
+    return points, radii, max(r / max(1.0, abs(complex(p))) for p, r in zip(points, radii))
+
+
+def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
+    """Locate all indicial roots, certify them, extract (alpha, beta).
+
+    ``precision`` is the working precision in bits (>= 64).  At 64 the
+    Aberth-Ehrlich roots are certified directly in double precision: every
+    root lies within its inclusion disk, the disks are pairwise disjoint,
+    and ``certified_error`` = max_k r_k / max(1, |z_k|) must not exceed
+    1e-10.  Above 64 bits, or when the double-precision certificate fails,
+    the roots are Newton-polished with mpmath at twice ``precision`` and
+    certified by the same disks evaluated at that precision.
+    """
+    if precision < 64:
+        raise ValueError("precision must be >= 64 bits")
+    shifts, const = indicial_shifts(instance)
+    deg = len(shifts)
+    if deg < 2:
+        raise RootConvergenceError(f"degree {deg} < 2, nothing to solve")
+
+    log_c = math.log(const)
+    approx = [complex(z) for z in _aberth_double(shifts, log_c)]
+
+    found = None
+    if precision == 64:
+        found = _certify(approx, lambda pts: _radii_double(shifts, log_c, pts))
+    if found is None or found[2] > CERTIFIED_TOLERANCE:
+        found = _certify_mp(shifts, const, approx, 2 * precision)
+    if found is None:
+        raise RootConvergenceError(f"inclusion disks overlap for {instance}")
+    roots, radii, certified = found
+    if certified > CERTIFIED_TOLERANCE:
         raise RootConvergenceError(
-            f"residuals not certified below 1e-10*scale for {instance} "
-            f"(best effort {certified:.3e})",
-            residuals=[float(r) for r in residuals],
-        )
+            f"inclusion radii not certified below {CERTIFIED_TOLERANCE} for "
+            f"{instance} (best effort {certified:.3e})", radii=radii)
 
-    roots.sort(key=lambda r: (-float(r.real), -float(r.imag)))
+    roots, radii = zip(*sorted(zip(roots, radii),
+                               key=lambda zr: (-float(zr[0].real), -float(zr[0].imag))))
     principal = complex(roots[0])
     if abs(principal - 2.0) > 1e-10:
         raise RootConvergenceError(
@@ -233,13 +349,14 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
 
     return Spectrum(
         instance=instance,
-        roots=tuple(roots),
+        roots=roots,
         principal_root=principal,
         alpha=alpha,
         beta=beta,
         certified_error=certified,
         precision=precision,
-        scale=scale,
+        scale=max(abs(a) for a in build_indicial(instance)),
+        radii=radii,
     )
 
 

@@ -383,6 +383,8 @@ def monte_carlo(instance: FamilyInstance, n: int, reps: int, seed: int,
     draws from Philox key (seed, i) and blocks merge in index order, so the
     result is independent of ``threads``.
     """
+    if n < 0:
+        raise ValueError(f"tree size n must be >= 0, got {n}")
     if reps < 2:
         raise ValueError("reps must be >= 2 for variance estimates")
     blocks = [(i, min(BLOCK, reps - i * BLOCK)) for i in range((reps + BLOCK - 1) // BLOCK)]

@@ -186,3 +186,37 @@ def test_headers_echo_version_and_config():
     head = out.splitlines()[:2]
     assert head[0].startswith("# logtrees 0.")
     assert head[1].startswith("# config:") and "m_from=3" in head[1]
+
+
+def test_config_without_path_is_usage_error():
+    code, _, err = run_cli(["roots", "--family", "mary", "--param", "5", "--config"])
+    assert code == 2
+    assert "--config" in err
+
+
+def test_config_file_yields_to_equals_form_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=7\n")
+    argv = ["simulate", "--family", "mary", "--param", "3", "--n", "50", "--reps", "20"]
+    code, out, _ = run_cli(["--config", str(cfg), *argv, "--seed=5"])
+    assert code == 0
+    assert json.loads(out)["meta"]["config"]["seed"] == 5
+    assert out == run_cli([*argv, "--seed", "5"])[1]
+
+
+def test_config_file_store_true_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("full_bivariate=true\n")
+    argv = ["fixpoint", "--map", "TNprime_normal", "--family", "mary", "--param", "3",
+            "--pool", "1000", "--gens", "2", "--seed", "1"]
+    code, out, err = run_cli(["--config", str(cfg), *argv])
+    assert code == 0, err
+    assert out == run_cli([*argv, "--full-bivariate"])[1]
+    assert out != run_cli(argv)[1]
+
+
+def test_simulate_negative_n_is_usage_error():
+    code, _, err = run_cli(["simulate", "--family", "mary", "--param", "3",
+                            "--n", "-5", "--reps", "10"])
+    assert code == 2
+    assert "error" in err

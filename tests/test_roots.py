@@ -1,6 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import logtrees
+from logtrees import roots as roots_module
 
 from logtrees.families import fbbst, mary, quadtree
 from logtrees.roots import (
@@ -247,3 +255,50 @@ def test_precision_tightens_certification():
 def test_precision_floor_enforced():
     with pytest.raises(ValueError):
         solve_spectrum(mary(5), precision=32)
+
+
+@pytest.mark.parametrize("inst", [mary(27), fbbst(59)])
+def test_polished_roots_lie_in_disjoint_double_disks(inst):
+    lo = solve_spectrum(inst)
+    hi = solve_spectrum(inst, precision=128)
+    assert len(lo.radii) == lo.degree
+    for z, r in zip(lo.roots, lo.radii):
+        assert sum(abs(complex(w) - z) <= r for w in hi.roots) == 1, (z, r)
+    for i, (z, r) in enumerate(zip(lo.roots, lo.radii)):
+        for w, s in zip(lo.roots[i + 1:], lo.radii[i + 1:]):
+            assert abs(z - w) > r + s
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+@pytest.mark.parametrize("inst", [mary(27), fbbst(59)])
+def test_roots_exactly_conjugate_symmetric(inst, precision):
+    # lambda_2 must be the upper member of its pair, or amplitudes (and the
+    # G1 coefficients built from them) come out conjugated
+    spec = solve_spectrum(inst, precision=precision)
+    rs = spec.roots_complex
+    assert Counter(rs) == Counter(r.conjugate() for r in rs)
+    assert rs[1].imag > 0 and rs[2] == rs[1].conjugate()
+    assert spec.lambda2 == rs[1]
+
+
+def test_m270_certified_in_double_precision():
+    spec = solve_spectrum(mary(270))
+    assert spec.certified_error <= 1e-10
+    assert all(type(r) is complex for r in spec.roots)  # no mpmath polish
+
+
+def test_polish_fallback_when_double_certificate_fails(monkeypatch):
+    monkeypatch.setattr(roots_module, "_radii_double",
+                        lambda shifts, log_c, pts: [math.inf] * len(pts))
+    spec = solve_spectrum(mary(27))
+    assert type(spec.roots[1]) is not complex
+    assert spec.certified_error < 1e-30
+    assert spec.alpha == pytest.approx(1.516970121848, abs=1e-12)
+
+
+def test_cli_import_does_not_load_mpmath():
+    code = "import sys, logtrees.cli; print('mpmath' in sys.modules)"
+    src = str(Path(logtrees.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "False"

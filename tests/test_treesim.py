@@ -159,6 +159,11 @@ def test_monte_carlo_rejects_tiny_reps():
         monte_carlo(mary(3), 10, 1, seed=0)
 
 
+def test_monte_carlo_rejects_negative_n():
+    with pytest.raises(ValueError):
+        monte_carlo(mary(3), -5, 10, seed=0)
+
+
 def test_simstats_merge_exact_and_associative():
     s1, s2, s3 = (SimStats(("a", "b")) for _ in range(3))
     s1.update_arrays([np.array([1, 2]), np.array([3, 4])])
