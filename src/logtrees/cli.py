@@ -8,6 +8,7 @@ byte-identical.  Exit codes: 0 success, 1 internal error, 2 usage,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import sys
 import time
@@ -67,12 +68,18 @@ def _csv_header(args, keys) -> str:
     return f"# logtrees {__version__}\n# config: {cfg}\n"
 
 
-def _emit(args, text: str) -> None:
+@contextlib.contextmanager
+def _output(args):
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str) -> None:
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def _instance(args) -> FamilyInstance:
@@ -166,25 +173,19 @@ def cmd_constants(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    from .moments import UnsupportedTableError, mean_tables, second_moment_tables
+    from .moments import MomentTable, UnsupportedTableError, mean_tables, second_moment_tables
 
     inst = _instance(args)
-    buf = io.StringIO()
-    buf.write(_csv_header(args, ("command", "family", "param", "nmax", "mode")))
     try:
         table = second_moment_tables(inst, args.nmax, args.mode)
-        table.write_csv(buf)
     except UnsupportedTableError:
         # quadtree: means only
-        l_mean, xi_mean = mean_tables(inst, args.nmax, args.mode)
-        buf.write("n,l_mean,xi_mean\n")
-        for n in range(args.nmax + 1):
-            if args.mode == "exact":
-                buf.write(f"{n},{l_mean[n].numerator}/{l_mean[n].denominator},"
-                          f"{xi_mean[n].numerator}/{xi_mean[n].denominator}\n")
-            else:
-                buf.write(f"{n},{_fmt_float(l_mean[n])},{_fmt_float(xi_mean[n])}\n")
-    _emit(args, buf.getvalue())
+        means = mean_tables(inst, args.nmax, args.mode)
+        table = MomentTable(inst, args.nmax, args.mode, dict(zip(inst.row_names, means)))
+    # a float table at the cap is megabytes of text: stream it, row by row
+    with _output(args) as fh:
+        fh.write(_csv_header(args, ("command", "family", "param", "nmax", "mode")))
+        table.write_csv(fh)
     return 0
 
 
@@ -365,13 +366,17 @@ def _apply_config_file(argv: list[str], ap: argparse.ArgumentParser) -> list[str
     """Config precedence: flags > key=value config file > defaults.  The file
     contributes flags that are absent from the command line; a flag counts
     as present in both the ``--flag value`` and ``--flag=value`` forms.  A
-    key set to true becomes a bare switch and one set to false is dropped."""
-    if "--config" not in argv:
+    key set to true becomes a bare switch and one set to false is dropped.
+    The file itself is named by ``--config path`` or ``--config=path``."""
+    idx = next((i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):
+    if "=" in argv[idx]:
+        path = argv[idx].partition("=")[2]
+    elif idx + 1 == len(argv):
         ap.error("argument --config: expected one argument")
-    path = argv[idx + 1]
+    else:
+        path = argv[idx + 1]
     present = {a.partition("=")[0] for a in argv if a.startswith("--")}
     extra = []
     with open(path) as fh:

@@ -42,6 +42,7 @@ from .asymptotics import (
 )
 from .families import Family, FamilyInstance, occupancy_constant
 from .roots import Spectrum, solve_spectrum, theta as spectrum_theta
+from .treesim import sample_volumes
 
 CHUNK = 16_384
 
@@ -173,19 +174,6 @@ def sample_median(t: int, rng, size: int) -> np.ndarray:
         bad = (v <= 0.0) | (v >= 1.0)
         v[bad] = rng.beta(t + 1, t + 1, int(bad.sum()))
     return v
-
-
-def sample_volumes(d: int, rng, size: int) -> np.ndarray:
-    """Cell volumes of a uniform point of [0,1]^d: (size, 2^d) rows."""
-    x = rng.random((size, d))
-    while ((x <= 0.0) | (x >= 1.0)).any():
-        bad = ((x <= 0.0) | (x >= 1.0)).any(axis=1)
-        x[bad] = rng.random((int(bad.sum()), d))
-    vol = np.ones((size, 1))
-    for l in range(d):
-        xl = x[:, l : l + 1]
-        vol = np.hstack([vol * xl, vol * (1.0 - xl)])
-    return vol
 
 
 # ---------------------------------------------------------------------------

@@ -2,35 +2,45 @@
 
 Every tracked quantity solves a recurrence of the shape
 
-    a_n = (branches) * sum_j w_{n,j} a_j + b_n
+    a_n = (branches) * sum_j pi_{n,j} a_j + b_n
 
-where w is the family's split law.  For m-ary trees w_{n,j} =
-C(n-1-j, m-2)/C(n, m-1); the binomial weight is a pure difference kernel,
-so the weighted sums are maintained as an (m-1)-level running prefix-sum
-cascade, O(m) work per step.  Second moments go through centred tolls:
-with Delta = 1 - mu_n + sum_l mu(I_l), nabla = n-m+1 - kappa_n +
-sum_l kappa(I_l), delta = -nu_n + sum_l (nu+mu)(I_l), the six rows use
+where pi is the law of one subtree size, and ``generic_recurrence`` is the
+one loop that solves it.  The law enters only as a marginal operator:
+push the next value of a, then read sum_j pi_{n,j} a_j.  It has two
+implementations.
 
-    b[S]  = E Delta^2          b[SK] = E Delta nabla    b[K] = E nabla^2
-    b[SN] = m sum pi V[S]  + E Delta delta
-    b[N]  = m sum pi (V[S] + 2 V[SN]) + E delta^2
-    b[KN] = m sum pi V[SK] + E nabla delta
+m-ary trees (t = 0) and fringe-balanced BSTs (m = 2) share the (m,t)
+split law pi_{n,j} = C(j,t) C(n-1-j, D-1) / C(n, K), D = (m-1)(t+1),
+K = m(t+1)-1.  C(., D-1) is a binomial difference kernel, so the sum over
+g_j = C(j,t) a_j is a cascade of D running sums, O(D) work per step; the
+same cascade fed C(j,t) must reproduce C(n, K), which is the float-mode
+drift check.  Quadtree cell counts are a d-fold iterated uniform thinning
+of n-1, so the operator is d nested prefix averages.
 
-and composition sums reduce to E sum_l f(I_l) sum_r g(I_r) =
-m sum_j pi f(j) g(j) + m(m-1) sum_{j,k} pi2 f(j) g(k), the double sum
-being a convolution against C(n-2-s, m-3).
+Mean rows are recurrence runs with each measure's toll and initial
+segment (``FamilyInstance.measures``); a measure that also collects a
+second measure of its subtrees (N gets S) adds m sum pi mu_S = mu_S - b_S
+to its toll.  Second-order rows are runs with centred tolls: with
+w_a(j) the subtree contribution to measure a and M_a = E sum_l w_a(I_l),
 
-Fringe-balanced tables use the scalar median split law directly (the two
-subtree sizes are determined by one draw, so conditional-(co)variance
-decomposition is exact).  Quadtree mean tables use the fact that the
-marginal cell-count law is a d-fold iterated uniform thinning, which turns
-the weighted sum into d nested prefix averages.  Quadtree second moments
-would need the pairwise cell-count law (a genuine d-dimensional integral
-with no scalar DP) and are deliberately not provided; use Monte Carlo.
+    b[V_ab] = E sum_l w_a(I_l) sum_r w_b(I_r) - M_a M_b
+            = m sum pi w_a w_b + m(m-1) sum pi2 w_a w_b - M_a M_b,
+
+plus m sum pi V of the rows the ``plus`` measures bring in.  The pair law
+pi2_{n}(j,k) = C(j,t) C(k,t) C(n-2-j-k, D2-1) / C(n, K), D2 = (m-2)(t+1),
+turns the double sum into a self-convolution of the C(j,t)-weighted rows
+pushed through a pair cascade of depth D2.  Depth 0 is fbbst, whose two
+subtree sizes determine each other: the pair sum is the convolution at
+n-1.  Quadtree second moments would need the pairwise cell-count law (a
+genuine d-dimensional integral with no scalar recurrence) and are
+deliberately not provided; use Monte Carlo.
 """
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,16 +48,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .families import Family, FamilyInstance
+from .families import FamilyInstance, mary
 from .treesim import build_mary_tree
 
 EXACT_CAP_DEFAULT = 300
 FLOAT_CAP_DEFAULT = 20_000
 FLOAT_DRIFT_TOL = 1e-8
 
-MARY_ROWS = ("mu", "kappa", "nu", "VS", "VSK", "VK", "VSN", "VN", "VKN")
-FBBST_ROWS = ("s_mean", "x_mean", "VS", "VSX", "VX")
-QUADTREE_ROWS = ("l_mean", "xi_mean")
+MARY_ROWS = mary(3).row_names  # the same for every m
+_CONV_CHUNK = 1024
 
 
 class TableModeError(ValueError):
@@ -55,7 +64,7 @@ class TableModeError(ValueError):
 
 
 class FloatDriftError(ArithmeticError):
-    """Float-mode weight normalisation drifted beyond 1e-8."""
+    """Float-mode weight normalisation drifted beyond 1e-8, or overflowed."""
 
 
 class UnsupportedTableError(NotImplementedError):
@@ -103,33 +112,27 @@ def split_weights(n: int, m: int) -> SplitWeights:
 
 
 # ---------------------------------------------------------------------------
-# cascade helper: running sums against binomial difference kernels
+# split laws as online marginal operators
 # ---------------------------------------------------------------------------
 
 class _Cascade:
     """After pushing a_0..a_F in order, level k-1 holds
-    sum_j C(F-j+k-1, k-1) a_j."""
+    sum_j C(F-j+k-1, k-1) a_j; ``push`` returns the top level, which at
+    depth 0 is the value just pushed."""
 
     __slots__ = ("levels",)
 
     def __init__(self, depth: int, zero):
         self.levels = [zero] * depth
 
-    def push(self, value) -> None:
+    def push(self, value):
         acc = value
         levels = self.levels
         for i in range(len(levels)):
             levels[i] += acc
             acc = levels[i]
+        return acc
 
-    @property
-    def top(self):
-        return self.levels[-1]
-
-
-# ---------------------------------------------------------------------------
-# m-ary engine
-# ---------------------------------------------------------------------------
 
 def _check_caps(n_max: int, mode: str, cap: int | None):
     if mode not in ("exact", "float"):
@@ -142,218 +145,183 @@ def _check_caps(n_max: int, mode: str, cap: int | None):
             "pass cap explicitly to override")
 
 
-def _mary_engine(m: int, n_max: int, exact: bool) -> dict[str, list]:
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+class _Law:
+    """What both split laws share: the number field and the row type."""
 
-    size = n_max + 1
-    rows = {name: [zero] * size for name in MARY_ROWS}
-    mu, ka, nu = rows["mu"], rows["kappa"], rows["nu"]
-    VS, VSK, VK = rows["VS"], rows["VSK"], rows["VK"]
-    VSN, VN, VKN = rows["VSN"], rows["VN"], rows["VKN"]
-    for n in range(1, min(m - 1, size)):
-        mu[n] = one
+    def __init__(self, exact: bool):
+        self.exact = exact
+        self.zero = Fraction(0) if exact else 0.0
 
-    if n_max < m - 1:
-        return rows
+    def row(self, values) -> Sequence:
+        """A table row: a list in exact mode, packed doubles in float mode
+        (a quarter of the memory of a list of floats)."""
+        return list(values) if self.exact else array("d", values)
 
-    denoms = [math.comb(n, m - 1) for n in range(size)]
-    if not exact:
-        denoms = [float(x) for x in denoms]
 
-    depth1, depth2 = m - 1, m - 2
-    casc = {name: _Cascade(depth1, zero)
-            for name in ("mu", "ka", "nu", "mm", "mk", "kk", "mw", "kw", "ww",
-                         "VS", "VSK", "VK", "VSN", "VN", "VKN")}
-    conv_pairs = ("mm", "mk", "kk", "mw", "kw", "ww")
-    casc2 = {name: _Cascade(depth2, zero) for name in conv_pairs}
-    drift = _Cascade(depth1, 0.0) if not exact else None
+class _SplitLaw(_Law):
+    """The (m,t) split law of a size-n node, n >= K = m(t+1)-1."""
 
-    w_row = [zero] * size  # nu + mu, filled as nu becomes available
-    if exact:
-        seqs = {"mm": (mu, mu), "mk": (mu, ka), "kk": (ka, ka),
-                "mw": (mu, w_row), "kw": (ka, w_row), "ww": (w_row, w_row)}
-    else:
-        # float mode convolves with numpy slices for speed
-        fa = {name: np.zeros(size) for name in ("mu", "ka", "w")}
-        seqs = {"mm": ("mu", "mu"), "mk": ("mu", "ka"), "kk": ("ka", "ka"),
-                "mw": ("mu", "w"), "kw": ("ka", "w"), "ww": ("w", "w")}
-
-    def conv_at(pair: str, s: int):
-        if exact:
-            f, g = seqs[pair]
-            return sum((f[j] * g[s - j] for j in range(s + 1)), Fraction(0))
-        fname, gname = seqs[pair]
-        f, g = fa[fname], fa[gname]
-        return float(f[: s + 1] @ g[s::-1])
-
-    for n in range(0, min(m - 1, size)):
-        w_row[n] = nu[n] + mu[n]
+    def __init__(self, m: int, t: int, n_max: int, exact: bool):
+        super().__init__(exact)
+        self.branches = m
+        self.start = m * (t + 1) - 1
+        self.depth = (m - 1) * (t + 1)
+        self.pair_depth = (m - 2) * (t + 1)
+        if not exact and math.comb(n_max, self.start) > sys.float_info.max:
+            sizes = range(self.start, n_max + 1)
+            n = sizes[bisect_left(sizes, True, key=lambda n: math.comb(
+                n, self.start) > sys.float_info.max)]
+            raise FloatDriftError(
+                f"normaliser C(n, {self.start}) overflows a double from n = {n}; "
+                "use exact mode")
+        # C(j,t) for every size a subtree can take below n_max; zero beyond,
+        # where each term of both laws vanishes anyway, so the weights stay
+        # below C(n_max, K) and therefore finite in float mode
+        last = n_max - self.depth
+        self.weight = self.row(math.comb(j, t) if j <= last else 0 for j in range(n_max + 1))
+        self.ones = self.row([1] * (n_max + 1))
+        self.denoms = self.row(math.comb(n, self.start) for n in range(n_max + 1))
         if not exact:
-            fa["mu"][n] = mu[n]
-            fa["ka"][n] = ka[n]
-            fa["w"][n] = w_row[n]
+            op = self.marginal()
+            for n in range(self.start, n_max + 1):
+                rel = abs(op(self.ones, n) - 1.0)
+                if rel > FLOAT_DRIFT_TOL:
+                    raise FloatDriftError(f"weight normalisation drift {rel:.2e} at n = {n}")
 
-    for n in range(m - 1, size):
-        s = n - m + 1  # new front index for all cascades
-        casc["mu"].push(mu[s]); casc["ka"].push(ka[s]); casc["nu"].push(nu[s])
-        casc["mm"].push(mu[s] * mu[s]); casc["mk"].push(mu[s] * ka[s])
-        casc["kk"].push(ka[s] * ka[s]); casc["mw"].push(mu[s] * w_row[s])
-        casc["kw"].push(ka[s] * w_row[s]); casc["ww"].push(w_row[s] * w_row[s])
-        for name in ("VS", "VSK", "VK", "VSN", "VN", "VKN"):
-            casc[name].push(rows[name][s])
-        for pair in conv_pairs:
-            casc2[pair].push(conv_at(pair, s))
-        if drift is not None:
-            drift.push(1.0)
-            rel = abs(drift.top / denoms[n] - 1.0)
-            if rel > FLOAT_DRIFT_TOL:
-                raise FloatDriftError(
-                    f"weight normalisation drift {rel:.2e} at n = {n}")
+    def _operator(self, depth: int, lag: int, weight: list):
+        casc, denoms = _Cascade(depth, self.zero), self.denoms
 
-        denom = denoms[n]
-        if not exact and math.isinf(denom):
-            raise FloatDriftError(f"binomial overflow at n = {n}; use exact mode")
+        def op(row, n):
+            s = n - lag
+            return casc.push(weight[s] * row[s]) / denoms[n]
+        return op
 
-        def m1(name):
-            return m * casc[name].top / denom
+    def marginal(self):
+        """Operator called with (row, n) for n = start, start+1, ...: pushes
+        row[n-D] and returns sum_j pi_{n,j} row[j]."""
+        return self._operator(self.depth, self.depth, self.weight)
 
-        def pair_sum(name):
-            return (m * casc[name].top + m * (m - 1) * casc2[name].top) / denom
+    def pair_marginal(self):
+        """Operator over ``convolve``'s output: returns the pair sum
+        sum_{j,k} pi2_{n}(j,k) f(j) g(k)."""
+        return self._operator(self.pair_depth, self.pair_depth + 1, self.ones)
 
-        # means
-        mu[n] = m1("mu") + one
-        ka[n] = m1("ka") + (n - m + 1)
-        nu[n] = m1("nu") + (mu[n] - one)
-        w_row[n] = nu[n] + mu[n]
-        if not exact:
-            fa["mu"][n] = mu[n]
-            fa["ka"][n] = ka[n]
-            fa["w"][n] = w_row[n]
+    def convolve(self, f: list, g: list) -> list:
+        """c_s = sum_j C(j,t) f_j C(s-j,t) g_{s-j} for every s the pair
+        operator reads; numpy in float mode."""
+        length = max(0, len(f) - 1 - self.pair_depth)
+        cf = self.row(c * x for c, x in zip(self.weight, f))
+        cg = cf if f is g else self.row(c * x for c, x in zip(self.weight, g))
+        if not self.exact:
+            # np.convolve takes one BLAS dot product per output; past ~10^4
+            # terms OpenBLAS splits a dot across threads, which made a
+            # 20001-row convolution up to 100x slower on a busy machine.
+            # Chunks of f keep every dot short and skip unread outputs.
+            f_arr, g_arr, out = np.asarray(cf), np.asarray(cg), np.zeros(length)
+            for k in range(0, length, _CONV_CHUNK):
+                out[k:] += np.convolve(f_arr[k:k + _CONV_CHUNK], g_arr[:length - k])[:length - k]
+            return self.row(out)
+        if f is not g:
+            return [sum((cf[j] * cg[s - j] for j in range(s + 1)), self.zero)
+                    for s in range(length)]
+        out = []
+        for s in range(length):
+            half = sum((cf[j] * cf[s - j] for j in range((s + 1) // 2)), self.zero)
+            out.append(2 * half + (cf[s // 2] ** 2 if s % 2 == 0 else 0))
+        return out
 
-        # centred-toll constants
-        c_d = one - mu[n]
-        c_n = (n - m + 1) - ka[n]
-        c_e = -nu[n]
-        m1mu, m1ka, m1w = m1("mu"), m1("ka"), m1("mu") + m1("nu")
 
-        e_dd = c_d * c_d + 2 * c_d * m1mu + pair_sum("mm")
-        e_dn = c_d * c_n + c_d * m1ka + c_n * m1mu + pair_sum("mk")
-        e_nn = c_n * c_n + 2 * c_n * m1ka + pair_sum("kk")
-        e_de = c_d * c_e + c_d * m1w + c_e * m1mu + pair_sum("mw")
-        e_ne = c_n * c_e + c_n * m1w + c_e * m1ka + pair_sum("kw")
-        e_ee = c_e * c_e + 2 * c_e * m1w + pair_sum("ww")
+class _QuadtreeLaw(_Law):
+    """Law of one cell count of a d-dimensional quadtree node: a d-fold
+    iterated uniform thinning of n-1, so sum_j P(J=j) a_j = (T^d a)(n-1)
+    with T the prefix-average operator; each T is one running sum."""
 
-        VS[n] = m1("VS") + e_dd
-        VSK[n] = m1("VSK") + e_dn
-        VK[n] = m1("VK") + e_nn
-        VSN[n] = m1("VSN") + m1("VS") + e_de
-        VN[n] = m1("VN") + m1("VS") + 2 * m1("VSN") + e_ee
-        VKN[n] = m1("VKN") + m1("VSK") + e_ne
+    start = 2
 
+    def __init__(self, d: int, exact: bool):
+        super().__init__(exact)
+        self.d = d
+        self.branches = 2 ** d
+
+    def marginal(self):
+        """Operator called with (row, n) for n = 2, 3, ...: pushes row[n-1]
+        (and row[0] first) and returns (T^d row)(n-1)."""
+        sums = [self.zero] * self.d
+        pushed = 0
+
+        def op(row, n):
+            nonlocal pushed
+            while pushed < n:
+                acc = row[pushed]
+                pushed += 1
+                for i in range(len(sums)):
+                    sums[i] += acc
+                    acc = sums[i] / pushed
+            return acc
+        return op
+
+
+def _law(instance: FamilyInstance, n_max: int, exact: bool):
+    law = instance.split_law
+    if law is None:
+        return _QuadtreeLaw(instance.parameter, exact)
+    return _SplitLaw(*law, n_max, exact)
+
+
+def _recurrence(law, toll: Sequence, initial: Sequence, n_max: int) -> list:
+    """a_n = branches * sum_j pi_{n,j} a_j + toll[n] for n >= law.start."""
+    a = law.row(initial[n] if n < law.start else law.zero for n in range(n_max + 1))
+    op, m = law.marginal(), law.branches
+    for n in range(law.start, n_max + 1):
+        a[n] = m * op(a, n) + toll[n]
+    return a
+
+
+# ---------------------------------------------------------------------------
+# moment rows
+# ---------------------------------------------------------------------------
+
+def _mean_rows(instance: FamilyInstance, law, n_max: int) -> dict[str, list]:
+    """Mean row of every measure, keyed by measure name."""
+    means, tolls = {}, {}
+    for meas in instance.measures:
+        c, slope = meas.toll
+        tolls[meas.name] = toll = law.row(c + slope * n for n in range(n_max + 1))
+        if meas.plus:
+            toll = law.row(b + mean - bp for b, mean, bp in
+                           zip(toll, means[meas.plus], tolls[meas.plus]))
+        initial = [law.zero] + [law.zero + meas.initial] * (law.start - 1)
+        means[meas.name] = _recurrence(law, toll, initial, n_max)
+    return means
+
+
+def _covariance_rows(instance: FamilyInstance, law, means, n_max: int):
+    """Second-order rows by centred tolls (module docstring)."""
+    plus = {meas.name: meas.plus for meas in instance.measures}
+    w = {a: row if plus[a] is None else law.row(x + y for x, y in zip(row, means[plus[a]]))
+         for a, row in means.items()}
+    m, zero = law.branches, law.zero
+    first = {}  # M_a, through the same operator as the sums it is taken from
+    for a, row in w.items():
+        op = law.marginal()
+        first[a] = law.row(m * op(row, n) if n >= law.start else zero
+                           for n in range(n_max + 1))
+    name = {frozenset((a, b)): row for row, a, b in instance.covariance_rows}
+    rows = {}
+    for row, a, b in instance.covariance_rows:
+        prod = law.row(x * y for x, y in zip(w[a], w[b]))
+        conv = law.convolve(w[a], w[b])
+        sq_op, pair_op = law.marginal(), law.pair_marginal()
+        # the rows whose m sum pi V the plus measures bring in
+        extra = [(law.marginal(), rows[name[frozenset((a2, b2))]])
+                 for a2 in (a, plus[a]) for b2 in (b, plus[b])
+                 if None not in (a2, b2) and (a2, b2) != (a, b)]
+        toll = law.row(zero if n < law.start else
+                       m * sq_op(prod, n) + m * (m - 1) * pair_op(conv, n)
+                       - first[a][n] * first[b][n] + m * sum(op(v, n) for op, v in extra)
+                       for n in range(n_max + 1))
+        rows[row] = _recurrence(law, toll, [zero] * law.start, n_max)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# fbbst engine
-# ---------------------------------------------------------------------------
-
-def _fbbst_engine(t: int, n_max: int, exact: bool) -> dict[str, list]:
-    zero = Fraction(0) if exact else 0.0
-    size = n_max + 1
-    rows = {name: [zero] * size for name in FBBST_ROWS}
-    eS, eX = rows["s_mean"], rows["x_mean"]
-    VS, VSX, VX = rows["VS"], rows["VSX"], rows["VX"]
-    lo = 2 * t + 1
-    if n_max < lo:
-        return rows
-
-    if exact:
-        ct = [math.comb(x, t) for x in range(size)]
-        c2t1 = [math.comb(x, 2 * t + 1) for x in range(size)]
-        for n in range(lo, size):
-            denom = c2t1[n]
-            pj = [(j, Fraction(ct[j] * ct[n - 1 - j], denom))
-                  for j in range(t, n - t)]
-            gS = {j: eS[j] + eS[n - 1 - j] + 1 for j, _ in pj}
-            gX = {j: eX[j] + eX[n - 1 - j] + (n - 1) for j, _ in pj}
-            eS[n] = sum((p * gS[j] for j, p in pj), Fraction(0))
-            eX[n] = sum((p * gX[j] for j, p in pj), Fraction(0))
-            vS = sum((p * gS[j] ** 2 for j, p in pj), Fraction(0)) - eS[n] ** 2
-            vX = sum((p * gX[j] ** 2 for j, p in pj), Fraction(0)) - eX[n] ** 2
-            cXS = sum((p * gX[j] * gS[j] for j, p in pj), Fraction(0)) - eX[n] * eS[n]
-            VS[n] = sum((p * (VS[j] + VS[n - 1 - j]) for j, p in pj), Fraction(0)) + vS
-            VX[n] = sum((p * (VX[j] + VX[n - 1 - j]) for j, p in pj), Fraction(0)) + vX
-            VSX[n] = sum((p * (VSX[j] + VSX[n - 1 - j]) for j, p in pj), Fraction(0)) + cXS
-        return rows
-
-    ct = np.array([math.comb(x, t) for x in range(size)], dtype=float)
-    c2t1 = np.array([math.comb(x, 2 * t + 1) for x in range(size)], dtype=float)
-    aeS = np.zeros(size); aeX = np.zeros(size)
-    aVS = np.zeros(size); aVSX = np.zeros(size); aVX = np.zeros(size)
-    for n in range(lo, size):
-        js = np.arange(t, n - t)
-        p = ct[js] * ct[n - 1 - js] / c2t1[n]
-        gS = aeS[js] + aeS[n - 1 - js] + 1.0
-        gX = aeX[js] + aeX[n - 1 - js] + (n - 1.0)
-        aeS[n] = p @ gS
-        aeX[n] = p @ gX
-        vS = p @ (gS * gS) - aeS[n] ** 2
-        vX = p @ (gX * gX) - aeX[n] ** 2
-        cXS = p @ (gX * gS) - aeX[n] * aeS[n]
-        aVS[n] = p @ (aVS[js] + aVS[n - 1 - js]) + vS
-        aVX[n] = p @ (aVX[js] + aVX[n - 1 - js]) + vX
-        aVSX[n] = p @ (aVSX[js] + aVSX[n - 1 - js]) + cXS
-    for n in range(size):
-        eS[n] = float(aeS[n]); eX[n] = float(aeX[n])
-        VS[n] = float(aVS[n]); VSX[n] = float(aVSX[n]); VX[n] = float(aVX[n])
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# quadtree mean engine
-# ---------------------------------------------------------------------------
-
-def _quadtree_means(d: int, n_max: int, exact: bool) -> dict[str, list]:
-    """Means of leaves and internal path length.
-
-    The marginal law of one cell count is a d-fold iterated uniform thinning
-    of n-1, so sum_j P(J=j) e(j) = (T^d e)(n-1) with T the prefix-average
-    operator; each T is one running sum, hence O(d) per step.
-    """
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    size = n_max + 1
-    rows = {name: [zero] * size for name in QUADTREE_ROWS}
-    eL, eXi = rows["l_mean"], rows["xi_mean"]
-    if n_max >= 1:
-        eL[1] = one
-    if n_max < 2:
-        return rows
-
-    branches = 2 ** d
-    sums_L = [zero] * d
-    sums_Xi = [zero] * d
-
-    def push(sums, value, count):
-        # one prefix-average pass per dimension; count = N+1 when pushing e(N)
-        acc = value
-        for i in range(d):
-            sums[i] += acc
-            acc = sums[i] / count
-        return acc  # (T^d e)(count-1)
-
-    # prime with e(0)
-    tL = push(sums_L, eL[0], 1)
-    tXi = push(sums_Xi, eXi[0], 1)
-    for n in range(2, size):
-        tL = push(sums_L, eL[n - 1], n)
-        tXi = push(sums_Xi, eXi[n - 1], n)
-        eL[n] = branches * tL
-        eXi[n] = branches * tXi + (n - 1)
-    if exact:
-        return rows
-    return {k: [float(v) for v in vs] for k, vs in rows.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -371,23 +339,13 @@ class MomentTable:
 
     @property
     def row_names(self) -> tuple[str, ...]:
-        if self.instance.family is Family.MARY:
-            return MARY_ROWS
-        if self.instance.family is Family.FBBST:
-            return FBBST_ROWS
-        return QUADTREE_ROWS
+        return self.instance.row_names
 
     def column(self, name: str) -> list:
         return self.columns[name]
 
     def cauchy_schwarz_ok(self) -> bool:
-        if self.instance.family is Family.MARY:
-            trips = (("VSK", "VS", "VK"), ("VSN", "VS", "VN"), ("VKN", "VK", "VN"))
-        elif self.instance.family is Family.FBBST:
-            trips = (("VSX", "VS", "VX"),)
-        else:
-            return True
-        for cov, va, vb in trips:
+        for cov, va, vb in self.instance.cauchy_schwarz_triples:
             c, a, b = self.columns[cov], self.columns[va], self.columns[vb]
             for n in range(self.n_max + 1):
                 bound = a[n] * b[n]
@@ -415,56 +373,22 @@ def mean_tables(instance: FamilyInstance, n_max: int, mode: str = "exact",
     """Family mean rows: (mu, kappa, nu) for mary, (s_mean, x_mean) for
     fbbst, (l_mean, xi_mean) for quadtree."""
     _check_caps(n_max, mode, cap)
-    exact = mode == "exact"
-    if instance.family is Family.MARY:
-        rows = _mary_means_only(instance.parameter, n_max, exact)
-        return rows["mu"], rows["kappa"], rows["nu"]
-    if instance.family is Family.FBBST:
-        rows = _fbbst_engine(instance.parameter, n_max, exact)
-        return rows["s_mean"], rows["x_mean"]
-    rows = _quadtree_means(instance.parameter, n_max, exact)
-    return rows["l_mean"], rows["xi_mean"]
-
-
-def _mary_means_only(m: int, n_max: int, exact: bool) -> dict[str, list]:
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    size = n_max + 1
-    rows = {"mu": [zero] * size, "kappa": [zero] * size, "nu": [zero] * size}
-    mu, ka, nu = rows["mu"], rows["kappa"], rows["nu"]
-    for n in range(1, min(m - 1, size)):
-        mu[n] = one
-    if n_max < m - 1:
-        return rows
-    denoms = [math.comb(n, m - 1) for n in range(size)]
-    if not exact:
-        denoms = [float(x) for x in denoms]
-    casc = {name: _Cascade(m - 1, zero) for name in ("mu", "ka", "nu")}
-    for n in range(m - 1, size):
-        s = n - m + 1
-        casc["mu"].push(mu[s]); casc["ka"].push(ka[s]); casc["nu"].push(nu[s])
-        denom = denoms[n]
-        mu[n] = m * casc["mu"].top / denom + one
-        ka[n] = m * casc["ka"].top / denom + (n - m + 1)
-        nu[n] = m * casc["nu"].top / denom + (mu[n] - one)
-    return rows
+    return tuple(_mean_rows(instance, _law(instance, n_max, mode == "exact"), n_max).values())
 
 
 def second_moment_tables(instance: FamilyInstance, n_max: int, mode: str = "exact",
                          cap: int | None = None) -> MomentTable:
     """Full moment table (means plus all second-order rows)."""
     _check_caps(n_max, mode, cap)
-    exact = mode == "exact"
-    if instance.family is Family.MARY:
-        rows = _mary_engine(instance.parameter, n_max, exact)
-    elif instance.family is Family.FBBST:
-        rows = _fbbst_engine(instance.parameter, n_max, exact)
-    else:
+    if instance.split_law is None:
         raise UnsupportedTableError(
             "quadtree second moments need the pairwise cell-count law, which "
             "has no scalar dynamic program; use treesim.monte_carlo")
-    return MomentTable(instance=instance, n_max=n_max, mode=mode, columns=rows)
-
+    law = _law(instance, n_max, mode == "exact")
+    means = _mean_rows(instance, law, n_max)
+    columns = {meas.row: means[meas.name] for meas in instance.measures}
+    columns.update(_covariance_rows(instance, law, means, n_max))
+    return MomentTable(instance=instance, n_max=n_max, mode=mode, columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -540,70 +464,18 @@ def generic_recurrence(toll: TollSpec, instance: FamilyInstance, n_max: int,
                        mode: str = "float", initial: Sequence | None = None,
                        cap: int | None = None) -> list:
     """Solve a_n = branches * sum_j w_{n,j} a_j + b_n with a user toll and
-    user initial segment (defaults to zeros below the splitting threshold)."""
+    user initial segment (defaults to zeros below the splitting threshold).
+    Float mode returns packed doubles (``array('d')``), exact mode a list."""
     _check_caps(n_max, mode, cap)
     exact = mode == "exact"
-    zero = Fraction(0) if exact else 0.0
+    law = _law(instance, n_max, exact)
     b = toll.materialize(n_max)
-    if instance.family is Family.MARY:
-        lo = instance.parameter - 1
-    elif instance.family is Family.FBBST:
-        lo = 2 * instance.parameter + 1
-    else:
-        lo = 2
-    init = list(initial) if initial is not None else [zero] * lo
-    if len(init) != lo:
-        raise ValueError(f"initial segment must have length {lo}")
+    init = list(initial) if initial is not None else [law.zero] * law.start
+    if len(init) != law.start:
+        raise ValueError(f"initial segment must have length {law.start}")
     if len(b) < len(init):
         raise ValueError("toll shorter than initial segment")
-
-    size = n_max + 1
-    a = [zero] * size
-    for n in range(min(lo, size)):
-        a[n] = init[n] if exact else float(init[n])
-    if n_max < lo:
-        return a
-
-    fam = instance.family
-    if fam is Family.MARY:
-        m = instance.parameter
-        denoms = [math.comb(n, m - 1) for n in range(size)]
-        if not exact:
-            denoms = [float(x) for x in denoms]
-        casc = _Cascade(m - 1, zero)
-        for n in range(m - 1, size):
-            casc.push(a[n - m + 1])
-            a[n] = m * casc.top / denoms[n] + b[n]
-        return a
-    if fam is Family.FBBST:
-        t = instance.parameter
-        ct = [math.comb(x, t) for x in range(size)]
-        c2t1 = [math.comb(x, 2 * t + 1) for x in range(size)]
-        for n in range(lo, size):
-            if exact:
-                tot = sum((Fraction(ct[j] * ct[n - 1 - j], c2t1[n]) * (a[j] + a[n - 1 - j])
-                           for j in range(t, n - t)), Fraction(0))
-            else:
-                tot = sum(ct[j] * ct[n - 1 - j] * (a[j] + a[n - 1 - j])
-                          for j in range(t, n - t)) / c2t1[n]
-            a[n] = tot + b[n]
-        return a
-    d = instance.parameter
-    branches = 2 ** d
-    sums = [zero] * d
-
-    def push(value, count):
-        acc = value
-        for i in range(d):
-            sums[i] += acc
-            acc = sums[i] / count
-        return acc
-
-    push(a[0], 1)
-    for n in range(2, size):
-        acc = push(a[n - 1], n)
-        a[n] = branches * acc + b[n]
-    return a
+    return _recurrence(law, b, init if exact else [float(v) for v in init], n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Two routes are provided and cross-checked: explicit m-ary tree construction
 from a permutation (the insertion procedure), and split-size recursion that
 samples subtree sizes directly from each family's split law
 
-    mary:      uniform composition of n-m+1 into m parts
-               (equivalently: m-1 distinct root-key ranks out of n),
-    fbbst:     left size j with probability C(j,t) C(n-1-j,t) / C(n,2t+1),
-    quadtree:  multinomial over the 2^d cell volumes of a uniform point.
+    mary, fbbst:  the (m,t) law with t = 0 and m = 2 respectively: m(t+1)-1
+                  distinct key ranks out of n, of which every (t+1)-th,
+                  from the (t+1)-st on, is a split key,
+    quadtree:     multinomial over the 2^d cell volumes of a uniform point.
 
 Replicates are simulated level-synchronously in fixed blocks of 1024, each
 block on its own counter-based Philox stream keyed by (seed, block index),
@@ -108,29 +108,26 @@ def _floyd_distinct(rng, n_arr: np.ndarray, k: int) -> np.ndarray:
     return chosen
 
 
-def _mary_splits(rng, m: int, sizes: np.ndarray) -> np.ndarray:
-    """Subtree sizes for splitting m-ary nodes: gaps between m-1 distinct
-    root-key ranks.  Returns (rows, m) array."""
-    ranks = np.sort(_floyd_distinct(rng, sizes, m - 1), axis=1)
+def _law_splits(rng, m: int, t: int, sizes: np.ndarray) -> np.ndarray:
+    """Subtree sizes below splitting nodes of the (m,t) law: gaps between
+    the split keys, which are columns t, 2t+1, ... of m(t+1)-1 sorted
+    distinct key ranks.  Returns (rows, m) array."""
+    ranks = np.sort(_floyd_distinct(rng, sizes, m * (t + 1) - 1), axis=1)
     rows = sizes.shape[0]
     bounds = np.empty((rows, m + 1), dtype=np.int64)
     bounds[:, 0] = 0
-    bounds[:, 1:m] = ranks
+    bounds[:, 1:m] = ranks[:, t :: t + 1]
     bounds[:, m] = sizes + 1
     return np.diff(bounds, axis=1) - 1
 
 
-def _fbbst_splits(rng, t: int, sizes: np.ndarray) -> np.ndarray:
-    """(left, right) subtree sizes under the median-of-(2t+1) law."""
-    ranks = np.sort(_floyd_distinct(rng, sizes, 2 * t + 1), axis=1)
-    med = ranks[:, t]
-    return np.stack([med - 1, sizes - med], axis=1)
-
-
-def _quadtree_volumes(rng, d: int, rows: int) -> np.ndarray:
-    """Cell volumes q_1..q_{2^d} of a uniform point in [0,1]^d."""
-    x = rng.random((rows, d))
-    vol = np.ones((rows, 1))
+def sample_volumes(d: int, rng, size: int) -> np.ndarray:
+    """Cell volumes of a uniform point of [0,1]^d: (size, 2^d) rows."""
+    x = rng.random((size, d))
+    while ((x <= 0.0) | (x >= 1.0)).any():
+        bad = ((x <= 0.0) | (x >= 1.0)).any(axis=1)
+        x[bad] = rng.random((int(bad.sum()), d))
+    vol = np.ones((size, 1))
     for l in range(d):
         xl = x[:, l : l + 1]
         vol = np.hstack([vol * xl, vol * (1.0 - xl)])
@@ -181,14 +178,16 @@ def sample_split(instance: FamilyInstance, n: int, rng) -> tuple[int, ...]:
     if n < instance.split_threshold:
         raise ValueError(
             f"n = {n} below the splitting threshold {instance.split_threshold} of {instance}")
-    sizes = np.array([n], dtype=np.int64)
-    if instance.family is Family.MARY:
-        return tuple(int(v) for v in _mary_splits(rng, instance.parameter, sizes)[0])
-    if instance.family is Family.FBBST:
-        return tuple(int(v) for v in _fbbst_splits(rng, instance.parameter, sizes)[0])
-    d = instance.parameter
-    probs = _quadtree_volumes(rng, d, 1)
-    return tuple(int(v) for v in _multinomial_rows(rng, sizes - 1, probs)[0])
+    return tuple(int(v) for v in _splits(instance, rng, np.array([n], dtype=np.int64))[0])
+
+
+def _splits(instance: FamilyInstance, rng, sizes: np.ndarray) -> np.ndarray:
+    """Subtree sizes below splitting nodes of the given sizes, one row each."""
+    law = instance.split_law
+    if law is not None:
+        return _law_splits(rng, *law, sizes)
+    vols = sample_volumes(instance.parameter, rng, sizes.shape[0])
+    return _multinomial_rows(rng, sizes - 1, vols)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,6 @@ def _simulate_block(instance: FamilyInstance, n: int, reps: int, rng):
             split = sizes >= thresh
             if not split.any():
                 break
-            gaps = _mary_splits(rng, p, sizes[split])
         elif fam is Family.FBBST:
             split = sizes >= thresh
             if not split.any():
@@ -238,7 +236,6 @@ def _simulate_block(instance: FamilyInstance, n: int, reps: int, rng):
             a += np.bincount(rep[split], minlength=reps)  # partition stages
             b += np.bincount(rep[split], weights=sizes[split] - 1,
                              minlength=reps).astype(np.int64)  # path length toll
-            gaps = _fbbst_splits(rng, p, sizes[split])
         else:
             leaf = sizes == 1
             if leaf.any():
@@ -248,8 +245,7 @@ def _simulate_block(instance: FamilyInstance, n: int, reps: int, rng):
                 break
             b += np.bincount(rep[split], weights=sizes[split] - 1,
                              minlength=reps).astype(np.int64)  # internal path length
-            vols = _quadtree_volumes(rng, p, int(split.sum()))
-            gaps = _multinomial_rows(rng, sizes[split] - 1, vols)
+        gaps = _splits(instance, rng, sizes[split])
 
         branches = gaps.shape[1]
         child_rep = np.repeat(rep[split], branches).reshape(-1, branches)
@@ -360,17 +356,9 @@ class SimStats:
         return d
 
 
-def _measure_names(instance: FamilyInstance):
-    if instance.family is Family.MARY:
-        return ("S", "K", "N")
-    if instance.family is Family.FBBST:
-        return ("S", "X")
-    return ("L", "Xi")
-
-
 def _block_stats(instance, n, reps, seed, block_idx):
     rng = np.random.Generator(np.random.Philox(key=[seed, block_idx]))
-    stats = SimStats(_measure_names(instance))
+    stats = SimStats([meas.name for meas in instance.measures])
     stats.update_arrays(_simulate_block(instance, n, reps, rng))
     return stats
 

@@ -204,6 +204,27 @@ def test_config_file_yields_to_equals_form_flag(tmp_path):
     assert out == run_cli([*argv, "--seed", "5"])[1]
 
 
+def test_config_file_equals_form(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family=mary\nparam=4\nseed=7\n")
+    argv = ["simulate", "--n", "50", "--reps", "20"]
+    code, out, err = run_cli([f"--config={cfg}", *argv])
+    assert code == 0, err
+    assert out == run_cli(["--config", str(cfg), *argv])[1]
+    # flags on the command line still beat the file, in either form
+    code, out, _ = run_cli([f"--config={cfg}", *argv, "--seed=5", "--param", "3"])
+    assert code == 0
+    assert json.loads(out)["meta"]["config"]["seed"] == 5
+    assert out == run_cli([*argv, "--family", "mary", "--param", "3", "--seed", "5"])[1]
+
+
+def test_float_moments_overflow_names_first_n():
+    code, out, err = run_cli(["moments", "--family", "mary", "--param", "200",
+                              "--nmax", "5000", "--mode", "float"])
+    assert code == 2 and out == ""
+    assert "n = 2739" in err and "use exact mode" in err
+
+
 def test_config_file_store_true_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("full_bivariate=true\n")

@@ -1,6 +1,9 @@
+import hashlib
+import io
 import math
+import sys
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from logtrees.families import fbbst, harmonic, mary, quadtree
 from logtrees.moments import (
     FloatDriftError,
+    MomentTable,
     TableModeError,
     TollSpec,
     UnsupportedTableError,
@@ -80,6 +84,46 @@ def test_oracle_equality_all_rows(m):
         oracle = permutation_oracle(n, m)
         for name in MARY_ROWS:
             assert table.column(name)[n] == getattr(oracle, name), (m, n, name)
+
+
+# sha256 of MomentTable.write_csv at n = 100, recorded before the moment
+# engines were merged into one split-law recurrence; exact tables must stay
+# rationally equal, which for normalised Fractions means byte-equal CSVs.
+GOLDEN_DIGESTS = {
+    "mary-3": "cf34463cd8b76425ab47515e7f64e7813ae1c892fd7d6457fdbf95d7df4c6152",
+    "mary-4": "fb3cec975d334ef62381be9b33c5242be15df48a0be04d6143cdeb4baa8d6762",
+    "mary-5": "0d0c690671f8e9c91f47db90b59de0ed24446dd1caf95b79f8ce697a2e7e2c29",
+    "mary-6": "0cfee5ef911882c23e62a9d6ee694f692ee3acdf0cffdbb347213993b7b1e94a",
+    "mary-7": "37df7b96053b1cad667d037e79389652bb06ef48b1ffea64fe4dfd86b56625f6",
+    "mary-8": "3b50cee563a3b54d458b074f146163a88c37edeb7b05d06556f7b183bc9e1ade",
+    "mary-9": "78145b3b134d6423ca5b7a223f2f2e2a6a4573d9614ff8ee701b737f4f22200e",
+    "mary-10": "be9b714678c2fa677f37c0f555f3393ecbdabdf0ce3a5676b932fe50f785414c",
+    "mary-11": "b00eb19f8e33c89534428cbe3b6d92bb0b9500388e1ace52ccfb65e653675619",
+    "mary-12": "e9a345bf9c84509d0250b34e679ec637da1ee62fe9e7275a5a13855e03e4b334",
+    "fbbst-1": "048deb92df492ca4e7437b62e6e54c13cbdc6a3f2d1895a1ac804d29110c107c",
+    "fbbst-2": "feb9b3cc95ea7ff876c845fb42c4a897e0237eeb2aca7ca5f77b3e28d20659de",
+    "fbbst-3": "c3855e5aec24cf124f47b1a985eb0cf76f0ef5b34a4eebad402df2a9ef995370",
+    "fbbst-4": "770465b89ff803d22b4dc9fb90b4a2f7923729bf71b1ea721f54451bd5374e64",
+    "fbbst-5": "d99066c762a6e88a461f1940c57ce0abc883249ab833f89138568f2f0439c27f",
+    "quadtree-1": "00896faaa772468f0a4666ad90b3a9466d6a39ba455f43bb08e657fee6a31f03",
+    "quadtree-2": "822cec6462b7bbde79b6bf5fed67f4c18c822d0da0b641c230bbdbca036bd0d9",
+    "quadtree-3": "9b4511c47ac656e368002cea74d382db4adcda6f749c56dff3a7d9a5f8951254",
+    "quadtree-4": "6230e2c3e6bd8f16afcad4d65a0963321f0b9e7f8933c915044d804a27096f66",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
+def test_exact_tables_match_golden_digests(key):
+    family, param = key.rsplit("-", 1)
+    inst = {"mary": mary, "fbbst": fbbst, "quadtree": quadtree}[family](int(param))
+    if family == "quadtree":
+        cols = dict(zip(("l_mean", "xi_mean"), mean_tables(inst, 100, "exact")))
+        table = MomentTable(inst, 100, "exact", cols)
+    else:
+        table = second_moment_tables(inst, 100, "exact")
+    buf = io.StringIO()
+    table.write_csv(buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_DIGESTS[key]
 
 
 def test_oracle_reference_sequence_values():
@@ -232,6 +276,52 @@ def test_fbbst_exact_small():
     assert t.cauchy_schwarz_ok()
 
 
+def _median_quicksort(keys, t):
+    """(S, X) of median-of-(2t+1) quicksort run on ``keys`` in input order:
+    the pivot is the median of the first 2t+1 keys, each partitioning stage
+    adds 1 to S and size-1 to X, and shorter sublists are left alone."""
+    if len(keys) < 2 * t + 1:
+        return 0, 0
+    pivot = sorted(keys[: 2 * t + 1])[t]
+    s_lo, x_lo = _median_quicksort([k for k in keys if k < pivot], t)
+    s_hi, x_hi = _median_quicksort([k for k in keys if k > pivot], t)
+    return 1 + s_lo + s_hi, len(keys) - 1 + x_lo + x_hi
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_fbbst_rows_match_quicksort_enumeration(t):
+    # an oracle that shares no code with the split-law engine: every input
+    # order of n <= 8 keys, partitioned by the median-of-(2t+1) rule
+    table = second_moment_tables(fbbst(t), 8, "exact")
+    for n in range(9):
+        runs = [_median_quicksort(list(p), t) for p in permutations(range(n))]
+        cnt = len(runs)
+        es = Fraction(sum(s for s, _ in runs), cnt)
+        ex = Fraction(sum(x for _, x in runs), cnt)
+        want = {
+            "s_mean": es,
+            "x_mean": ex,
+            "VS": Fraction(sum(s * s for s, _ in runs), cnt) - es * es,
+            "VSX": Fraction(sum(s * x for s, x in runs), cnt) - es * ex,
+            "VX": Fraction(sum(x * x for _, x in runs), cnt) - ex * ex,
+        }
+        for name, value in want.items():
+            assert table.column(name)[n] == value, (t, n, name)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_fbbst_float_vs_exact(t):
+    te = second_moment_tables(fbbst(t), 200, "exact")
+    tf = second_moment_tables(fbbst(t), 200, "float")
+    for name in te.row_names:
+        for n in range(201):
+            e, f = te.column(name)[n], tf.column(name)[n]
+            if e == 0:
+                assert f == 0.0, (name, n, f)
+            else:
+                assert abs(f - float(e)) <= 1e-10 * abs(float(e)), (name, n, f, e)
+
+
 def test_quadtree_d1_matches_bst_closed_forms():
     # d=1 is a plain BST: mean IPL is 2(n+1)H_n - 4n and mean leaves (n+1)/3
     l_mean, xi_mean = mean_tables(quadtree(1), 100, "exact")
@@ -343,6 +433,15 @@ def test_growth_exponents_match_theory_m3():
 def test_float_mode_flags_normalisation():
     # healthy horizon stays silent
     second_moment_tables(mary(6), 500, "float", cap=500)
+
+
+def test_float_mode_normaliser_overflow_is_named():
+    # C(2738, 199) is the largest normaliser a double holds
+    assert math.comb(2738, 199) <= sys.float_info.max < math.comb(2739, 199)
+    with pytest.raises(FloatDriftError, match=r"n = 2739; use exact mode"):
+        second_moment_tables(mary(200), 5000, "float")
+    with pytest.raises(FloatDriftError, match=r"n = 2739"):
+        mean_tables(mary(200), 5000, "float")
 
 
 @settings(max_examples=25, deadline=None)

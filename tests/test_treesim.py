@@ -62,10 +62,10 @@ def test_mary_split_law_frequencies():
 def test_mary_split_law_vs_pi():
     # exact frequency test against the marginal law pi_{n,j}, 1e6 draws
     from logtrees.moments import split_weights
-    from logtrees.treesim import _mary_splits
+    from logtrees.treesim import _law_splits
     n, m, draws = 12, 4, 1_000_000
     rng = np.random.default_rng(np.random.Philox(key=[11, 0]))
-    sizes = _mary_splits(rng, m, np.full(draws, n, dtype=np.int64))[:, 0]
+    sizes = _law_splits(rng, m, 0, np.full(draws, n, dtype=np.int64))[:, 0]
     pi = split_weights(n, m).pi
     for j, p in pi.items():
         emp = (sizes == j).mean()
@@ -93,10 +93,10 @@ def test_fbbst_split_pmf_normalisation_and_printed_defect():
 
 
 def test_fbbst_split_law_frequencies():
-    from logtrees.treesim import _fbbst_splits, fbbst_split_pmf
+    from logtrees.treesim import _law_splits, fbbst_split_pmf
     t, n, draws = 1, 9, 1_000_000
     rng = np.random.default_rng(np.random.Philox(key=[13, 0]))
-    lefts = _fbbst_splits(rng, t, np.full(draws, n, dtype=np.int64))[:, 0]
+    lefts = _law_splits(rng, 2, t, np.full(draws, n, dtype=np.int64))[:, 0]
     for j, p in fbbst_split_pmf(n, t).items():
         p = float(p)
         emp = (lefts == j).mean()
@@ -104,12 +104,31 @@ def test_fbbst_split_law_frequencies():
         assert abs(emp - p) < 5 * se, j
 
 
+@pytest.mark.parametrize("m,t", [(3, 0), (4, 0), (27, 0), (2, 1), (2, 2), (2, 5)])
+def test_law_splits_reproduce_family_samplers(m, t):
+    # same Philox stream, same draws as the per-family rules: m-ary gaps
+    # between all m-1 sorted ranks, fbbst sides of the median of 2t+1
+    from logtrees.treesim import _floyd_distinct, _law_splits
+    sizes = np.random.default_rng(0).integers(m * (t + 1) - 1, 400, 5000)
+    got = _law_splits(np.random.Generator(np.random.Philox(key=[5, m + t])), m, t, sizes)
+    ranks = np.sort(_floyd_distinct(np.random.Generator(np.random.Philox(key=[5, m + t])),
+                                    sizes, m * (t + 1) - 1), axis=1)
+    if t == 0:
+        bounds = np.hstack([np.zeros((len(sizes), 1), dtype=np.int64), ranks,
+                            (sizes + 1)[:, None]])
+        want = np.diff(bounds, axis=1) - 1
+    else:
+        med = ranks[:, t]
+        want = np.stack([med - 1, sizes - med], axis=1)
+    assert np.array_equal(got, want)
+
+
 def test_quadtree_d1_split_is_uniform():
     # d=1 reduces to the BST split law: left size uniform on {0..n-1}
-    from logtrees.treesim import _multinomial_rows, _quadtree_volumes
+    from logtrees.treesim import _multinomial_rows, sample_volumes
     n, draws = 8, 1_000_000
     rng = np.random.default_rng(np.random.Philox(key=[17, 0]))
-    probs = _quadtree_volumes(rng, 1, draws)
+    probs = sample_volumes(1, rng, draws)
     lefts = _multinomial_rows(rng, np.full(draws, n - 1, dtype=np.int64), probs)[:, 0]
     for j in range(n):
         emp = (lefts == j).mean()
