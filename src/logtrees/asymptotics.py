@@ -1,6 +1,8 @@
 """Closed-form asymptotic constants and periodic functions.
 
-Linear-mean and quadratic-variance constants:
+Linear-mean and quadratic-variance constants (phi, C_K, D_X and E_X are
+computed in ``families``; ``FamilyInstance.variance_constant`` picks the
+family's one):
 
     phi  = 1/(2(H_m - 1))                      occupancy constant
     c1   = -1/2 - 4 phi + 2 phi^2 (H_m^(2)-1) + 2 phi gamma
@@ -36,7 +38,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import Family, FamilyInstance, harmonic, occupancy_constant
+from .families import (  # the three variance constants are re-exported
+    Family,
+    FamilyInstance,
+    fbbst_tpl_variance_constant,
+    harmonic,
+    kpl_variance_constant,
+    occupancy_constant,
+    quadtree_ipl_variance_constant,
+)
 from .gammafn import digamma, gamma, log_gamma
 from .roots import (
     Spectrum,
@@ -58,34 +68,6 @@ class RegimeMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # scalar constants
 # ---------------------------------------------------------------------------
-
-def kpl_variance_constant(m: int) -> float:
-    """C_K: quadratic variance constant of the key path length, m >= 2."""
-    if m < 2:
-        raise ValueError("m >= 2 required")
-    h2 = float(harmonic(m, 2))
-    phi = float(1 / (2 * (harmonic(m) - 1)))
-    return 4 * phi * phi * (((m + 1) * h2 - 2) / (m - 1) - PI * PI / 6)
-
-
-def fbbst_tpl_variance_constant(t: int) -> float:
-    """D_X: quadratic variance constant of the fringe-balanced total path
-    length, t >= 0 (t = 0 is plain quicksort)."""
-    if t < 0:
-        raise ValueError("t >= 0 required")
-    h = float(harmonic(2 * t + 2) - harmonic(t + 1))
-    bracket = ((2 * t + 3) / (t + 1) * float(harmonic(2 * t + 2, 2))
-               - (t + 2) / (t + 1) * float(harmonic(t + 1, 2)) - PI * PI / 6)
-    return bracket / (h * h)
-
-
-def quadtree_ipl_variance_constant(d: int) -> float:
-    """E_X: quadratic variance constant of the quadtree internal path
-    length, d >= 1 (d = 1 is again quicksort)."""
-    if d < 1:
-        raise ValueError("d >= 1 required")
-    return 3.0**d / (3.0**d - 2.0**d) * (21 - 2 * PI * PI) / (9 * d)
-
 
 def c1_constant(m: int, as_printed: bool = False) -> float:
     """Linear coefficient of E[K_n] = 2 phi n log n + c1 n + o(n)."""
@@ -181,46 +163,25 @@ class FamilyConstants:
 def constants(instance: FamilyInstance, spectrum: Spectrum | None = None) -> FamilyConstants:
     """All closed-form constants of one instance (solving the spectrum on
     demand for the root-dependent ones)."""
-    fam = instance.family
     p = instance.parameter
-    if fam is Family.MARY:
-        if spectrum is None:
-            spectrum = solve_spectrum(instance)
-        return FamilyConstants(
-            instance=instance,
-            phi=occupancy_constant(instance),
-            harmonic_1=harmonic(p),
-            harmonic_2=harmonic(p, 2),
-            c1=c1_constant(p),
-            c2_minus_phi_c1=c2_minus_phi_c1(spectrum),
-            c2_minus_phi_c1_exact=REFERENCE_C2C1.get(p),
-            cK=kpl_variance_constant(p),
-            theta=theta(spectrum),
-        )
-    if fam is Family.FBBST:
-        if spectrum is None:
-            spectrum = solve_spectrum(instance)
-        return FamilyConstants(
-            instance=instance,
-            phi=occupancy_constant(instance),
-            harmonic_1=harmonic(2 * p + 2) - harmonic(p + 1),
-            harmonic_2=harmonic(2 * p + 2, 2),
-            c1=None,
-            c2_minus_phi_c1=None,
-            c2_minus_phi_c1_exact=None,
-            cK=fbbst_tpl_variance_constant(p),
-            theta=theta(spectrum),
-        )
+    law = instance.split_law
+    if law is not None and spectrum is None:
+        spectrum = solve_spectrum(instance)
+    mary = instance.family is Family.MARY
+    if instance.family is Family.FBBST:
+        h1, h2 = harmonic(2 * p + 2) - harmonic(p + 1), harmonic(2 * p + 2, 2)
+    else:
+        h1, h2 = harmonic(p), harmonic(p, 2)
     return FamilyConstants(
         instance=instance,
-        phi=None,
-        harmonic_1=harmonic(p),
-        harmonic_2=harmonic(p, 2),
-        c1=None,
-        c2_minus_phi_c1=None,
-        c2_minus_phi_c1_exact=None,
-        cK=quadtree_ipl_variance_constant(p),
-        theta=None,
+        phi=None if law is None else occupancy_constant(instance),
+        harmonic_1=h1,
+        harmonic_2=h2,
+        c1=c1_constant(p) if mary else None,
+        c2_minus_phi_c1=c2_minus_phi_c1(spectrum) if mary else None,
+        c2_minus_phi_c1_exact=REFERENCE_C2C1.get(p) if mary else None,
+        cK=instance.variance_constant,
+        theta=None if law is None else theta(spectrum),
     )
 
 
@@ -398,64 +359,50 @@ def periodic(kind: str, instance: FamilyInstance,
     P1/P2 depend on an amplitude the theory leaves to external work; it is
     caller-supplied (default 1) and only the shape of P1/P2 is meaningful.
     """
-    fam = instance.family
+    if kind not in PeriodicFunction.KINDS:
+        raise ValueError(f"unknown periodic kind {kind!r}")
     p = instance.parameter
-    if kind in ("F1", "F2", "Frho"):
-        if fam is not Family.MARY:
-            raise RegimeMismatchError(f"{kind} is an m-ary factor")
-        need = 27 if kind in ("F1", "Frho") else 14
-        if p < need:
-            raise RegimeMismatchError(f"{kind} needs m >= {need}, got m = {p}")
-        if spectrum is None:
-            spectrum = solve_spectrum(instance)
-        lam = spectrum.lambda2
-        a2 = amplitude(spectrum, 2)
-        phi = float(occupancy_constant(instance))
-        if kind == "F1":
-            c0, c2 = _f1_coefficients(p, lam, a2)
-            return PeriodicFunction("F1", instance, c0, c2, 2)
-        if kind == "F2":
-            q = _f2_coefficient(p, lam, a2, phi)
-            return PeriodicFunction("F2", instance, 0.0, q, 1)
+    var_kind, cov_kind = instance.periodic_factors
+    cov_from, dist_from = instance.periodic_from
+    # Frho = F2 / sqrt(C_K F1), the m-ary correlation factor, goes with F1
+    need = {var_kind: dist_from, cov_kind: cov_from}.get("F1" if kind == "Frho" else kind)
+    if need is None:
+        raise RegimeMismatchError(f"{kind} is not a periodic factor of {instance}")
+    if p < need:
+        raise RegimeMismatchError(f"{kind} needs parameter >= {need}, got {instance}")
+    if instance.split_law is not None and spectrum is None:
+        spectrum = solve_spectrum(instance)
+    if kind == "F1":
+        c0, c2 = _f1_coefficients(p, spectrum.lambda2, amplitude(spectrum, 2))
+        return PeriodicFunction("F1", instance, c0, c2, 2)
+    if kind == "F2":
+        q = _f2_coefficient(p, spectrum.lambda2, amplitude(spectrum, 2),
+                            float(occupancy_constant(instance)))
+        return PeriodicFunction("F2", instance, 0.0, q, 1)
+    if kind == "Frho":
         f1 = periodic("F1", instance, spectrum)
         f2 = periodic("F2", instance, spectrum)
         return PeriodicFunction("Frho", instance, 0.0, 0.0, 2,
-                                extra=(f2, f1, kpl_variance_constant(p)))
-    if kind in ("G1", "G2"):
-        if fam is not Family.FBBST:
-            raise RegimeMismatchError(f"{kind} is a fringe-balanced factor")
-        need = 59 if kind == "G1" else 29
-        if p < need:
-            raise RegimeMismatchError(f"{kind} needs t >= {need}, got t = {p}")
-        if spectrum is None:
-            spectrum = solve_spectrum(instance)
-        rho = spectrum.lambda2
-        c2amp = amplitude(spectrum, 2)
-        if kind == "G1":
-            c0, c2 = _g1_coefficients(p, rho, c2amp)
-            return PeriodicFunction("G1", instance, c0, c2, 2)
-        q = _g2_coefficient(p, rho, c2amp)
+                                extra=(f2, f1, instance.variance_constant))
+    if kind == "G1":
+        c0, c2 = _g1_coefficients(p, spectrum.lambda2, amplitude(spectrum, 2))
+        return PeriodicFunction("G1", instance, c0, c2, 2)
+    if kind == "G2":
+        q = _g2_coefficient(p, spectrum.lambda2, amplitude(spectrum, 2))
         return PeriodicFunction("G2", instance, 0.0, q, 1)
-    if kind in ("P1", "P2"):
-        if fam is not Family.QUADTREE:
-            raise RegimeMismatchError(f"{kind} is a quadtree factor")
-        need = 9 if kind == "P1" else 6
-        if p < need:
-            raise RegimeMismatchError(f"{kind} needs d >= {need}, got d = {p}")
-        qe = quadtree_exponents(p)
-        u = complex(qe.alpha_hat, qe.beta_hat)
-        d = p
-        if kind == "P1":
-            mult_r = ((2 * qe.alpha_hat + 1) ** d
-                      / ((2 * qe.alpha_hat + 1) ** d - 2.0 ** d))
-            c0 = 2 * mult_r * abs(cplus) ** 2 * _quadtree_cl(u, u.conjugate(), d).real
-            zmult = (2 * u + 1) ** d / ((2 * u + 1) ** d - 2.0 ** d)
-            c2 = zmult * cplus * cplus * _quadtree_cl(u, u, d)
-            return PeriodicFunction("P1", instance, c0, c2, 2)
-        zmult = (u + 2) ** d / ((u + 2) ** d - 2.0 ** d)
-        q = zmult * cplus * _quadtree_ck(u, d)
-        return PeriodicFunction("P2", instance, 0.0, q, 1)
-    raise ValueError(f"unknown periodic kind {kind!r}")
+    qe = quadtree_exponents(p)
+    u = complex(qe.alpha_hat, qe.beta_hat)
+    d = p
+    if kind == "P1":
+        mult_r = ((2 * qe.alpha_hat + 1) ** d
+                  / ((2 * qe.alpha_hat + 1) ** d - 2.0 ** d))
+        c0 = 2 * mult_r * abs(cplus) ** 2 * _quadtree_cl(u, u.conjugate(), d).real
+        zmult = (2 * u + 1) ** d / ((2 * u + 1) ** d - 2.0 ** d)
+        c2 = zmult * cplus * cplus * _quadtree_cl(u, u, d)
+        return PeriodicFunction("P1", instance, c0, c2, 2)
+    zmult = (u + 2) ** d / ((u + 2) ** d - 2.0 ** d)
+    q = zmult * cplus * _quadtree_ck(u, d)
+    return PeriodicFunction("P2", instance, 0.0, q, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -465,61 +412,43 @@ def periodic(kind: str, instance: FamilyInstance,
 def profile_rows(instance: FamilyInstance, n: int, stats) -> list[dict]:
     """Empirical-vs-predicted rows for one grid point; used by
     treesim.corr_profile."""
-    fam = instance.family
     p = instance.parameter
-    rows = []
+    law = instance.split_law
     count = stats.count
-
-    def add(stat, empirical, stderr, predicted, regime):
-        rows.append({"n": n, "stat": stat, "empirical": empirical,
-                     "stderr": stderr, "predicted": predicted, "regime": regime})
-
-    if fam is Family.MARY:
-        spectrum = solve_spectrum(instance)
-        regime = classify_regime(spectrum)
-        tag = f"cov={regime.covariance_phase.value},dist={regime.distribution_phase.value}"
-        phi = float(occupancy_constant(instance))
-        add("mean_S_over_n", stats.mean("S") / n, stats.sem("S") / n, phi, tag)
-        add("var_K_over_n2", stats.var("K") / n**2,
-            stats.var("K") / n**2 * math.sqrt(2 / (count - 1)),
-            kpl_variance_constant(p), tag)
-        rho_sk = stats.corr("S", "K")
-        if p >= 27:
-            pred = periodic("Frho", instance, spectrum)(spectrum.beta * math.log(n))
-        else:
-            pred = 0.0
-        add("rho_SK", rho_sk, (1 - rho_sk**2) / math.sqrt(count), pred, tag)
-        rho_kn = stats.corr("K", "N")
-        add("rho_KN", rho_kn, (1 - rho_kn**2) / math.sqrt(count), 1.0, tag)
-        return rows
-    if fam is Family.FBBST:
-        spectrum = solve_spectrum(instance)
-        regime = classify_regime(spectrum)
-        tag = f"cov={regime.covariance_phase.value},dist={regime.distribution_phase.value}"
-        phi = float(occupancy_constant(instance))
-        add("mean_S_over_n", stats.mean("S") / n, stats.sem("S") / n, phi, tag)
-        add("var_X_over_n2", stats.var("X") / n**2,
-            stats.var("X") / n**2 * math.sqrt(2 / (count - 1)),
-            fbbst_tpl_variance_constant(p), tag)
-        rho = stats.corr("S", "X")
-        if p >= 59:
-            z = spectrum.beta * math.log(n)
-            g1 = periodic("G1", instance, spectrum)
-            g2 = periodic("G2", instance, spectrum)
-            pred = g2(z) / math.sqrt(fbbst_tpl_variance_constant(p) * g1(z))
-        else:
-            pred = 0.0
-        add("rho_SX", rho, (1 - rho**2) / math.sqrt(count), pred, tag)
-        return rows
-    qe = quadtree_exponents(p)
-    regime = classify_regime(qe)
+    spectrum = quadtree_exponents(p) if law is None else solve_spectrum(instance)
+    regime = classify_regime(spectrum)
     tag = f"cov={regime.covariance_phase.value},dist={regime.distribution_phase.value}"
-    add("mean_Xi_over_nlogn", stats.mean("Xi") / (n * math.log(n)),
-        stats.sem("Xi") / (n * math.log(n)), 2.0 / p, tag)
-    add("var_Xi_over_n2", stats.var("Xi") / n**2,
-        stats.var("Xi") / n**2 * math.sqrt(2 / (count - 1)),
-        quadtree_ipl_variance_constant(p), tag)
-    rho = stats.corr("Xi", "L")
-    pred = 0.0 if p <= 8 else None  # d >= 9 needs the external amplitude
-    add("rho_XiL", rho, (1 - rho**2) / math.sqrt(count), pred, tag)
+    periodic_law = p >= instance.periodic_from[1]
+    first, path, *others = (meas.name for meas in instance.measures)
+    rows = []
+
+    def add(stat, empirical, stderr, predicted):
+        rows.append({"n": n, "stat": stat, "empirical": empirical,
+                     "stderr": stderr, "predicted": predicted, "regime": tag})
+
+    def add_corr(x, y, predicted):
+        rho = stats.corr(x, y)
+        add(f"rho_{x}{y}", rho, (1 - rho**2) / math.sqrt(count), predicted)
+
+    if law is None:
+        scale = n * math.log(n)
+        add(f"mean_{path}_over_nlogn", stats.mean(path) / scale, stats.sem(path) / scale, 2.0 / p)
+    else:
+        add(f"mean_{first}_over_n", stats.mean(first) / n, stats.sem(first) / n,
+            float(occupancy_constant(instance)))
+    var = stats.var(path) / n**2
+    add(f"var_{path}_over_n2", var, var * math.sqrt(2 / (count - 1)), instance.variance_constant)
+    if law is None:
+        # the periodic quadtree prediction needs an externally supplied amplitude
+        add_corr(path, first, None if periodic_law else 0.0)
+        return rows
+    pred = 0.0
+    if periodic_law:
+        z = spectrum.beta * math.log(n)
+        var_kind, cov_kind = instance.periodic_factors
+        pred = periodic(cov_kind, instance, spectrum)(z) / math.sqrt(
+            instance.variance_constant * periodic(var_kind, instance, spectrum)(z))
+    add_corr(first, path, pred)
+    for other in others:
+        add_corr(path, other, 1.0)
     return rows

@@ -17,18 +17,17 @@ P(I = j) = C(j,t) C(n-1-j, (m-1)(t+1)-1) / C(n, m(t+1)-1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 
 class Family(str, Enum):
     MARY = "mary"
     FBBST = "fbbst"
     QUADTREE = "quadtree"
-
-
-_MIN_PARAM = {Family.MARY: 3, Family.FBBST: 1, Family.QUADTREE: 1}
 
 
 @dataclass(frozen=True)
@@ -57,18 +56,15 @@ class FamilyInstance:
         object.__setattr__(self, "family", fam)
         if not isinstance(self.parameter, int):
             raise TypeError(f"parameter must be an int, got {type(self.parameter).__name__}")
-        lo = _MIN_PARAM[fam]
+        lo = _DATA[fam].min_param
         if self.parameter < lo:
             raise ValueError(f"{fam.value} requires parameter >= {lo}, got {self.parameter}")
 
     @property
     def branches(self) -> int:
-        """Number of subtrees below a splitting node."""
-        if self.family is Family.MARY:
-            return self.parameter
-        if self.family is Family.FBBST:
-            return 2
-        return 2 ** self.parameter
+        """Number of subtrees below a splitting node: m, or 2^d cells."""
+        law = self.split_law
+        return 2 ** self.parameter if law is None else law[0]
 
     @property
     def split_threshold(self) -> int:
@@ -126,6 +122,28 @@ class FamilyInstance:
         var = {a: row for row, a, b in self.covariance_rows if a == b}
         return tuple((row, var[a], var[b]) for row, a, b in self.covariance_rows if a != b)
 
+    @property
+    def periodic_from(self) -> tuple[int, int]:
+        """Smallest parameters from which Cov(S, path length) and then the
+        distribution (Var(S) and the limit law) turn periodic."""
+        return _DATA[self.family].periodic_from
+
+    @property
+    def periodic_factors(self) -> tuple[str, str]:
+        """Names of the ``asymptotics.periodic`` factors of Var(S) and of
+        Cov(S, path length)."""
+        return _DATA[self.family].periodic_factors
+
+    @property
+    def fixed_point_maps(self) -> tuple[str, str]:
+        """The periodic and the normal bivariate fixed-point maps."""
+        return _DATA[self.family].fixed_point_maps
+
+    @property
+    def variance_constant(self) -> float:
+        """Var(path length) / n^2 in the limit: C_K, D_X or E_X."""
+        return _DATA[self.family].variance_constant(self.parameter)
+
     def __str__(self) -> str:
         return f"{self.family.value}({self.parameter})"
 
@@ -150,12 +168,58 @@ def harmonic(m: int, order: int = 1) -> Fraction:
 
 
 def occupancy_constant(instance: FamilyInstance) -> Fraction:
-    """Exact linear-mean coefficient: 1/(2(H_m - 1)) for m-ary trees,
-    1/(2(t+1)(H_{2t+2} - H_{t+1})) for fringe-balanced BSTs."""
-    if instance.family is Family.MARY:
-        m = instance.parameter
-        return 1 / (2 * (harmonic(m) - 1))
-    if instance.family is Family.FBBST:
-        t = instance.parameter
-        return 1 / (2 * (t + 1) * (harmonic(2 * t + 2) - harmonic(t + 1)))
-    raise ValueError("occupancy constant is defined for mary and fbbst only")
+    """Exact linear-mean coefficient 1/(2(t+1)(H_{m(t+1)} - H_{t+1})) of the
+    (m,t) law: 1/(2(H_m - 1)) for m-ary trees, 1/(2(t+1)(H_{2t+2} - H_{t+1}))
+    for fringe-balanced BSTs."""
+    if instance.split_law is None:
+        raise ValueError("occupancy constant is defined for (m,t) split laws only")
+    m, t = instance.split_law
+    return 1 / (2 * (t + 1) * (harmonic(m * (t + 1)) - harmonic(t + 1)))
+
+
+def kpl_variance_constant(m: int) -> float:
+    """C_K: quadratic variance constant of the key path length, m >= 2."""
+    if m < 2:
+        raise ValueError("m >= 2 required")
+    h2 = float(harmonic(m, 2))
+    phi = float(1 / (2 * (harmonic(m) - 1)))
+    return 4 * phi * phi * (((m + 1) * h2 - 2) / (m - 1) - math.pi * math.pi / 6)
+
+
+def fbbst_tpl_variance_constant(t: int) -> float:
+    """D_X: quadratic variance constant of the fringe-balanced total path
+    length, t >= 0 (t = 0 is plain quicksort)."""
+    if t < 0:
+        raise ValueError("t >= 0 required")
+    h = float(harmonic(2 * t + 2) - harmonic(t + 1))
+    bracket = ((2 * t + 3) / (t + 1) * float(harmonic(2 * t + 2, 2))
+               - (t + 2) / (t + 1) * float(harmonic(t + 1, 2)) - math.pi * math.pi / 6)
+    return bracket / (h * h)
+
+
+def quadtree_ipl_variance_constant(d: int) -> float:
+    """E_X: quadratic variance constant of the quadtree internal path
+    length, d >= 1 (d = 1 is again quicksort)."""
+    if d < 1:
+        raise ValueError("d >= 1 required")
+    return 3.0**d / (3.0**d - 2.0**d) * (21 - 2 * math.pi * math.pi) / (9 * d)
+
+
+class _FamilyData(NamedTuple):
+    """What a family knows beyond its split law and measures."""
+
+    min_param: int
+    periodic_from: tuple[int, int]
+    periodic_factors: tuple[str, str]
+    fixed_point_maps: tuple[str, str]
+    variance_constant: Callable[[int], float]
+
+
+_DATA = {
+    Family.MARY: _FamilyData(3, (14, 27), ("F1", "F2"), ("TN_periodic", "TNprime_normal"),
+                             kpl_variance_constant),
+    Family.FBBST: _FamilyData(1, (29, 59), ("G1", "G2"), ("Tmed_periodic", "Tmed_normal"),
+                              fbbst_tpl_variance_constant),
+    Family.QUADTREE: _FamilyData(1, (6, 9), ("P1", "P2"), ("Tquad_periodic", "Tquad_normal"),
+                                 quadtree_ipl_variance_constant),
+}

@@ -14,12 +14,18 @@ and for the bivariate maps a second slot
                so the slot can be injected exactly instead of iterated --
                a fully iterated variant stays available behind a flag).
 
-Tolls (natural logarithm throughout):
+One entropy toll serves every map (natural logarithm throughout):
 
-    b_K = 1 + 2 phi sum V_r log V_r          mary KPL scale
-    b_N = phi b_K                            mary NPL scale
-    b_M = 1 + (V log V + (1-V) log(1-V)) / (H_{2t+2} - H_{t+1})
-    b_Q = 1 + (2/d) sum q_r log q_r
+    b = 1 + kappa sum_r V_r log V_r,  kappa = 2 (t+1) phi for the (m,t) law
+                                              (2 phi for m-ary trees,
+                                              1/(H_{2t+2} - H_{t+1}) for
+                                              fringe-balanced BSTs),
+                                      kappa = 2/d for d-dimensional quadtrees,
+
+scaled for the bivariate maps by the growth of the toll of the measure they
+follow (phi for the m-ary node path length N, 1 for the fbbst and quadtree
+path lengths) and divided by the square root of the limit variance for the
+normal maps.
 
 The maps are strict L2 contractions (factors asserted numerically before
 iterating), so generation error decays geometrically; pool-resampling bias
@@ -34,25 +40,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import (
-    RegimeMismatchError,
-    fbbst_tpl_variance_constant,
-    kpl_variance_constant,
-    quadtree_ipl_variance_constant,
-)
-from .families import Family, FamilyInstance, occupancy_constant
-from .roots import Spectrum, solve_spectrum, theta as spectrum_theta
+from .asymptotics import RegimeMismatchError
+from .families import FamilyInstance, occupancy_constant
+from .roots import Spectrum, quadtree_exponents, solve_spectrum, theta as spectrum_theta
 from .treesim import sample_volumes
 
 CHUNK = 16_384
 
 MAP_KINDS = ("uniK", "TN_periodic", "TNprime_normal", "Tmed_periodic",
              "Tmed_normal", "Tquad_periodic", "Tquad_normal")
-
-_PERIODIC = {"TN_periodic": Family.MARY, "Tmed_periodic": Family.FBBST,
-             "Tquad_periodic": Family.QUADTREE}
-_NORMAL = {"TNprime_normal": Family.MARY, "Tmed_normal": Family.FBBST,
-           "Tquad_normal": Family.QUADTREE}
 
 
 class PoolDegeneracyError(RuntimeError):
@@ -81,15 +77,11 @@ class FixedPointSpec:
 
     @property
     def is_periodic(self) -> bool:
-        return self.map_kind in _PERIODIC
+        return self.map_kind == self.instance.fixed_point_maps[0]
 
 
 def variance_scale(instance: FamilyInstance) -> float:
-    if instance.family is Family.MARY:
-        return kpl_variance_constant(instance.parameter)
-    if instance.family is Family.FBBST:
-        return fbbst_tpl_variance_constant(instance.parameter)
-    return quadtree_ipl_variance_constant(instance.parameter)
+    return instance.variance_constant
 
 
 def fixed_point_spec(instance: FamilyInstance, map_kind: str,
@@ -103,45 +95,29 @@ def fixed_point_spec(instance: FamilyInstance, map_kind: str,
     """
     if map_kind not in MAP_KINDS:
         raise ValueError(f"unknown map kind {map_kind!r}")
-    fam = instance.family
     p = instance.parameter
-    if map_kind in _PERIODIC and _PERIODIC[map_kind] is not fam:
-        raise RegimeMismatchError(f"{map_kind} needs a {_PERIODIC[map_kind].value} instance")
-    if map_kind in _NORMAL and _NORMAL[map_kind] is not fam:
-        raise RegimeMismatchError(f"{map_kind} needs a {_NORMAL[map_kind].value} instance")
+    periodic_map, normal_map = instance.fixed_point_maps
+    if map_kind not in ("uniK", periodic_map, normal_map):
+        raise RegimeMismatchError(f"{map_kind} is not a map of {instance}")
+    dist_from = instance.periodic_from[1]
+    if map_kind == periodic_map and p < dist_from:
+        raise RegimeMismatchError(f"{map_kind} needs parameter >= {dist_from}, got {instance}")
+    if map_kind == normal_map and p >= dist_from:
+        raise RegimeMismatchError(f"{map_kind} needs parameter < {dist_from}, got {instance}")
 
     lam2 = None
-    phi = None
-    if fam in (Family.MARY, Family.FBBST):
-        phi = float(occupancy_constant(instance))
-    if map_kind == "TN_periodic":
-        if p < 27:
-            raise RegimeMismatchError("TN_periodic needs m >= 27")
-    if map_kind == "TNprime_normal" and p > 26:
-        raise RegimeMismatchError("TNprime_normal needs 3 <= m <= 26")
-    if map_kind == "Tmed_periodic" and p < 59:
-        raise RegimeMismatchError("Tmed_periodic needs t >= 59")
-    if map_kind == "Tmed_normal" and p > 58:
-        raise RegimeMismatchError("Tmed_normal needs 1 <= t <= 58")
-    if map_kind == "Tquad_periodic" and p < 9:
-        raise RegimeMismatchError("Tquad_periodic needs d >= 9")
-    if map_kind == "Tquad_normal" and p > 8:
-        raise RegimeMismatchError("Tquad_normal needs 1 <= d <= 8")
-
-    if map_kind in ("TN_periodic", "Tmed_periodic"):
+    phi = None if instance.split_law is None else float(occupancy_constant(instance))
+    if map_kind != periodic_map:
+        mean = (0.0, 0.0) if map_kind == normal_map else (0.0,)
+    elif instance.split_law is None:
+        qe = quadtree_exponents(p)
+        lam2 = complex(qe.alpha_hat + 1.0, qe.beta_hat)  # exponent + 1
+        mean = (0.0, 1.0 + 0.0j if theta is None else complex(theta))
+    else:
         if spectrum is None:
             spectrum = solve_spectrum(instance)
         lam2 = spectrum.lambda2
         mean = (0.0, spectrum_theta(spectrum))
-    elif map_kind == "Tquad_periodic":
-        from .roots import quadtree_exponents
-        qe = quadtree_exponents(p)
-        lam2 = complex(qe.alpha_hat + 1.0, qe.beta_hat)  # exponent + 1
-        mean = (0.0, 1.0 + 0.0j if theta is None else complex(theta))
-    elif map_kind in _NORMAL:
-        mean = (0.0, 0.0)
-    else:
-        mean = (0.0,)
     return FixedPointSpec(
         instance=instance, map_kind=map_kind, mean_constraint=mean,
         lambda2=lam2, phi=phi, scale_constant=variance_scale(instance))
@@ -181,71 +157,49 @@ def sample_median(t: int, rng, size: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def toll(spec: FixedPointSpec, split_sample: np.ndarray) -> np.ndarray:
-    """Toll of the map for a batch of split samples (natural log)."""
-    fam = spec.instance.family
-    if fam is Family.MARY:
-        ent = (split_sample * np.log(split_sample)).sum(axis=1)
-        b_k = 1.0 + 2.0 * spec.phi * ent
-        if spec.map_kind == "uniK":
-            return b_k
-        b_n = spec.phi * b_k
-        if spec.map_kind == "TNprime_normal":
-            c_n = spec.phi ** 2 * spec.scale_constant
-            return b_n / math.sqrt(c_n)
-        return b_n
-    if fam is Family.FBBST:
-        v = split_sample
-        t = spec.instance.parameter
-        h = 1.0 / (2.0 * (t + 1) * spec.phi)  # H_{2t+2} - H_{t+1}
-        b_m = 1.0 + (v * np.log(v) + (1 - v) * np.log1p(-v)) / h
-        if spec.map_kind == "Tmed_normal":
-            return b_m / math.sqrt(spec.scale_constant)
-        return b_m
-    d = spec.instance.parameter
-    ent = (split_sample * np.log(split_sample)).sum(axis=1)
-    b_q = 1.0 + (2.0 / d) * ent
-    if spec.map_kind == "Tquad_normal":
-        return b_q / math.sqrt(spec.scale_constant)
-    return b_q
+    """Toll of the map for a batch of (size, branches) coefficient rows."""
+    law = spec.instance.split_law
+    kappa = 2.0 / spec.instance.parameter if law is None else 2.0 * (law[1] + 1) * spec.phi
+    b = 1.0 + kappa * (split_sample * np.log(split_sample)).sum(axis=1)
+    scale = 1.0
+    if spec.bivariate:
+        # the bivariate maps follow the family's last measure, whose toll grows
+        # like s n, or like phi n when it collects the node count (mary N)
+        path = spec.instance.measures[-1]
+        scale = spec.phi if path.plus else float(path.toll[1])
+        b = scale * b
+    if spec.bivariate and not spec.is_periodic:
+        return b / math.sqrt(scale ** 2 * spec.scale_constant)
+    return b
 
 
 # ---------------------------------------------------------------------------
 # contraction factors
 # ---------------------------------------------------------------------------
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+def _coefficient_moment(instance: FamilyInstance, s: float) -> float:
+    """E[V^s] of one coefficient V: the Beta(t+1, (m-1)(t+1)) Mellin moment
+    for the (m,t) law, (1/(s+1))^d for a volume of d uniform factors."""
+    law = instance.split_law
+    if law is None:
+        return (1.0 / (s + 1.0)) ** instance.parameter
+    m, t = law
+    k = m * (t + 1)
+    return math.exp(math.lgamma(t + 1 + s) + math.lgamma(k)
+                    - math.lgamma(k + s) - math.lgamma(t + 1))
 
 
 def contraction_factor(spec: FixedPointSpec) -> float:
-    """Numeric L2 contraction factor asserted < 1 before iterating.
-
-    mary periodic uses the classical m^2 B(m, 2 alpha - 1) bound; the normal
-    maps use branches * E[V^(3/2)]; uniK uses branches * E[V^2]."""
-    inst = spec.instance
-    fam = inst.family
-    p = inst.parameter
-    if fam is Family.MARY:
-        if spec.map_kind == "TN_periodic":
-            alpha = spec.lambda2.real
-            return p * p * math.exp(_log_beta(p, 2 * alpha - 1))
-        if spec.map_kind == "TNprime_normal":
-            return p * (p - 1) * math.exp(_log_beta(2.5, p - 1))
-        return 2.0 / (p + 1)
-    if fam is Family.FBBST:
-        def beta_moment(s: float) -> float:
-            return math.exp(math.lgamma(p + 1 + s) + math.lgamma(2 * p + 2)
-                            - math.lgamma(2 * p + 2 + s) - math.lgamma(p + 1))
-        if spec.map_kind == "Tmed_periodic":
-            return 2.0 * beta_moment(2 * spec.lambda2.real - 2)
-        if spec.map_kind == "Tmed_normal":
-            return 2.0 * beta_moment(1.5)
-        return 2.0 * beta_moment(2.0)
-    if spec.map_kind == "Tquad_periodic":
-        return (2.0 / (2 * spec.lambda2.real - 1)) ** p
-    if spec.map_kind == "Tquad_normal":
-        return 0.8 ** p
-    return (2.0 / 3.0) ** p
+    """L2 contraction factor branches * E[V^s] = branches * E[|V^e|^2],
+    asserted < 1 before iterating: s = 2 (e = 1) for uniK, the factor of
+    x' = sum_r V_r x_r; s = 2 alpha - 2 (e = lambda_2 - 1) for the periodic
+    maps, the factor of their second slot; s = 3/2 (e = 3/4) for the normal
+    maps."""
+    if spec.is_periodic:
+        s = 2 * spec.lambda2.real - 2
+    else:
+        s = 1.5 if spec.bivariate else 2.0
+    return spec.instance.branches * _coefficient_moment(spec.instance, s)
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +246,18 @@ class SamplePool:
                                            "mean_im_w", "var_w", "cov")]) + "\n")
 
 
-def _draw_split(spec: FixedPointSpec, rng, size: int) -> np.ndarray:
-    fam = spec.instance.family
-    if fam is Family.MARY:
-        return sample_spacings(spec.instance.parameter, rng, size)
-    if fam is Family.FBBST:
-        return sample_median(spec.instance.parameter, rng, size)
-    return sample_volumes(spec.instance.parameter, rng, size)
-
-
-def _coefficients(spec: FixedPointSpec, split: np.ndarray) -> np.ndarray:
-    """First-slot combination weights as a (size, branches) array."""
-    if spec.instance.family is Family.FBBST:
-        return np.stack([split, 1.0 - split], axis=1)
-    return split
+def _split_rows(spec: FixedPointSpec, rng, size: int) -> np.ndarray:
+    """(size, branches) coefficient rows of the split law: spacings for
+    t = 0, (V, 1-V) with V ~ Beta(t+1, t+1) for m = 2, cell volumes for
+    quadtrees."""
+    law = spec.instance.split_law
+    if law is None:
+        return sample_volumes(spec.instance.parameter, rng, size)
+    m, t = law
+    if t == 0:
+        return sample_spacings(m, rng, size)
+    v = sample_median(t, rng, size)
+    return np.stack([v, 1.0 - v], axis=1)
 
 
 def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
@@ -346,9 +298,8 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
             hi = min(lo + CHUNK, pool_size)
             size = hi - lo
             idx = rng.integers(0, pool_size, (size, branches))
-            split = _draw_split(spec, rng, size)
-            coef = _coefficients(spec, split)
-            tolls = toll(spec, split)
+            coef = _split_rows(spec, rng, size)
+            tolls = toll(spec, coef)
             new_x[lo:hi] = (coef * pool.x[idx]).sum(axis=1) + tolls
             if new_w is None:
                 continue

@@ -2,8 +2,9 @@
 
 The growth exponents of the moment recurrences are driven by the zeros of
 
-    mary:   z (z+1) ... (z+m-2) - m!
-    fbbst:  (z+t) (z+t+1) ... (z+2t) - 2 (2t+1)!/t!
+    (m,t) law:  (z+t) (z+t+1) ... (z+m(t+1)-2) - m (m(t+1)-1)!/t!
+    mary:       z (z+1) ... (z+m-2) - m!                      (t = 0)
+    fbbst:      (z+t) (z+t+1) ... (z+2t) - 2 (2t+1)!/t!       (m = 2)
 
 z = 2 is always a zero (the principal one); the real part alpha of the
 second-largest zero decides the phase of second-order moments.  Quadtrees
@@ -64,15 +65,14 @@ _EPS = 2.0 ** -52
 
 
 def indicial_shifts(instance: FamilyInstance) -> tuple[list[int], int]:
-    """Factored form of the indicial polynomial: (shifts s_i, constant c)
-    such that P(z) = prod_i (z + s_i) - c."""
-    if instance.family is Family.MARY:
-        m = instance.parameter
-        return list(range(0, m - 1)), math.factorial(m)
-    if instance.family is Family.FBBST:
-        t = instance.parameter
-        return list(range(t, 2 * t + 1)), 2 * math.factorial(2 * t + 1) // math.factorial(t)
-    raise NoPolynomialError("no polynomial for quadtree; use quadtree_exponents")
+    """Factored form of the indicial polynomial of the (m,t) split law:
+    shifts t .. m(t+1)-2 and c = m (m(t+1)-1)! / t!, so that
+    P(z) = prod_i (z + s_i) - c."""
+    if instance.split_law is None:
+        raise NoPolynomialError("no polynomial for quadtree; use quadtree_exponents")
+    m, t = instance.split_law
+    k = m * (t + 1) - 1
+    return list(range(t, k)), m * math.factorial(k) // math.factorial(t)
 
 
 def build_indicial(instance: FamilyInstance) -> list[int]:
@@ -336,16 +336,15 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
     beta = abs(lam2.imag) if abs(lam2.imag) > imag_tol else 0.0
     alpha = lam2.real
 
-    if instance.family is Family.FBBST and beta > 0.0:
+    if beta > 0.0:
         # the second and third roots must be a conjugate pair strictly above
         # the rest; verified rather than assumed
         lam3 = complex(roots[2])
-        if abs(lam3.real - alpha) > 1e-9 * max(1.0, abs(alpha)):
-            raise RootConvergenceError(
-                f"fbbst ordering violated: Re({lam2}) != Re({lam3})")
+        if lam3 != lam2.conjugate():
+            raise RootConvergenceError(f"ordering violated: {lam3} is not conj({lam2})")
         if deg > 3 and complex(roots[3]).real >= alpha - 1e-9:
             raise RootConvergenceError(
-                f"fbbst ordering violated: fourth root not strictly below alpha")
+                f"ordering violated: fourth root not strictly below alpha for {instance}")
 
     return Spectrum(
         instance=instance,

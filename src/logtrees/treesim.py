@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .families import Family, FamilyInstance
+from .families import FamilyInstance
 
 BLOCK = 1024  # replicates per RNG stream; fixed so --threads cannot change draws
 
@@ -33,8 +33,7 @@ class DepthCapError(RuntimeError):
     """Recursion exceeded 64 log2(n) + 64 levels (pathological stream guard)."""
 
 
-@dataclass(frozen=True)
-class TreeMeasures:
+class TreeMeasures(NamedTuple):
     """Shape measures of one m-ary search tree: node count S, key path
     length K, node path length N."""
 
@@ -200,18 +199,25 @@ def _depth_cap(n: int) -> int:
 
 def _simulate_block(instance: FamilyInstance, n: int, reps: int, rng):
     """Level-synchronous split recursion for a block of replicates.
-    Returns the per-replicate measure columns as int64 arrays."""
-    fam = instance.family
-    p = instance.parameter
+    Returns the per-replicate measure columns as int64 arrays, in the order
+    of ``instance.measures``.
+
+    A measure adds ``initial`` at every non-empty node and, at a splitting
+    node of size n, c - initial + s n more (its toll c + s n in all); a
+    measure with ``plus`` also adds depth times the increment of that
+    measure, since each node counts once in every enclosing subtree.  So
+    three counts per level serve every measure: nodes, splitting nodes and
+    the keys held by splitting nodes.
+    """
     thresh = instance.split_threshold
     cap = _depth_cap(n)
-
-    a = np.zeros(reps, dtype=np.int64)
-    b = np.zeros(reps, dtype=np.int64)
-    c = np.zeros(reps, dtype=np.int64) if fam is Family.MARY else None
-
+    measures = instance.measures
+    cols = {meas.name: np.zeros(reps, dtype=np.int64) for meas in measures}
     if n == 0:
-        return (a, b, c) if fam is Family.MARY else (a, b)
+        return tuple(cols.values())
+    need_nodes = any(meas.initial for meas in measures)
+    need_splits = any(meas.toll[0] != meas.initial for meas in measures)
+    need_keys = any(meas.toll[1] for meas in measures)
 
     sizes = np.full(reps, n, dtype=np.int64)
     rep = np.arange(reps, dtype=np.int64)
@@ -219,56 +225,37 @@ def _simulate_block(instance: FamilyInstance, n: int, reps: int, rng):
     while sizes.size:
         if depth > cap:
             raise DepthCapError(f"depth {depth} exceeded cap {cap} at n={n}")
-        if fam is Family.MARY:
-            a += np.bincount(rep, minlength=reps)  # S: one per node
-            if depth:
-                c += depth * np.bincount(rep, minlength=reps)  # N
-            keycount = np.where(sizes >= p, p - 1, sizes)
-            if depth:
-                b += depth * np.bincount(rep, weights=keycount, minlength=reps).astype(np.int64)
-            split = sizes >= thresh
-            if not split.any():
-                break
-        elif fam is Family.FBBST:
-            split = sizes >= thresh
-            if not split.any():
-                break
-            a += np.bincount(rep[split], minlength=reps)  # partition stages
-            b += np.bincount(rep[split], weights=sizes[split] - 1,
-                             minlength=reps).astype(np.int64)  # path length toll
-        else:
-            leaf = sizes == 1
-            if leaf.any():
-                a += np.bincount(rep[leaf], minlength=reps)  # leaves
-            split = sizes >= thresh
-            if not split.any():
-                break
-            b += np.bincount(rep[split], weights=sizes[split] - 1,
-                             minlength=reps).astype(np.int64)  # internal path length
-        gaps = _splits(instance, rng, sizes[split])
+        nodes = np.bincount(rep, minlength=reps) if need_nodes else 0
+        split = sizes >= thresh
+        rep, sizes = rep[split], sizes[split]  # from here on: the splitting nodes
+        splits = np.bincount(rep, minlength=reps) if need_splits else 0
+        keys = (np.bincount(rep, weights=sizes, minlength=reps).astype(np.int64)
+                if need_keys else 0)
+        step = {meas.name: meas.initial * nodes + (meas.toll[0] - meas.initial) * splits
+                + meas.toll[1] * keys for meas in measures}
+        for meas in measures:
+            cols[meas.name] += step[meas.name]
+            if meas.plus and depth:
+                cols[meas.name] += depth * step[meas.plus]
+        if not sizes.size:
+            break
+        gaps = _splits(instance, rng, sizes)
 
         branches = gaps.shape[1]
-        child_rep = np.repeat(rep[split], branches).reshape(-1, branches)
+        child_rep = np.repeat(rep, branches).reshape(-1, branches)
         keep = gaps > 0
         sizes = gaps[keep]
         rep = child_rep[keep]
         depth += 1
-
-    if fam is Family.MARY:
-        return a, b, c
-    return a, b
+    return tuple(cols.values())
 
 
-def simulate_recursion(instance: FamilyInstance, n: int, rng):
-    """One replicate of the split-size recursion.
-
-    Returns TreeMeasures for mary, (stages, path_length) for fbbst, and
-    (leaves, internal_path_length) for quadtree.
-    """
-    cols = _simulate_block(instance, n, 1, rng)
-    if instance.family is Family.MARY:
-        return TreeMeasures(int(cols[0][0]), int(cols[1][0]), int(cols[2][0]))
-    return int(cols[0][0]), int(cols[1][0])
+def simulate_recursion(instance: FamilyInstance, n: int, rng) -> tuple[int, ...]:
+    """One replicate of the split-size recursion: the measures of
+    ``instance.measures`` in order, (S, K, N) for mary, (stages,
+    path_length) for fbbst, and (leaves, internal_path_length) for
+    quadtree."""
+    return tuple(int(col[0]) for col in _simulate_block(instance, n, 1, rng))
 
 
 # ---------------------------------------------------------------------------

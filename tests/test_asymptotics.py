@@ -24,7 +24,7 @@ from logtrees.asymptotics import (
     periodic,
     quadtree_ipl_variance_constant,
 )
-from logtrees.families import fbbst, harmonic, mary, quadtree
+from logtrees.families import fbbst, harmonic, mary, occupancy_constant, quadtree
 from logtrees.moments import mean_tables, second_moment_tables
 from logtrees.roots import solve_spectrum
 
@@ -90,6 +90,18 @@ def test_c2_minus_phi_c1_full_reference_table():
         got = c2_minus_phi_c1(solve_spectrum(mary(m)))
         want = float(REFERENCE_C2C1[m])
         assert abs(got - want) <= 1e-9 * want, m
+
+
+@pytest.mark.parametrize("inst", [mary(m) for m in range(3, 61)]
+                         + [fbbst(t) for t in range(1, 61)], ids=str)
+def test_occupancy_constant_matches_family_forms(inst):
+    # 1/(2(H_m - 1)) for mary, 1/(2(t+1)(H_{2t+2} - H_{t+1})) for fbbst
+    p = inst.parameter
+    if inst.family.value == "mary":
+        want = 1 / (2 * (harmonic(p) - 1))
+    else:
+        want = 1 / (2 * (p + 1) * (harmonic(2 * p + 2) - harmonic(p + 1)))
+    assert occupancy_constant(inst) == want
 
 
 def test_constants_bundle_mary():

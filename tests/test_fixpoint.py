@@ -92,7 +92,7 @@ def test_toll_bm_mean_zero():
     spec = fixed_point_spec(fbbst(2), "uniK")
     draws = 400_000
     v = sample_median(2, rng_for(10), draws)
-    b = toll(spec, v)
+    b = toll(spec, np.stack([v, 1 - v], axis=1))
     assert abs(b.mean()) < 3 * b.std(ddof=1) / math.sqrt(draws)
 
 
@@ -104,6 +104,38 @@ def test_contraction_factors_below_one():
     assert contraction_factor(fixed_point_spec(quadtree(9), "Tquad_periodic")) < 1
     assert contraction_factor(fixed_point_spec(quadtree(3), "Tquad_normal")) < 1
     assert contraction_factor(fixed_point_spec(mary(3), "uniK")) == 0.5
+
+
+def _coefficient_rows(inst, rng, size):
+    law = inst.split_law
+    if law is None:
+        return sample_volumes(inst.parameter, rng, size)
+    if law[1] == 0:
+        return sample_spacings(law[0], rng, size)
+    v = sample_median(law[1], rng, size)
+    return np.stack([v, 1 - v], axis=1)
+
+
+@pytest.mark.parametrize("inst,map_kind", [
+    (mary(3), "uniK"), (fbbst(2), "uniK"), (quadtree(2), "uniK"),
+    (mary(27), "TN_periodic"), (mary(40), "TN_periodic"), (mary(3), "TNprime_normal"),
+    (fbbst(59), "Tmed_periodic"), (fbbst(5), "Tmed_normal"),
+    (quadtree(9), "Tquad_periodic"), (quadtree(3), "Tquad_normal")], ids=str)
+def test_contraction_factor_matches_sampled_coefficients(inst, map_kind):
+    # the factor is E sum_r |V_r^e|^2 over the coefficient rows, with e = 1
+    # (uniK), 3/4 (normal maps) and lambda_2 - 1 (periodic maps)
+    spec = fixed_point_spec(inst, map_kind)
+    if spec.is_periodic:
+        e = spec.lambda2 - 1.0
+    else:
+        e = 0.75 if spec.bivariate else 1.0
+    rng = rng_for(71)
+    chunks = 50 if inst.branches < 100 else 10  # quadtree(9) rows hold 512 cells
+    vals = np.concatenate([
+        (np.abs(np.exp(e * np.log(_coefficient_rows(inst, rng, 2000)))) ** 2).sum(axis=1)
+        for _ in range(chunks)])
+    se = vals.std(ddof=1) / math.sqrt(len(vals))
+    assert abs(contraction_factor(spec) - vals.mean()) < 5 * se + 1e-12
 
 
 def test_regime_mismatch_rejected():

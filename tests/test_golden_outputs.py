@@ -1,0 +1,87 @@
+"""sha256 of the stdout of small CLI runs, recorded before the family
+dispatch moved onto ``FamilyInstance``; every run must stay byte-identical.
+
+The fbbst fixed-point maps are not listed: their toll is evaluated from the
+coefficient rows (V, 1-V), so log(1-V) replaces log1p(-V) and the last
+digits move.
+"""
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from logtrees.cli import main
+
+
+def _simulate(family, param, threads):
+    return ["simulate", "--family", family, "--param", str(param), "--n", "1500",
+            "--reps", "2048", "--seed", "7", "--threads", str(threads)]
+
+
+def _fixpoint(kind, family, param):
+    return ["fixpoint", "--map", kind, "--family", family, "--param", str(param),
+            "--pool", "1000", "--gens", "6", "--seed", "5"]
+
+
+def _profile(family, param, grid):
+    return ["corr-profile", "--family", family, "--param", str(param), "--grid", grid,
+            "--reps", "256", "--seed", "3"]
+
+
+CASES = {
+    **{f"simulate-{f}-{p}-t{th}": _simulate(f, p, th)
+       for f, p in (("mary", 3), ("fbbst", 1), ("quadtree", 2)) for th in (1, 2)},
+    **{f"fixpoint-{kind}-{f}-{p}": _fixpoint(kind, f, p) for kind, f, p in (
+        ("uniK", "mary", 3), ("TNprime_normal", "mary", 3), ("TN_periodic", "mary", 27),
+        ("Tquad_normal", "quadtree", 2), ("Tquad_periodic", "quadtree", 9))},
+    **{f"constants-{f}-{p}": ["constants", "--family", f, "--param", str(p)]
+       for f, p in (("mary", 3), ("mary", 27), ("fbbst", 1), ("fbbst", 59),
+                    ("quadtree", 2), ("quadtree", 9))},
+    **{f"roots-{f}-{p}": ["roots", "--family", f, "--param", str(p)]
+       for f, p in (("mary", 27), ("fbbst", 59))},
+    **{f"corr-profile-{f}-{p}": _profile(f, p, grid) for f, p, grid in (
+        ("mary", 3, "200,400"), ("mary", 27, "300,600"), ("fbbst", 1, "200,400"),
+        ("fbbst", 59, "300,600"), ("quadtree", 2, "200,400"), ("quadtree", 9, "300"))},
+}
+
+DIGESTS = {
+    "simulate-mary-3-t1": "e76c1f6552034def29cb1e3ac98938e31a2c8948bb3b9fd1f6dad122bfc74453",
+    "simulate-mary-3-t2": "e76c1f6552034def29cb1e3ac98938e31a2c8948bb3b9fd1f6dad122bfc74453",
+    "simulate-fbbst-1-t1": "cc9042a2f09d645c7470e95f406c65ea371b46dd307d8b222db8c3b98e26aef5",
+    "simulate-fbbst-1-t2": "cc9042a2f09d645c7470e95f406c65ea371b46dd307d8b222db8c3b98e26aef5",
+    "simulate-quadtree-2-t1": "e789cbc7e3333e639659cb949f03aaa7f811e2e7fd3306c9df5840a4eaa9ea8c",
+    "simulate-quadtree-2-t2": "e789cbc7e3333e639659cb949f03aaa7f811e2e7fd3306c9df5840a4eaa9ea8c",
+    "fixpoint-uniK-mary-3": "accca1b888e10d39199da55b4b16883a018a0cced62cdc96fb398ef3d6a87349",
+    "fixpoint-TNprime_normal-mary-3":
+        "68922a9132749c544f748c6347d23a94934d29dcafb3b7a4b33a330ac9ebfa5f",
+    "fixpoint-TN_periodic-mary-27":
+        "d9347a1a7e0543b08886c974aa2f2164a52319c5b72994bc34a6e55c390cce24",
+    "fixpoint-Tquad_normal-quadtree-2":
+        "e470328a1e96bea46489a1db683a9a969625e9b16af702cbc14ff57a6d2f11d8",
+    "fixpoint-Tquad_periodic-quadtree-9":
+        "fb4b15e670ac88ae18c097107c8027d2433288d55590e2a01aa13942ce26c281",
+    "constants-mary-3": "99d5222a1e7e0a5cdeee180f9837a10de6b18ac7548374db439988b976e2ed82",
+    "constants-mary-27": "5eef3e507675ee804c4f4a44c0c43bc8222b97bbb750a3fb679ceeb730851cc9",
+    "constants-fbbst-1": "1ef1d5fc891378ac07afe6bc3f0764f9a81a26c109ab21c8f9df4c933dcb6f8e",
+    "constants-fbbst-59": "600c755679ac3e6d3b57cf8944946134d045b5b4549528db925497d3557bf132",
+    "constants-quadtree-2": "166a2c133ddac8488068db9b3ea4e82b90c6749998ac6990da972867e07f1ce1",
+    "constants-quadtree-9": "a6e8423cd1e54f28a60bebf724ff666a07b12976e1cd7c6a27c55dbc5721c895",
+    "roots-mary-27": "391e1900fb82bab78abbe6b1e88ad9e1a2ebe4bf65c3554aa9f4ad5a5db958d4",
+    "roots-fbbst-59": "dd7157cca6fb79f8c3e3e3daf87e3b7f624ecc3c99d5a329eb46fd1f4afda476",
+    "corr-profile-mary-3": "0e04543e23798f7685b059fea6d6bc4ae7f4e35c3c8442579f67deb84c42887b",
+    "corr-profile-mary-27": "44c57fd31fe19817a4b00ef9152929d960274bc229bdd2659c99b3deb41323a2",
+    "corr-profile-fbbst-1": "a561651f2189d4d973191ff4e6f76aa51fa165a725365c12e4f7da73a60bb06d",
+    "corr-profile-fbbst-59": "fa80bcc71f3fd6b5209b22ff57072761db2ec4f43a0c07d79c1441e3e8b07bb6",
+    "corr-profile-quadtree-2": "8971cd6664889ed5d9ceff57d0048568cc699273e8baee1227ecc5f027f8fce6",
+    "corr-profile-quadtree-9": "829a058fe1430ef78dc888d012f5f7c7d2334463252be8fd96c5d780a7c508dd",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_stdout_matches_golden_digest(key):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(CASES[key])
+    assert code == 0, err.getvalue()
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[key]

@@ -239,6 +239,24 @@ def test_indicial_shifts_constants():
     assert sh == [2, 3, 4] and c == 2 * math.factorial(5) // 2
 
 
+@pytest.mark.parametrize("inst", [mary(m) for m in range(3, 61)]
+                         + [fbbst(t) for t in range(1, 61)], ids=str)
+def test_indicial_shifts_match_family_forms(inst):
+    # the per-family factored forms, written out apart from the (m,t) law:
+    # mary z (z+1) ... (z+m-2) - m!, fbbst (z+t) ... (z+2t) - 2 (2t+1)!/t!
+    p = inst.parameter
+    if inst.family.value == "mary":
+        shifts, const = list(range(p - 1)), math.factorial(p)
+    else:
+        shifts, const = list(range(p, 2 * p + 1)), 2 * math.factorial(2 * p + 1) // math.factorial(p)
+    assert indicial_shifts(inst) == (shifts, const)
+    poly = [1]  # descending coefficients of prod (z + s)
+    for s in shifts:
+        poly = [a + s * b for a, b in zip(poly + [0], [0] + poly)]
+    poly[-1] -= const
+    assert build_indicial(inst) == poly
+
+
 def test_large_degree_instances_solve():
     spec = solve_spectrum(mary(60))
     assert spec.degree == 59

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -165,6 +166,60 @@ def test_recursion_matches_builder_and_exact_table(m):
         want = float(getattr(oracle, attr))
         se = max(want * math.sqrt(8.0 / reps), 1e-12)
         assert abs(stats.var(name) - want) < 4 * se + 1e-9, name
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_recursion_matches_quicksort_enumeration(t):
+    # fbbst split recursion against median-of-(2t+1) quicksort run on every
+    # input order of n = 8 keys: 1e5 replicates, 4 standard errors
+    from test_moments import _median_quicksort
+    n, reps = 8, 100_000
+    runs = np.array([_median_quicksort(list(p), t) for p in permutations(range(n))])
+    stats = monte_carlo(fbbst(t), n, reps, seed=98)
+    for col, name in enumerate(("S", "X")):
+        mean, var = runs[:, col].mean(), runs[:, col].var()
+        se = max(stats.sem(name), 1e-12)
+        assert abs(stats.mean(name) - mean) < 4 * se + 1e-9, name
+        se = max(var * math.sqrt(8.0 / reps), 1e-12)
+        assert abs(stats.var(name) - var) < 4 * se + 1e-9, name
+
+
+def _point_quadtree(points):
+    """(L, Xi) of the point quadtree built by inserting ``points`` in
+    order: L counts the leaves (subtrees of size one), Xi sums the depths."""
+    root = (points[0], {})
+    xi = 0
+    for x in points[1:]:
+        node, depth = root, 0
+        while True:
+            depth += 1
+            orthant = tuple(a < b for a, b in zip(x, node[0]))
+            child = node[1].get(orthant)
+            if child is None:
+                node[1][orthant] = (x, {})
+                xi += depth
+                break
+            node = child
+    leaves, stack = 0, [root]
+    while stack:
+        node = stack.pop()
+        leaves += not node[1]
+        stack.extend(node[1].values())
+    return leaves, xi
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_recursion_matches_point_quadtree_builder(d):
+    # quadtree split recursion against explicit insertion of uniform points:
+    # mean leaves and internal path length agree within 4 standard errors
+    n, trees = 12, 20_000
+    rng = np.random.default_rng(np.random.Philox(key=[19, d]))
+    built = np.array([_point_quadtree([tuple(p) for p in rng.random((n, d))])
+                      for _ in range(trees)])
+    stats = monte_carlo(quadtree(d), n, 50_000, seed=97)
+    for col, name in enumerate(("L", "Xi")):
+        se = math.hypot(stats.sem(name), built[:, col].std(ddof=1) / math.sqrt(trees))
+        assert abs(stats.mean(name) - built[:, col].mean()) < 4 * se, name
 
 
 def test_monte_carlo_deterministic_across_threads():
