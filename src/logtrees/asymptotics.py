@@ -38,9 +38,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import (  # the three variance constants are re-exported
+from .families import (  # RegimeMismatchError and the variance constants are re-exported
+    PERIODIC_KINDS,
     Family,
     FamilyInstance,
+    RegimeMismatchError,
     fbbst_tpl_variance_constant,
     harmonic,
     kpl_variance_constant,
@@ -59,10 +61,6 @@ from .roots import (
 
 EULER_GAMMA = 0.57721566490153286061
 PI = 3.14159265358979323846
-
-
-class RegimeMismatchError(ValueError):
-    """Requested a periodic function outside its parameter range."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +129,12 @@ REFERENCE_C2C1: dict[int, Fraction] = {
 
 @dataclass(frozen=True)
 class FamilyConstants:
-    """Bundle of closed-form asymptotic constants for one instance."""
+    """Bundle of closed-form asymptotic constants for one instance.
+
+    ``harmonic_1`` and ``harmonic_2`` are the harmonic numbers the family's
+    constants are built from: H_m and H_m^(2) for m-ary trees, H_d and
+    H_d^(2) for quadtrees, and for fringe-balanced BSTs the occupancy
+    denominator H_{2t+2} - H_{t+1} and H_{2t+2}^(2)."""
 
     instance: FamilyInstance
     phi: Fraction | None
@@ -311,30 +314,22 @@ def _quadtree_ck(u: complex, d: int) -> complex:
 
 
 class PeriodicFunction:
-    """Pointwise-evaluable periodic factor; real-valued, period pi or 2 pi."""
-
-    KINDS = ("F1", "F2", "Frho", "G1", "G2", "P1", "P2")
+    """Pointwise-evaluable periodic factor const + 2 Re(osc e^(i frequency z));
+    real-valued, period pi or 2 pi."""
 
     def __init__(self, kind: str, instance: FamilyInstance, const: float,
-                 osc: complex, frequency: int, extra=None):
+                 osc: complex, frequency: int):
         self.kind = kind
         self.instance = instance
         self.const = const          # non-oscillating part
         self.osc = osc              # coefficient of e^(i * frequency * z)
         self.frequency = frequency  # 1 or 2
-        self._extra = extra         # (F2fn, F1fn, cK) for Frho
 
     @property
     def period(self) -> float:
         return 2 * math.pi / self.frequency
 
     def __call__(self, z: float) -> float:
-        if self.kind == "Frho":
-            f2, f1, c_k = self._extra
-            denom = c_k * f1(z)
-            if denom <= 0:
-                raise ArithmeticError(f"F1({z}) <= 0; correlation factor undefined")
-            return f2(z) / math.sqrt(denom)
         return self.const + 2 * (self.osc * cmath.exp(1j * self.frequency * z)).real
 
     def evaluate(self, z: float) -> float:
@@ -351,6 +346,26 @@ class PeriodicFunction:
             fh.write(f"{z:.17g},{val:.17g}\n")
 
 
+class CorrelationFactor(PeriodicFunction):
+    """rho(z) = f_cov(z) / sqrt(C f_var(z)): the periodic factor of the
+    correlation of S and the path length, from the family's covariance and
+    variance factors and its variance constant C (Frho = F2 / sqrt(C_K F1)
+    for m-ary trees)."""
+
+    def __init__(self, kind: str, instance: FamilyInstance, spectrum: Spectrum):
+        super().__init__(kind, instance, 0.0, 0.0, 1)  # f_cov has period 2 pi
+        var_kind, cov_kind = instance.periodic_factors
+        self.f_var = periodic(var_kind, instance, spectrum)
+        self.f_cov = periodic(cov_kind, instance, spectrum)
+        self.scale = instance.variance_constant
+
+    def __call__(self, z: float) -> float:
+        denom = self.scale * self.f_var(z)
+        if denom <= 0:
+            raise ArithmeticError(f"{self.f_var.kind}({z}) <= 0; correlation factor undefined")
+        return self.f_cov(z) / math.sqrt(denom)
+
+
 def periodic(kind: str, instance: FamilyInstance,
              spectrum: Spectrum | None = None,
              cplus: complex = 1.0 + 0.0j) -> PeriodicFunction:
@@ -359,13 +374,13 @@ def periodic(kind: str, instance: FamilyInstance,
     P1/P2 depend on an amplitude the theory leaves to external work; it is
     caller-supplied (default 1) and only the shape of P1/P2 is meaningful.
     """
-    if kind not in PeriodicFunction.KINDS:
+    if kind not in PERIODIC_KINDS:
         raise ValueError(f"unknown periodic kind {kind!r}")
     p = instance.parameter
     var_kind, cov_kind = instance.periodic_factors
     cov_from, dist_from = instance.periodic_from
-    # Frho = F2 / sqrt(C_K F1), the m-ary correlation factor, goes with F1
-    need = {var_kind: dist_from, cov_kind: cov_from}.get("F1" if kind == "Frho" else kind)
+    need = {var_kind: dist_from, cov_kind: cov_from,
+            instance.correlation_factor: dist_from}.get(kind)
     if need is None:
         raise RegimeMismatchError(f"{kind} is not a periodic factor of {instance}")
     if p < need:
@@ -379,11 +394,8 @@ def periodic(kind: str, instance: FamilyInstance,
         q = _f2_coefficient(p, spectrum.lambda2, amplitude(spectrum, 2),
                             float(occupancy_constant(instance)))
         return PeriodicFunction("F2", instance, 0.0, q, 1)
-    if kind == "Frho":
-        f1 = periodic("F1", instance, spectrum)
-        f2 = periodic("F2", instance, spectrum)
-        return PeriodicFunction("Frho", instance, 0.0, 0.0, 2,
-                                extra=(f2, f1, instance.variance_constant))
+    if kind == instance.correlation_factor:
+        return CorrelationFactor(kind, instance, spectrum)
     if kind == "G1":
         c0, c2 = _g1_coefficients(p, spectrum.lambda2, amplitude(spectrum, 2))
         return PeriodicFunction("G1", instance, c0, c2, 2)
@@ -444,10 +456,8 @@ def profile_rows(instance: FamilyInstance, n: int, stats) -> list[dict]:
         return rows
     pred = 0.0
     if periodic_law:
-        z = spectrum.beta * math.log(n)
-        var_kind, cov_kind = instance.periodic_factors
-        pred = periodic(cov_kind, instance, spectrum)(z) / math.sqrt(
-            instance.variance_constant * periodic(var_kind, instance, spectrum)(z))
+        rho = CorrelationFactor(f"rho_{first}{path}", instance, spectrum)
+        pred = rho(spectrum.beta * math.log(n))
     add_corr(first, path, pred)
     for other in others:
         add_corr(path, other, 1.0)

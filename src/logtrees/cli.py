@@ -1,22 +1,29 @@
 """Deterministic command-line front end.
 
-Every run is fully determined by its flags (echoed into the output header);
-wall time goes to stderr so repeated runs with the same seed are
-byte-identical.  Exit codes: 0 success, 1 internal error, 2 usage,
-3 regime mismatch, 4 acceptance failure.
+Every run is fully determined by its flags, all of which but the
+execution-only ones are echoed into the output header; wall time goes to
+stderr so repeated runs with the same seed are byte-identical.  Each
+subcommand is one entry of ``COMMANDS``; ``_write_run`` alone writes the
+header, and ``main`` alone opens the output and maps exceptions to exit
+codes: 0 success, 1 internal error, 2 usage, 3 regime mismatch,
+4 acceptance failure.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .families import Family, FamilyInstance
-from .asymptotics import RegimeMismatchError
+from .families import (
+    FIXED_POINT_MAPS,
+    PERIODIC_KINDS,
+    Family,
+    FamilyInstance,
+    RegimeMismatchError,
+)
 
 _EXIT_INTERNAL = 1
 _EXIT_USAGE = 2
@@ -59,27 +66,29 @@ def dump_json(obj: dict) -> str:
     return _json_value(obj) + "\n"
 
 
-def _config_echo(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+# flags that steer how a run executes or where it writes, never its result:
+# not part of the run identity echoed into the output
+EXECUTION_ONLY = ("config", "output", "threads", "trace_out", "pool_out")
 
 
-def _csv_header(args, keys) -> str:
-    cfg = " ".join(f"{k}={getattr(args, k)}" for k in keys if getattr(args, k, None) is not None)
-    return f"# logtrees {__version__}\n# config: {cfg}\n"
+class AcceptanceFailure(Exception):
+    """A criterion of the acceptance suite failed (exit 4)."""
 
 
-@contextlib.contextmanager
-def _output(args):
-    if args.output:
-        with open(args.output, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
-
-
-def _emit(args, text: str) -> None:
-    with _output(args) as fh:
-        fh.write(text)
+def _write_run(fh, args, body) -> None:
+    """Write one run: a JSON payload (dict) after its ``meta``, or a CSV
+    body (a function writing it to a stream) after the ``# logtrees`` /
+    ``# config:`` header.  Both echo the run identity: the command and
+    every argument of its parser in parser order (the order argparse fills
+    the namespace in), minus the execution-only ones and those not set."""
+    config = {k: v for k, v in vars(args).items() if k not in EXECUTION_ONLY and v is not None}
+    if isinstance(body, dict):
+        meta = {"tool": "logtrees", "version": __version__, "config": config}
+        fh.write(dump_json({"meta": meta, **body}))
+        return
+    echo = " ".join(f"{k}={v}" for k, v in config.items())
+    fh.write(f"# logtrees {__version__}\n# config: {echo}\n")
+    body(fh)
 
 
 def _instance(args) -> FamilyInstance:
@@ -87,67 +96,49 @@ def _instance(args) -> FamilyInstance:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its JSON payload, or a function that writes its
+# CSV body to a stream, after the work that can fail is done
 # ---------------------------------------------------------------------------
 
-def cmd_roots(args) -> int:
+def cmd_roots(args) -> dict:
     from .roots import classify_regime, quadtree_exponents, solve_spectrum
 
-    meta = {"tool": "logtrees", "version": __version__,
-            "config": _config_echo(args, ("command", "family", "param", "precision"))}
     if args.family == "quadtree":
-        qe = quadtree_exponents(args.param)
-        regime = classify_regime(qe)
-        payload = {
-            "meta": meta,
-            "family": "quadtree",
-            "parameter": args.param,
-            "alpha_hat": qe.alpha_hat,
-            "beta_hat": qe.beta_hat,
-            "covariance_phase": regime.covariance_phase.value,
-            "distribution_phase": regime.distribution_phase.value,
+        spec = quadtree_exponents(args.param)
+        fields = {"alpha_hat": spec.alpha_hat, "beta_hat": spec.beta_hat}
+    else:
+        spec = solve_spectrum(_instance(args), precision=args.precision)
+        fields = {
+            "degree": spec.degree,
+            "roots": [complex(r) for r in spec.roots],
+            "principal_root": complex(spec.principal_root),
+            "alpha": spec.alpha,
+            "beta": spec.beta,
+            "certified_error": spec.certified_error,
         }
-        _emit(args, dump_json(payload))
-        return 0
-    spec = solve_spectrum(_instance(args), precision=args.precision)
     regime = classify_regime(spec)
-    payload = {
-        "meta": meta,
-        "family": args.family,
-        "parameter": args.param,
-        "degree": spec.degree,
-        "roots": [complex(r) for r in spec.roots],
-        "principal_root": complex(spec.principal_root),
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-        "certified_error": spec.certified_error,
-        "covariance_phase": regime.covariance_phase.value,
-        "distribution_phase": regime.distribution_phase.value,
-    }
-    _emit(args, dump_json(payload))
-    return 0
+    return {"family": args.family, "parameter": args.param, **fields,
+            "covariance_phase": regime.covariance_phase.value,
+            "distribution_phase": regime.distribution_phase.value}
 
 
-def cmd_table_alpha(args) -> int:
+def cmd_table_alpha(args):
     from .families import mary
     from .roots import solve_spectrum
 
-    lines = [_csv_header(args, ("command", "m_from", "m_to"))]
-    lines.append("m,alpha,beta\n")
+    lines = ["m,alpha,beta\n"]
     for m in range(args.m_from, args.m_to + 1):
         spec = solve_spectrum(mary(m))
         lines.append(f"{m},{_fmt_float(spec.alpha)},{_fmt_float(spec.beta)}\n")
-    _emit(args, "".join(lines))
-    return 0
+    return lambda fh: fh.writelines(lines)
 
 
-def cmd_table_c2(args) -> int:
+def cmd_table_c2(args):
     from .asymptotics import REFERENCE_C2C1, c2_minus_phi_c1
     from .families import mary
     from .roots import solve_spectrum
 
-    lines = [_csv_header(args, ("command", "m_from", "m_to"))]
-    lines.append("m,c2_minus_phi_c1,reference,match\n")
+    lines = ["m,c2_minus_phi_c1,reference,match\n"]
     for m in range(args.m_from, args.m_to + 1):
         val = c2_minus_phi_c1(solve_spectrum(mary(m)))
         ref = REFERENCE_C2C1.get(m)
@@ -157,22 +148,16 @@ def cmd_table_c2(args) -> int:
             ok = abs(val - float(ref)) <= 1e-9 * float(ref)
             lines.append(f"{m},{_fmt_float(val)},{ref.numerator}/{ref.denominator},"
                          f"{'yes' if ok else 'no'}\n")
-    _emit(args, "".join(lines))
-    return 0
+    return lambda fh: fh.writelines(lines)
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args) -> dict:
     from .asymptotics import constants
 
-    c = constants(_instance(args))
-    payload = {"meta": {"tool": "logtrees", "version": __version__,
-                        "config": _config_echo(args, ("command", "family", "param"))}}
-    payload.update(c.to_dict())
-    _emit(args, dump_json(payload))
-    return 0
+    return constants(_instance(args)).to_dict()
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args):
     from .moments import MomentTable, UnsupportedTableError, mean_tables, second_moment_tables
 
     inst = _instance(args)
@@ -183,104 +168,115 @@ def cmd_moments(args) -> int:
         means = mean_tables(inst, args.nmax, args.mode)
         table = MomentTable(inst, args.nmax, args.mode, dict(zip(inst.row_names, means)))
     # a float table at the cap is megabytes of text: stream it, row by row
-    with _output(args) as fh:
-        fh.write(_csv_header(args, ("command", "family", "param", "nmax", "mode")))
-        table.write_csv(fh)
-    return 0
+    return table.write_csv
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     from .treesim import monte_carlo
 
-    stats = monte_carlo(_instance(args), args.n, args.reps, args.seed,
-                        threads=args.threads)
-    # --threads steers execution only and never the result, so it is not
-    # part of the run identity echoed here (outputs stay byte-identical)
-    payload = {
-        "meta": {"tool": "logtrees", "version": __version__,
-                 "config": _config_echo(args, ("command", "family", "param", "n",
-                                               "reps", "seed"))},
-    }
-    payload.update(stats.to_dict())
-    _emit(args, dump_json(payload))
-    return 0
+    return monte_carlo(_instance(args), args.n, args.reps, args.seed,
+                       threads=args.threads).to_dict()
 
 
-def cmd_corr_profile(args) -> int:
+def cmd_corr_profile(args):
     from .treesim import corr_profile
 
     grid = [int(x) for x in args.grid.split(",")]
     rows = corr_profile(_instance(args), grid, args.reps, args.seed,
                         threads=args.threads)
-    lines = [_csv_header(args, ("command", "family", "param", "grid", "reps",
-                                "seed"))]
-    lines.append("n,stat,empirical,stderr,predicted,regime\n")
+    lines = ["n,stat,empirical,stderr,predicted,regime\n"]
     for row in rows:
         pred = "" if row["predicted"] is None else _fmt_float(row["predicted"])
         lines.append(f"{row['n']},{row['stat']},{_fmt_float(row['empirical'])},"
                      f"{_fmt_float(row['stderr'])},{pred},{row['regime']}\n")
-    _emit(args, "".join(lines))
-    return 0
+    return lambda fh: fh.writelines(lines)
 
 
-def cmd_fixpoint(args) -> int:
+def cmd_fixpoint(args) -> dict:
     from .fixpoint import diagnose, fixed_point_spec, iterate
 
-    inst = _instance(args)
-    spec = fixed_point_spec(inst, args.map)
+    spec = fixed_point_spec(_instance(args), args.map)
     pool = iterate(spec, args.pool, args.gens, args.seed,
-                   full_bivariate=args.full_bivariate)
+                   full_bivariate=bool(args.full_bivariate))
     diag = diagnose(pool) if spec.bivariate else {
         "map_kind": spec.map_kind, "generation": pool.generation,
         "pool": len(pool.x), **pool.moments()}
-    payload = {
-        "meta": {"tool": "logtrees", "version": __version__,
-                 "config": _config_echo(args, ("command", "map", "family", "param",
-                                               "pool", "gens", "seed"))},
-        "diagnostics": diag,
-    }
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
-            fh.write(_csv_header(args, ("command", "map", "family", "param",
-                                        "pool", "gens", "seed")))
-            pool.write_trace_csv(fh)
+            _write_run(fh, args, pool.write_trace_csv)
     if args.pool_out:
         with open(args.pool_out, "w") as fh:
             pool.write_pool_csv(fh)
-    _emit(args, dump_json(payload))
-    return 0
+    return {"diagnostics": diag}
 
 
-def cmd_periodic(args) -> int:
+def cmd_periodic(args):
     from .asymptotics import periodic
-    from .families import fbbst, mary, quadtree
 
-    fam = {"F1": mary, "F2": mary, "Frho": mary,
-           "G1": fbbst, "G2": fbbst, "P1": quadtree, "P2": quadtree}[args.kind]
-    pf = periodic(args.kind, fam(args.param),
-                  cplus=complex(args.cplus_re, args.cplus_im))
-    buf = io.StringIO()
-    buf.write(_csv_header(args, ("command", "kind", "param", "points")))
-    pf.write_csv(buf, points=args.points)
-    _emit(args, buf.getvalue())
-    return 0
+    cplus = complex(1.0 if args.cplus_re is None else args.cplus_re,
+                    0.0 if args.cplus_im is None else args.cplus_im)
+    pf = periodic(args.kind, FamilyInstance(PERIODIC_KINDS[args.kind], args.param),
+                  cplus=cplus)
+    return lambda fh: pf.write_csv(fh, points=args.points)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from .acceptance import run_acceptance
 
-    results = run_acceptance(quick=args.quick, stream=sys.stdout)
-    return 0 if all(r.passed for r in results) else _EXIT_ACCEPTANCE
+    def write(fh):
+        if not all(r.passed for r in run_acceptance(quick=args.quick, stream=fh)):
+            raise AcceptanceFailure("acceptance suite failed")
+    return write
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
 # ---------------------------------------------------------------------------
 
-def _add_family(p, default=None):
-    p.add_argument("--family", choices=[f.value for f in Family],
-                   default=default, required=default is None)
-    p.add_argument("--param", type=int, required=True)
+_FAMILIES = [f.value for f in Family]
+_PARAM = ("--param", dict(type=int, required=True))
+_FAMILY = (("--family", dict(choices=_FAMILIES, required=True)), _PARAM)
+_SEED = ("--seed", dict(type=int, default=1))
+_THREADS = ("--threads", dict(type=int, default=1))
+
+# name: (body, help, arguments as (flag, add_argument keywords))
+COMMANDS = {
+    "roots": (cmd_roots, "indicial spectrum as JSON",
+              (*_FAMILY, ("--precision", dict(type=int, default=64)))),
+    "table-alpha": (cmd_table_alpha, "alpha/beta table as CSV",
+                    (("--from", dict(dest="m_from", type=int, default=3)),
+                     ("--to", dict(dest="m_to", type=int, default=26)))),
+    "table-c2": (cmd_table_c2, "c2 - phi c1 with reference rationals",
+                 (("--from", dict(dest="m_from", type=int, default=3)),
+                  ("--to", dict(dest="m_to", type=int, default=30)))),
+    "constants": (cmd_constants, "closed-form constants as JSON", _FAMILY),
+    "moments": (cmd_moments, "moment table as CSV",
+                (*_FAMILY, ("--nmax", dict(type=int, required=True)),
+                 ("--mode", dict(choices=("exact", "float"), default="exact")))),
+    "simulate": (cmd_simulate, "Monte Carlo statistics as JSON",
+                 (*_FAMILY, ("--n", dict(type=int, required=True)),
+                  ("--reps", dict(type=int, required=True)), _SEED, _THREADS)),
+    "corr-profile": (cmd_corr_profile, "empirical vs predicted profile CSV",
+                     (*_FAMILY, ("--grid", dict(required=True, help="comma-separated sizes")),
+                      ("--reps", dict(type=int, required=True)), _SEED, _THREADS)),
+    "fixpoint": (cmd_fixpoint, "population-dynamics fixed point",
+                 (("--map", dict(required=True, choices=FIXED_POINT_MAPS)),
+                  ("--family", dict(choices=_FAMILIES, default="mary")), _PARAM,
+                  ("--pool", dict(type=int, default=100_000)),
+                  ("--gens", dict(type=int, default=30)), _SEED,
+                  ("--full-bivariate", dict(action="store_true", default=None)),
+                  ("--trace-out", dict(help="write the moment-trace CSV here")),
+                  ("--pool-out", dict(help="write the final pool CSV here")))),
+    "periodic": (cmd_periodic, "periodic-factor samples as CSV",
+                 (("--kind", dict(required=True, choices=PERIODIC_KINDS)),
+                  _PARAM,
+                  ("--points", dict(type=int, default=1024)),
+                  ("--cplus-re", dict(type=float, help="default 1")),
+                  ("--cplus-im", dict(type=float, help="default 0")))),
+    "verify": (cmd_verify, "run the acceptance suite",
+               (("--quick", dict(action="store_true",
+                                 help="reduced sizes; smoke mode, not the binding gate")),)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,75 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="key=value file with flag defaults")
     ap.add_argument("-o", "--output", help="output path (default: stdout)")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roots", help="indicial spectrum as JSON")
-    _add_family(p)
-    p.add_argument("--precision", type=int, default=64)
-    p.set_defaults(fn=cmd_roots)
-
-    p = sub.add_parser("table-alpha", help="alpha/beta table as CSV")
-    p.add_argument("--from", dest="m_from", type=int, default=3)
-    p.add_argument("--to", dest="m_to", type=int, default=26)
-    p.set_defaults(fn=cmd_table_alpha)
-
-    p = sub.add_parser("table-c2", help="c2 - phi c1 with reference rationals")
-    p.add_argument("--from", dest="m_from", type=int, default=3)
-    p.add_argument("--to", dest="m_to", type=int, default=30)
-    p.set_defaults(fn=cmd_table_c2)
-
-    p = sub.add_parser("constants", help="closed-form constants as JSON")
-    _add_family(p)
-    p.set_defaults(fn=cmd_constants)
-
-    p = sub.add_parser("moments", help="moment table as CSV")
-    _add_family(p)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.set_defaults(fn=cmd_moments)
-
-    p = sub.add_parser("simulate", help="Monte Carlo statistics as JSON")
-    _add_family(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("corr-profile", help="empirical vs predicted profile CSV")
-    _add_family(p)
-    p.add_argument("--grid", required=True, help="comma-separated sizes")
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(fn=cmd_corr_profile)
-
-    p = sub.add_parser("fixpoint", help="population-dynamics fixed point")
-    p.add_argument("--map", required=True, choices=(
-        "uniK", "TN_periodic", "TNprime_normal", "Tmed_periodic",
-        "Tmed_normal", "Tquad_periodic", "Tquad_normal"))
-    _add_family(p, default="mary")
-    p.add_argument("--pool", type=int, default=100_000)
-    p.add_argument("--gens", type=int, default=30)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--full-bivariate", action="store_true")
-    p.add_argument("--trace-out", help="write the moment-trace CSV here")
-    p.add_argument("--pool-out", help="write the final pool CSV here")
-    p.set_defaults(fn=cmd_fixpoint)
-
-    p = sub.add_parser("periodic", help="periodic-factor samples as CSV")
-    p.add_argument("--kind", required=True,
-                   choices=("F1", "F2", "Frho", "G1", "G2", "P1", "P2"))
-    p.add_argument("--param", type=int, required=True)
-    p.add_argument("--points", type=int, default=1024)
-    p.add_argument("--cplus-re", type=float, default=1.0)
-    p.add_argument("--cplus-im", type=float, default=0.0)
-    p.set_defaults(fn=cmd_periodic)
-
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced sizes; smoke mode, not the binding gate")
-    p.set_defaults(fn=cmd_verify)
-
+    for name, (_, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return ap
 
 
@@ -404,17 +335,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return _EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.perf_counter()
+    code = 0
     try:
-        code = args.fn(args)
+        body = COMMANDS[args.command][0](args)
+        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+            _write_run(fh, args, body)
+    except AcceptanceFailure:
+        code = _EXIT_ACCEPTANCE
     except RegimeMismatchError as exc:
         print(f"regime mismatch: {exc}", file=sys.stderr)
         return _EXIT_REGIME
     except (ValueError, ArithmeticError, NotImplementedError) as exc:
-        from .roots import IndeterminateRegimeError
-
-        if isinstance(exc, IndeterminateRegimeError):
-            print(f"regime mismatch: {exc}", file=sys.stderr)
-            return _EXIT_REGIME
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

@@ -24,6 +24,11 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 
+class RegimeMismatchError(ValueError):
+    """A periodic factor, fixed-point map or regime requested outside the
+    parameter range where it holds."""
+
+
 class Family(str, Enum):
     MARY = "mary"
     FBBST = "fbbst"
@@ -135,6 +140,13 @@ class FamilyInstance:
         return _DATA[self.family].periodic_factors
 
     @property
+    def correlation_factor(self) -> str | None:
+        """Name of the correlation factor f_cov / sqrt(C f_var) of S and the
+        path length where the family has one by name (Frho for m-ary
+        trees); it turns periodic with the distribution."""
+        return _DATA[self.family].correlation_factor
+
+    @property
     def fixed_point_maps(self) -> tuple[str, str]:
         """The periodic and the normal bivariate fixed-point maps."""
         return _DATA[self.family].fixed_point_maps
@@ -213,13 +225,19 @@ class _FamilyData(NamedTuple):
     periodic_factors: tuple[str, str]
     fixed_point_maps: tuple[str, str]
     variance_constant: Callable[[int], float]
+    correlation_factor: str | None = None
 
 
 _DATA = {
     Family.MARY: _FamilyData(3, (14, 27), ("F1", "F2"), ("TN_periodic", "TNprime_normal"),
-                             kpl_variance_constant),
+                             kpl_variance_constant, "Frho"),
     Family.FBBST: _FamilyData(1, (29, 59), ("G1", "G2"), ("Tmed_periodic", "Tmed_normal"),
                               fbbst_tpl_variance_constant),
     Family.QUADTREE: _FamilyData(1, (6, 9), ("P1", "P2"), ("Tquad_periodic", "Tquad_normal"),
                                  quadtree_ipl_variance_constant),
 }
+
+# every fixed-point map, and the family of every periodic factor
+FIXED_POINT_MAPS = ("uniK", *(kind for data in _DATA.values() for kind in data.fixed_point_maps))
+PERIODIC_KINDS = {kind: fam for fam, data in _DATA.items()
+                  for kind in (*data.periodic_factors, data.correlation_factor) if kind}

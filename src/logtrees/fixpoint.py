@@ -40,15 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import RegimeMismatchError
-from .families import FamilyInstance, occupancy_constant
+from .families import FIXED_POINT_MAPS, FamilyInstance, RegimeMismatchError, occupancy_constant
 from .roots import Spectrum, quadtree_exponents, solve_spectrum, theta as spectrum_theta
-from .treesim import sample_volumes
-
-CHUNK = 16_384
-
-MAP_KINDS = ("uniK", "TN_periodic", "TNprime_normal", "Tmed_periodic",
-             "Tmed_normal", "Tquad_periodic", "Tquad_normal")
+from .treesim import CELL_ROWS, check_cells, sample_volumes
 
 
 class PoolDegeneracyError(RuntimeError):
@@ -93,7 +87,7 @@ def fixed_point_spec(instance: FamilyInstance, map_kind: str,
     amplitude the theory leaves to external work; supply ``theta`` (default
     1) in that case.
     """
-    if map_kind not in MAP_KINDS:
+    if map_kind not in FIXED_POINT_MAPS:
         raise ValueError(f"unknown map kind {map_kind!r}")
     p = instance.parameter
     periodic_map, normal_map = instance.fixed_point_maps
@@ -190,15 +184,14 @@ def _coefficient_moment(instance: FamilyInstance, s: float) -> float:
 
 
 def contraction_factor(spec: FixedPointSpec) -> float:
-    """L2 contraction factor branches * E[V^s] = branches * E[|V^e|^2],
-    asserted < 1 before iterating: s = 2 (e = 1) for uniK, the factor of
-    x' = sum_r V_r x_r; s = 2 alpha - 2 (e = lambda_2 - 1) for the periodic
-    maps, the factor of their second slot; s = 3/2 (e = 3/4) for the normal
-    maps."""
-    if spec.is_periodic:
-        s = 2 * spec.lambda2.real - 2
-    else:
-        s = 1.5 if spec.bivariate else 2.0
+    """L2 contraction factor branches * E[V^s] = branches * E[|V^e|^2] of the
+    slot ``iterate`` contracts, asserted < 1 before iterating: for the
+    periodic maps their second slot w' = sum_r V_r^(lambda_2 - 1) w_r
+    (s = 2 alpha - 2), for every other map x' = sum_r V_r x_r (s = 2).  The
+    normal maps' injected w slot needs no gate; their full-bivariate w slot
+    has factor branches * E[V] = 1, does not contract and is re-standardised
+    after every step instead."""
+    s = 2 * spec.lambda2.real - 2 if spec.is_periodic else 2.0
     return spec.instance.branches * _coefficient_moment(spec.instance, s)
 
 
@@ -270,6 +263,7 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
     """
     if pool_size < 1000:
         raise ValueError("pool_size must be >= 1000")
+    check_cells(spec.instance)
     factor = contraction_factor(spec)
     if not factor < 1.0:
         raise ContractionError(f"contraction factor {factor:.4f} >= 1 for {spec.map_kind}")
@@ -294,8 +288,8 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
         rng = np.random.Generator(np.random.Philox(key=[seed, gen]))
         new_x = np.empty(pool_size)
         new_w = None if w is None else np.empty_like(w)
-        for lo in range(0, pool_size, CHUNK):
-            hi = min(lo + CHUNK, pool_size)
+        for lo in range(0, pool_size, CELL_ROWS):
+            hi = min(lo + CELL_ROWS, pool_size)
             size = hi - lo
             idx = rng.integers(0, pool_size, (size, branches))
             coef = _split_rows(spec, rng, size)

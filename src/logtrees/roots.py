@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .families import Family, FamilyInstance
+from .families import Family, FamilyInstance, RegimeMismatchError
 from .gammafn import reciprocal_gamma
 
 
@@ -50,7 +50,7 @@ class RootConvergenceError(RuntimeError):
         self.radii = radii
 
 
-class IndeterminateRegimeError(ValueError):
+class IndeterminateRegimeError(RegimeMismatchError):
     """alpha sits inside the guard band around a phase threshold."""
 
 

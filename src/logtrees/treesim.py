@@ -28,6 +28,12 @@ from .families import FamilyInstance
 
 BLOCK = 1024  # replicates per RNG stream; fixed so --threads cannot change draws
 
+# The sampling routes draw the cells of many splits at once, as (rows, 2^d)
+# float arrays: a fixed-point chunk has CELL_ROWS rows, a Monte Carlo level
+# at least the roots of a block.  One such array must fit MAX_CELL_BYTES.
+CELL_ROWS = 16_384
+MAX_CELL_BYTES = 64 * 2**20
+
 
 class DepthCapError(RuntimeError):
     """Recursion exceeded 64 log2(n) + 64 levels (pathological stream guard)."""
@@ -131,6 +137,16 @@ def sample_volumes(d: int, rng, size: int) -> np.ndarray:
         xl = x[:, l : l + 1]
         vol = np.hstack([vol * xl, vol * (1.0 - xl)])
     return vol
+
+
+def check_cells(instance: FamilyInstance) -> None:
+    """Reject, before any draw, a quadtree whose (CELL_ROWS, 2^d) cell array
+    would exceed MAX_CELL_BYTES, i.e. d > 9.  The (m,t) laws always pass."""
+    max_d = (MAX_CELL_BYTES // (8 * CELL_ROWS)).bit_length() - 1
+    if instance.split_law is None and instance.parameter > max_d:
+        raise ValueError(
+            f"{instance}: sampling draws {CELL_ROWS} rows of 2^d cells at once, over the "
+            f"{MAX_CELL_BYTES >> 20} MiB cell-array limit for d > {max_d}")
 
 
 def _multinomial_rows(rng, counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -362,6 +378,7 @@ def monte_carlo(instance: FamilyInstance, n: int, reps: int, seed: int,
         raise ValueError(f"tree size n must be >= 0, got {n}")
     if reps < 2:
         raise ValueError("reps must be >= 2 for variance estimates")
+    check_cells(instance)
     blocks = [(i, min(BLOCK, reps - i * BLOCK)) for i in range((reps + BLOCK - 1) // BLOCK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

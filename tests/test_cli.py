@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import types
 from importlib import resources
 
 import jsonschema
@@ -241,3 +242,62 @@ def test_simulate_negative_n_is_usage_error():
                             "--n", "-5", "--reps", "10"])
     assert code == 2
     assert "error" in err
+
+
+def test_header_echoes_result_changing_flags(tmp_path):
+    argv = ["periodic", "--kind", "P1", "--param", "9", "--points", "4"]
+    _, default, _ = run_cli(argv)
+    _, given, _ = run_cli([*argv, "--cplus-re", "0.5", "--cplus-im", "0.25"])
+    assert default.splitlines()[1] == "# config: command=periodic kind=P1 param=9 points=4"
+    assert given.splitlines()[1].endswith("points=4 cplus_re=0.5 cplus_im=0.25")
+    trace = tmp_path / "trace.csv"
+    argv = ["fixpoint", "--map", "TNprime_normal", "--family", "mary", "--param", "3",
+            "--pool", "1000", "--gens", "2", "--full-bivariate", "--trace-out", str(trace)]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert json.loads(out)["meta"]["config"]["full_bivariate"] is True
+    assert "full_bivariate=True" in trace.read_text().splitlines()[1]
+
+
+def test_header_follows_parser_order_without_execution_flags():
+    # flags given out of order; --threads steers execution only
+    code, out, _ = run_cli(["simulate", "--threads", "2", "--seed", "3", "--reps", "20",
+                            "--n", "30", "--param", "3", "--family", "mary"])
+    assert code == 0
+    assert list(json.loads(out)["meta"]["config"].items()) == [
+        ("command", "simulate"), ("family", "mary"), ("param", 3), ("n", 30),
+        ("reps", 20), ("seed", 3)]
+
+
+@pytest.mark.parametrize("passed,want", [(True, 0), (False, 4)])
+def test_verify_honours_output_option(tmp_path, monkeypatch, passed, want):
+    import logtrees.acceptance
+
+    def run_acceptance(quick=False, stream=None):  # stands in for the suite
+        stream.write(f"[{'PASS' if passed else 'FAIL'}] stub quick={quick}\n")
+        return [types.SimpleNamespace(passed=passed)]
+    monkeypatch.setattr(logtrees.acceptance, "run_acceptance", run_acceptance)
+    path = tmp_path / "verify.txt"
+    code, out, err = run_cli(["-o", str(path), "verify", "--quick"])
+    assert (code, out) == (want, "")
+    text = path.read_text()
+    assert text.startswith("# logtrees") and "stub quick=True" in text
+    assert "wall-time" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "3", "--reps", "2"],
+    ["corr-profile", "--grid", "3", "--reps", "2"],
+    ["fixpoint", "--map", "uniK", "--pool", "1000", "--gens", "1"],
+], ids=lambda argv: argv[0])
+def test_quadtree_sampling_rejects_dimension_above_cell_budget(argv):
+    code, out, err = run_cli([*argv, "--family", "quadtree", "--param", "10"])
+    assert code == 2 and out == ""
+    assert "64 MiB" in err and "d > 9" in err
+
+
+def test_quadtree_closed_forms_stay_unbounded():
+    for argv in (["constants", "--family", "quadtree", "--param", "12"],
+                 ["roots", "--family", "quadtree", "--param", "12"],
+                 ["periodic", "--kind", "P2", "--param", "12", "--points", "4"]):
+        assert run_cli(argv)[0] == 0

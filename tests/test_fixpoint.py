@@ -123,12 +123,9 @@ def _coefficient_rows(inst, rng, size):
     (quadtree(9), "Tquad_periodic"), (quadtree(3), "Tquad_normal")], ids=str)
 def test_contraction_factor_matches_sampled_coefficients(inst, map_kind):
     # the factor is E sum_r |V_r^e|^2 over the coefficient rows, with e = 1
-    # (uniK), 3/4 (normal maps) and lambda_2 - 1 (periodic maps)
+    # (x' = sum V_r x_r: uniK and normal maps) and lambda_2 - 1 (periodic maps)
     spec = fixed_point_spec(inst, map_kind)
-    if spec.is_periodic:
-        e = spec.lambda2 - 1.0
-    else:
-        e = 0.75 if spec.bivariate else 1.0
+    e = spec.lambda2 - 1.0 if spec.is_periodic else 1.0
     rng = rng_for(71)
     chunks = 50 if inst.branches < 100 else 10  # quadtree(9) rows hold 512 cells
     vals = np.concatenate([
