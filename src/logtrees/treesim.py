@@ -9,6 +9,12 @@ samples subtree sizes directly from each family's split law
                   from the (t+1)-st on, is a split key,
     quadtree:     multinomial over the 2^d cell volumes of a uniform point.
 
+The recursion stops at a cutoff size K: a subtree of size k < K draws its
+whole measure tuple at once from a table of its exact joint law, built by
+running the split law on distributions (``small_laws``).  The table build
+is capped by a fixed amount of work, so K depends on the family instance
+only; it is built once per process and holds no randomness.
+
 Replicates are simulated level-synchronously in fixed blocks of 1024, each
 block on its own counter-based Philox stream keyed by (seed, block index),
 so results are bit-identical for a given seed regardless of thread count.
@@ -16,11 +22,15 @@ Statistics accumulate as exact integer power sums and merge associatively.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from bisect import bisect_right, insort
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,8 +39,8 @@ from .families import FamilyInstance
 BLOCK = 1024  # replicates per RNG stream; fixed so --threads cannot change draws
 
 # The sampling routes draw the cells of many splits at once, as (rows, 2^d)
-# float arrays: a fixed-point chunk has CELL_ROWS rows, a Monte Carlo level
-# at least the roots of a block.  One such array must fit MAX_CELL_BYTES.
+# float arrays of at most CELL_ROWS rows: a fixed-point chunk, or a chunk of
+# a Monte Carlo level.  One such array must fit MAX_CELL_BYTES.
 CELL_ROWS = 16_384
 MAX_CELL_BYTES = 64 * 2**20
 
@@ -166,36 +176,6 @@ def _multinomial_rows(rng, counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def fbbst_split_pmf(n: int, t: int, as_printed: bool = False) -> dict[int, Fraction]:
-    """Left-subtree-size law of the median-of-(2t+1) split, exact rationals.
-
-    The law in use is P(left = j) = C(j,t) C(n-1-j,t) / C(n,2t+1) for
-    t <= j <= n-1-t (the root key is the sample median at rank j+1), which
-    sums to one.  The sometimes-quoted index shift C(j-1,t) C(n-j,t) on the
-    same range fails to normalise (its total is 0 at n = 3, t = 1); it is
-    kept behind ``as_printed`` so the defect can be demonstrated.
-    """
-    if n < 2 * t + 1:
-        raise ValueError(f"n = {n} below the splitting threshold {2 * t + 1}")
-    denom = math.comb(n, 2 * t + 1)
-    out = {}
-    for j in range(t, n - t):
-        if as_printed:
-            num = math.comb(j - 1, t) * math.comb(n - j, t)
-        else:
-            num = math.comb(j, t) * math.comb(n - 1 - j, t)
-        out[j] = Fraction(num, denom)
-    return out
-
-
-def sample_split(instance: FamilyInstance, n: int, rng) -> tuple[int, ...]:
-    """One draw of subtree sizes below a size-n splitting node."""
-    if n < instance.split_threshold:
-        raise ValueError(
-            f"n = {n} below the splitting threshold {instance.split_threshold} of {instance}")
-    return tuple(int(v) for v in _splits(instance, rng, np.array([n], dtype=np.int64))[0])
-
-
 def _splits(instance: FamilyInstance, rng, sizes: np.ndarray) -> np.ndarray:
     """Subtree sizes below splitting nodes of the given sizes, one row each."""
     law = instance.split_law
@@ -203,6 +183,218 @@ def _splits(instance: FamilyInstance, rng, sizes: np.ndarray) -> np.ndarray:
         return _law_splits(rng, *law, sizes)
     vols = sample_volumes(instance.parameter, rng, sizes.shape[0])
     return _multinomial_rows(rng, sizes - 1, vols)
+
+
+def _children(instance: FamilyInstance, rng, sizes: np.ndarray, rep: np.ndarray):
+    """Sizes and replicate indices of the non-empty subtrees below splitting
+    nodes of the given sizes.  Quadtree rows are split CELL_ROWS at a time,
+    so no cell array of a level outgrows MAX_CELL_BYTES, whatever n is."""
+    chunk = CELL_ROWS if instance.split_law is None else sizes.size
+    parts = []
+    for lo in range(0, sizes.size, chunk):
+        gaps = _splits(instance, rng, sizes[lo:lo + chunk])
+        keep = gaps > 0
+        parts.append((gaps[keep], np.broadcast_to(rep[lo:lo + chunk, None], gaps.shape)[keep]))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+# ---------------------------------------------------------------------------
+# exact laws of small subtrees
+# ---------------------------------------------------------------------------
+
+# A table build stops before the convolution that would take its products
+# of table entries past TABLE_WORK (about 0.2 s of one core), a convolution
+# counting CALL_WORK more on its own; it tabulates at most CUTOFF_SPAN sizes
+# from the split threshold on.  The cutoff is therefore a function of the
+# instance alone.
+TABLE_WORK = 300_000
+CALL_WORK = 10
+CUTOFF_SPAN = 64
+
+
+class _OverBudget(Exception):
+    pass
+
+
+class _Work:
+    def __init__(self, units: int):
+        self.left = units
+
+    def spend(self, units: int) -> None:
+        if units > self.left:
+            raise _OverBudget
+        self.left -= units
+
+
+def _convolve_into(out: dict, a: dict, b: dict, weight: int, work: _Work) -> None:
+    """out += weight * (a * b): laws are counts keyed by packed measure
+    tuples, so the key of a sum of two tuples is the sum of their keys."""
+    work.spend(len(a) * len(b) + CALL_WORK)
+    b = [(key, count * weight) for key, count in b.items()]
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b:
+            out[ka + kb] = get(ka + kb, 0) + ca * cb
+
+
+def _law_counts(m: int, t: int, start: int, laws: list, lift, point, work: _Work):
+    """Yields the laws of sizes k = 0, 1, ... of the (m,t) law as counts
+    over k!: the point mass ``point(k)`` below ``start``, and from there
+    the law of the summed lifted tuples of the subtrees, to which the
+    caller adds the toll.
+
+    P(I = j) = prod_l C(j_l,t) / C(k,M), M = m(t+1)-1, so k! P_k is
+    M!/t!^m times the m-fold binomial convolution over i_l = j_l - t of
+    the counts (j_l)! P_{j_l}: casc[r][s] folds r+1 subtrees holding
+    s + (r+1)t keys in all."""
+    big_m = m * (t + 1) - 1
+    scale = math.factorial(big_m) // math.factorial(t) ** m
+    casc = [[] for _ in range(m)]
+    for k in range(start):
+        yield {point(k): math.factorial(k)}
+    for k in itertools.count(start):
+        while len(casc[0]) <= k - big_m:
+            s = len(casc[0])
+            casc[0].append(lift(laws[s + t]))
+            for r in range(1, m):
+                acc = {}
+                for i in range(s + 1):
+                    _convolve_into(acc, casc[r - 1][s - i], casc[0][i], math.comb(s, i), work)
+                casc[r].append(acc)
+        yield {key: count * scale for key, count in casc[m - 1][k - big_m].items()}
+
+
+def _cell_counts(d: int, laws: list, lift, point, work: _Work):
+    """Yields the laws of sizes k = 0, 1, ... of the d-dimensional quadtree
+    as counts over k!^d: point masses at k = 0 and 1, and from there the
+    law of the summed tuples of the 2^d cells, to which the caller adds
+    the toll.
+
+    The k-1 other points fall in the cells of the root point x by a
+    multinomial over its cell volumes; integrating each coordinate x_l out
+    gives the Beta integral a_l! b_l! / k! of the a_l points below x_l and
+    the b_l above it.  groups[r][s] maps the low counts of the r last
+    coordinates to the law of a block of 2^r cells holding s points, as
+    counts over s!^(d+1); two halves of a block join with weight
+    C(s, s_low)^(d+1).  The node sums groups[d][k-1] over the low counts a
+    with weight 1 / prod_l C(k-1, a_l), which leaves integers over k!^d."""
+    groups = [[] for _ in range(d + 1)]
+    for k in range(2):
+        yield {point(k): 1}
+    for k in itertools.count(2):
+        s = k - 1
+        while len(groups[0]) <= s:
+            j = len(groups[0])
+            groups[0].append({(): lift(laws[j])})
+            for r in range(1, d + 1):
+                acc = {}
+                for low in range(j + 1):
+                    weight = math.comb(j, low) ** (d + 1)
+                    for a_lo, lo in groups[r - 1][low].items():
+                        for a_hi, hi in groups[r - 1][j - low].items():
+                            key = (low, *map(operator.add, a_lo, a_hi))
+                            _convolve_into(acc.setdefault(key, {}), lo, hi, weight, work)
+                groups[r].append(acc)
+        whole = math.factorial(s) ** d
+        law = {}
+        for lows, counts in groups[d][s].items():
+            weight = whole // math.prod(math.comb(s, a) for a in lows)
+            for key, count in counts.items():
+                law[key] = law.get(key, 0) + count * weight
+        yield {key: count // whole for key, count in law.items()}
+
+
+class SmallLaws(NamedTuple):
+    """Exact joint laws of ``instance.measures`` for the subtree sizes
+    k < cutoff: ``counts[k]`` maps a measure tuple to an integer count, out
+    of the sum of its counts.  ``cdf`` and ``values`` hold the same laws for
+    sampling: the entries of size k, in tuple order, carry k plus their
+    cumulative probability, so one search for k + u, u ~ U[0,1), draws
+    from the law of k, and k itself finds its point mass."""
+
+    cutoff: int
+    threshold: int
+    counts: tuple[Mapping[tuple[int, ...], int], ...]
+    cdf: np.ndarray
+    values: np.ndarray
+
+    def sums(self, rng, sizes: np.ndarray, rep: np.ndarray, reps: int) -> np.ndarray:
+        """Draw the measures of subtrees of the given sizes (< cutoff) and
+        add them up per replicate: (measures, reps) int64.  Sizes below the
+        split threshold have point-mass laws and take no draw."""
+        x = sizes.astype(np.float64)
+        drawn = sizes >= self.threshold
+        count = int(np.count_nonzero(drawn))
+        if count:
+            # k + u rounds up to k + 1 for u within an ulp of k of 1
+            top = np.nextafter(x[drawn] + 1, 0)
+            x[drawn] = np.minimum(x[drawn] + rng.random(count), top)
+        vals = self.values[np.searchsorted(self.cdf, x, side="right")]
+        return np.array([np.bincount(rep, weights=col, minlength=reps) for col in vals.T],
+                        dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def small_laws(instance: FamilyInstance, span: int = CUTOFF_SPAN) -> SmallLaws:
+    """The exact small-subtree laws of an instance, built once per process.
+
+    Sizes are added in turn from the split threshold on, up to ``span`` of
+    them, until the next one would pass TABLE_WORK; the cutoff K is the
+    first size left out.  A subtree hands its parent X + P for a measure X
+    with ``plus`` P (``lift``), and the parent adds its toll.  Laws are
+    keyed by the measure tuple packed into one integer while they are
+    built, so that adding keys adds tuples."""
+    measures = instance.measures
+    names = [meas.name for meas in measures]
+    start = instance.split_threshold
+    width = 2 * (start + span).bit_length() + 1  # bits of one measure in a key
+    mask = (1 << width) - 1
+    shifts = [width * i for i in reversed(range(len(measures)))]  # keys sort as tuples
+    plus = [(shifts[i], shifts[names.index(meas.plus)])
+            for i, meas in enumerate(measures) if meas.plus]
+
+    def pack(values):
+        return sum(v << shift for v, shift in zip(values, shifts))
+
+    def unpack(key):
+        return tuple((key >> shift) & mask for shift in shifts)
+
+    def lift(law):
+        if not plus:
+            return law
+        return {key + sum(((key >> src) & mask) << dst for dst, src in plus): count
+                for key, count in law.items()}
+
+    def point(k):
+        return pack(meas.initial if k else 0 for meas in measures)
+
+    laws, work = [], _Work(TABLE_WORK)
+    split_law = instance.split_law
+    steps = (_cell_counts(instance.parameter, laws, lift, point, work) if split_law is None
+             else _law_counts(*split_law, start, laws, lift, point, work))
+    try:
+        for k in range(start + span):
+            counts = next(steps)
+            if k >= start:
+                toll = pack(c + s * k for c, s in (meas.toll for meas in measures))
+                counts = {key + toll: count for key, count in counts.items()}
+            laws.append(counts)
+    except _OverBudget:
+        pass
+    # the cache hands the same tables to every caller: make them read-only
+    tables = tuple(MappingProxyType({unpack(key): law[key] for key in sorted(law)})
+                   for law in laws)
+    cdf, values = [], []
+    for k, law in enumerate(tables):
+        total, acc = sum(law.values()), 0
+        for value, count in law.items():
+            acc += count
+            cdf.append(k + acc / total)
+            values.append(value)
+    cdf = np.array(cdf)
+    values = np.array(values, dtype=np.int64).reshape(len(values), len(measures))
+    cdf.flags.writeable = values.flags.writeable = False
+    return SmallLaws(len(tables), start, tables, cdf, values)
 
 
 # ---------------------------------------------------------------------------
@@ -218,52 +410,42 @@ def _simulate_block(instance: FamilyInstance, n: int, reps: int, rng):
     Returns the per-replicate measure columns as int64 arrays, in the order
     of ``instance.measures``.
 
-    A measure adds ``initial`` at every non-empty node and, at a splitting
-    node of size n, c - initial + s n more (its toll c + s n in all); a
-    measure with ``plus`` also adds depth times the increment of that
-    measure, since each node counts once in every enclosing subtree.  So
-    three counts per level serve every measure: nodes, splitting nodes and
-    the keys held by splitting nodes.
+    A subtree smaller than the cutoff of ``small_laws`` draws all its
+    measures from their exact joint law; a larger one adds its toll c + s n
+    and splits.  A measure with ``plus`` also adds depth times the
+    increment of that measure, since each node counts once in every
+    enclosing subtree.
     """
-    thresh = instance.split_threshold
+    laws = small_laws(instance)
     cap = _depth_cap(n)
     measures = instance.measures
-    cols = {meas.name: np.zeros(reps, dtype=np.int64) for meas in measures}
+    names = [meas.name for meas in measures]
+    plus = [(i, names.index(meas.plus)) for i, meas in enumerate(measures) if meas.plus]
+    c, s = (np.array(col, dtype=np.int64)[:, None] for col in zip(*(m.toll for m in measures)))
+    cols = np.zeros((len(measures), reps), dtype=np.int64)
     if n == 0:
-        return tuple(cols.values())
-    need_nodes = any(meas.initial for meas in measures)
-    need_splits = any(meas.toll[0] != meas.initial for meas in measures)
-    need_keys = any(meas.toll[1] for meas in measures)
+        return tuple(cols)
 
     sizes = np.full(reps, n, dtype=np.int64)
     rep = np.arange(reps, dtype=np.int64)
     depth = 0
-    while sizes.size:
+    while True:
         if depth > cap:
             raise DepthCapError(f"depth {depth} exceeded cap {cap} at n={n}")
-        nodes = np.bincount(rep, minlength=reps) if need_nodes else 0
-        split = sizes >= thresh
-        rep, sizes = rep[split], sizes[split]  # from here on: the splitting nodes
-        splits = np.bincount(rep, minlength=reps) if need_splits else 0
-        keys = (np.bincount(rep, weights=sizes, minlength=reps).astype(np.int64)
-                if need_keys else 0)
-        step = {meas.name: meas.initial * nodes + (meas.toll[0] - meas.initial) * splits
-                + meas.toll[1] * keys for meas in measures}
-        for meas in measures:
-            cols[meas.name] += step[meas.name]
-            if meas.plus and depth:
-                cols[meas.name] += depth * step[meas.plus]
+        small = sizes < laws.cutoff
+        step = laws.sums(rng, sizes[small], rep[small], reps)
+        rep, sizes = rep[~small], sizes[~small]  # from here on: the splitting nodes
+        if sizes.size:
+            splits = np.bincount(rep, minlength=reps)
+            keys = np.bincount(rep, weights=sizes, minlength=reps).astype(np.int64)
+            step += c * splits + s * keys
+        cols += step
+        for i, p in plus:
+            cols[i] += depth * step[p]
         if not sizes.size:
-            break
-        gaps = _splits(instance, rng, sizes)
-
-        branches = gaps.shape[1]
-        child_rep = np.repeat(rep, branches).reshape(-1, branches)
-        keep = gaps > 0
-        sizes = gaps[keep]
-        rep = child_rep[keep]
+            return tuple(cols)
+        sizes, rep = _children(instance, rng, sizes, rep)
         depth += 1
-    return tuple(cols.values())
 
 
 def simulate_recursion(instance: FamilyInstance, n: int, rng) -> tuple[int, ...]:
@@ -379,6 +561,7 @@ def monte_carlo(instance: FamilyInstance, n: int, reps: int, seed: int,
     if reps < 2:
         raise ValueError("reps must be >= 2 for variance estimates")
     check_cells(instance)
+    small_laws(instance)  # built here, not by the first worker thread to need it
     blocks = [(i, min(BLOCK, reps - i * BLOCK)) for i in range((reps + BLOCK - 1) // BLOCK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -4,6 +4,12 @@ dispatch moved onto ``FamilyInstance``; every run must stay byte-identical.
 The fbbst fixed-point maps are not listed: their toll is evaluated from the
 coefficient rows (V, 1-V), so log(1-V) replaces log1p(-V) and the last
 digits move.
+
+The ``simulate`` and ``corr-profile`` digests were recorded again when the
+split recursion began to stop at the cutoff of ``treesim.small_laws`` and
+to draw quadtree levels in chunks; the digests the mary and fbbst
+``simulate`` runs had before stay pinned, with the cutoff set back to the
+split threshold.
 """
 import contextlib
 import hashlib
@@ -11,6 +17,7 @@ import io
 
 import pytest
 
+from logtrees import treesim
 from logtrees.cli import main
 
 
@@ -46,12 +53,12 @@ CASES = {
 }
 
 DIGESTS = {
-    "simulate-mary-3-t1": "e76c1f6552034def29cb1e3ac98938e31a2c8948bb3b9fd1f6dad122bfc74453",
-    "simulate-mary-3-t2": "e76c1f6552034def29cb1e3ac98938e31a2c8948bb3b9fd1f6dad122bfc74453",
-    "simulate-fbbst-1-t1": "cc9042a2f09d645c7470e95f406c65ea371b46dd307d8b222db8c3b98e26aef5",
-    "simulate-fbbst-1-t2": "cc9042a2f09d645c7470e95f406c65ea371b46dd307d8b222db8c3b98e26aef5",
-    "simulate-quadtree-2-t1": "e789cbc7e3333e639659cb949f03aaa7f811e2e7fd3306c9df5840a4eaa9ea8c",
-    "simulate-quadtree-2-t2": "e789cbc7e3333e639659cb949f03aaa7f811e2e7fd3306c9df5840a4eaa9ea8c",
+    "simulate-mary-3-t1": "d9e1ef721b62611fd276ccaa1f0753ac84b97a0c1ebc759f2612b9aab7e7229e",
+    "simulate-mary-3-t2": "d9e1ef721b62611fd276ccaa1f0753ac84b97a0c1ebc759f2612b9aab7e7229e",
+    "simulate-fbbst-1-t1": "15b46e64c3c40e2f5ae914f104ed01f91ec4be1628f28183ea69e0dcd9dda644",
+    "simulate-fbbst-1-t2": "15b46e64c3c40e2f5ae914f104ed01f91ec4be1628f28183ea69e0dcd9dda644",
+    "simulate-quadtree-2-t1": "91d2e57f85553d876ca3da58cbafe742822c0ad2b052fb51235c209b81606628",
+    "simulate-quadtree-2-t2": "91d2e57f85553d876ca3da58cbafe742822c0ad2b052fb51235c209b81606628",
     "fixpoint-uniK-mary-3": "accca1b888e10d39199da55b4b16883a018a0cced62cdc96fb398ef3d6a87349",
     "fixpoint-TNprime_normal-mary-3":
         "68922a9132749c544f748c6347d23a94934d29dcafb3b7a4b33a330ac9ebfa5f",
@@ -69,12 +76,12 @@ DIGESTS = {
     "constants-quadtree-9": "a6e8423cd1e54f28a60bebf724ff666a07b12976e1cd7c6a27c55dbc5721c895",
     "roots-mary-27": "391e1900fb82bab78abbe6b1e88ad9e1a2ebe4bf65c3554aa9f4ad5a5db958d4",
     "roots-fbbst-59": "dd7157cca6fb79f8c3e3e3daf87e3b7f624ecc3c99d5a329eb46fd1f4afda476",
-    "corr-profile-mary-3": "0e04543e23798f7685b059fea6d6bc4ae7f4e35c3c8442579f67deb84c42887b",
-    "corr-profile-mary-27": "44c57fd31fe19817a4b00ef9152929d960274bc229bdd2659c99b3deb41323a2",
-    "corr-profile-fbbst-1": "a561651f2189d4d973191ff4e6f76aa51fa165a725365c12e4f7da73a60bb06d",
+    "corr-profile-mary-3": "8d2b6a7f29065379824d850b45c50c6c8b0f6a6133cda92b04d2881b7beb1784",
+    "corr-profile-mary-27": "ab724c6c651db4f80d90e2d9d6e940515a75ae3c8713d9dd5feb6db2c742ea1d",
+    "corr-profile-fbbst-1": "3e6d7b67065173923d500ffc5bf501fb08f8b7917ed5278a9325a14573770d56",
     "corr-profile-fbbst-59": "fa80bcc71f3fd6b5209b22ff57072761db2ec4f43a0c07d79c1441e3e8b07bb6",
-    "corr-profile-quadtree-2": "8971cd6664889ed5d9ceff57d0048568cc699273e8baee1227ecc5f027f8fce6",
-    "corr-profile-quadtree-9": "829a058fe1430ef78dc888d012f5f7c7d2334463252be8fd96c5d780a7c508dd",
+    "corr-profile-quadtree-2": "dc51cd701672e625e98ec6933797d6937d5907024804c34a3627a8758a3d6716",
+    "corr-profile-quadtree-9": "bb2d19107785c6f5cf669cdb6f0fcc0fe06f285b5314b3ed271176710fddc0c4",
 }
 
 
@@ -85,3 +92,23 @@ def test_stdout_matches_golden_digest(key):
         code = main(CASES[key])
     assert code == 0, err.getvalue()
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[key]
+
+
+# stdout of the runs above when every size from the split threshold on is
+# split, as the recursion did before it had tables
+SPLIT_TO_THRESHOLD = {
+    "simulate-mary-3-t1": "e76c1f6552034def29cb1e3ac98938e31a2c8948bb3b9fd1f6dad122bfc74453",
+    "simulate-mary-3-t2": "e76c1f6552034def29cb1e3ac98938e31a2c8948bb3b9fd1f6dad122bfc74453",
+    "simulate-fbbst-1-t1": "cc9042a2f09d645c7470e95f406c65ea371b46dd307d8b222db8c3b98e26aef5",
+    "simulate-fbbst-1-t2": "cc9042a2f09d645c7470e95f406c65ea371b46dd307d8b222db8c3b98e26aef5",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SPLIT_TO_THRESHOLD))
+def test_threshold_cutoff_reproduces_recorded_draws(key, monkeypatch):
+    real = treesim.small_laws
+    monkeypatch.setattr(treesim, "small_laws", lambda instance: real(instance, 0))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(CASES[key]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SPLIT_TO_THRESHOLD[key]

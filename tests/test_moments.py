@@ -24,6 +24,7 @@ from logtrees.moments import (
     second_moment_tables,
     split_weights,
 )
+from oracles import median_quicksort
 
 MARY_ROWS = ("mu", "kappa", "nu", "VS", "VSK", "VK", "VSN", "VN", "VKN")
 
@@ -276,25 +277,13 @@ def test_fbbst_exact_small():
     assert t.cauchy_schwarz_ok()
 
 
-def _median_quicksort(keys, t):
-    """(S, X) of median-of-(2t+1) quicksort run on ``keys`` in input order:
-    the pivot is the median of the first 2t+1 keys, each partitioning stage
-    adds 1 to S and size-1 to X, and shorter sublists are left alone."""
-    if len(keys) < 2 * t + 1:
-        return 0, 0
-    pivot = sorted(keys[: 2 * t + 1])[t]
-    s_lo, x_lo = _median_quicksort([k for k in keys if k < pivot], t)
-    s_hi, x_hi = _median_quicksort([k for k in keys if k > pivot], t)
-    return 1 + s_lo + s_hi, len(keys) - 1 + x_lo + x_hi
-
-
 @pytest.mark.parametrize("t", [1, 2])
 def test_fbbst_rows_match_quicksort_enumeration(t):
     # an oracle that shares no code with the split-law engine: every input
     # order of n <= 8 keys, partitioned by the median-of-(2t+1) rule
     table = second_moment_tables(fbbst(t), 8, "exact")
     for n in range(9):
-        runs = [_median_quicksort(list(p), t) for p in permutations(range(n))]
+        runs = [median_quicksort(list(p), t) for p in permutations(range(n))]
         cnt = len(runs)
         es = Fraction(sum(s for s, _ in runs), cnt)
         ex = Fraction(sum(x for _, x in runs), cnt)

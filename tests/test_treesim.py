@@ -14,9 +14,10 @@ from logtrees.treesim import (
     TreeMeasures,
     build_mary_tree,
     monte_carlo,
-    sample_split,
     simulate_recursion,
+    small_laws,
 )
+from oracles import fbbst_split_pmf, median_quicksort, sample_split
 
 FIG_SEQUENCE = [6, 2, 4, 8, 7, 1, 5, 3, 10, 9]
 
@@ -82,7 +83,6 @@ def test_fbbst_split_degenerate_case():
 
 
 def test_fbbst_split_pmf_normalisation_and_printed_defect():
-    from logtrees.treesim import fbbst_split_pmf
     for (n, t) in ((3, 1), (9, 1), (11, 2), (25, 3)):
         assert sum(fbbst_split_pmf(n, t).values()) == 1, (n, t)
     # the quoted index-shifted law loses mass; at (3,1) it sums to zero
@@ -94,7 +94,7 @@ def test_fbbst_split_pmf_normalisation_and_printed_defect():
 
 
 def test_fbbst_split_law_frequencies():
-    from logtrees.treesim import _law_splits, fbbst_split_pmf
+    from logtrees.treesim import _law_splits
     t, n, draws = 1, 9, 1_000_000
     rng = np.random.default_rng(np.random.Philox(key=[13, 0]))
     lefts = _law_splits(rng, 2, t, np.full(draws, n, dtype=np.int64))[:, 0]
@@ -172,9 +172,8 @@ def test_recursion_matches_builder_and_exact_table(m):
 def test_recursion_matches_quicksort_enumeration(t):
     # fbbst split recursion against median-of-(2t+1) quicksort run on every
     # input order of n = 8 keys: 1e5 replicates, 4 standard errors
-    from test_moments import _median_quicksort
     n, reps = 8, 100_000
-    runs = np.array([_median_quicksort(list(p), t) for p in permutations(range(n))])
+    runs = np.array([median_quicksort(list(p), t) for p in permutations(range(n))])
     stats = monte_carlo(fbbst(t), n, reps, seed=98)
     for col, name in enumerate(("S", "X")):
         mean, var = runs[:, col].mean(), runs[:, col].var()
@@ -281,3 +280,147 @@ def test_quadtree_mean_internal_path_length():
     stats = monte_carlo(quadtree(d), n, 400, seed=7)
     ratio = stats.mean("Xi") / (n * math.log(n))
     assert abs(ratio - 2 / d) < 0.1 * (2 / d)
+
+
+# ---------------------------------------------------------------------------
+# exact small-subtree laws
+# ---------------------------------------------------------------------------
+
+def _law_moments(counts):
+    """Exact means and second moments of a law given as tuple -> count."""
+    total = sum(counts.values())
+    width = len(next(iter(counts)))
+    mean = [Fraction(sum(c * v[i] for v, c in counts.items()), total) for i in range(width)]
+    cov = {(i, j): Fraction(sum(c * v[i] * v[j] for v, c in counts.items()), total)
+           - mean[i] * mean[j] for i in range(width) for j in range(width)}
+    return mean, cov
+
+
+@pytest.mark.parametrize("instance", [mary(3), mary(4), mary(27), fbbst(1), fbbst(2), fbbst(59)],
+                         ids=str)
+def test_small_law_moments_match_exact_rows(instance):
+    from logtrees.moments import second_moment_tables
+    laws = small_laws(instance)
+    assert laws.cutoff > instance.split_threshold
+    table = second_moment_tables(instance, laws.cutoff - 1, "exact")
+    names = [meas.name for meas in instance.measures]
+    for k, counts in enumerate(laws.counts):
+        mean, cov = _law_moments(counts)
+        for i, meas in enumerate(instance.measures):
+            assert mean[i] == table.column(meas.row)[k], (k, meas.name)
+        for row, a, b in instance.covariance_rows:
+            assert cov[names.index(a), names.index(b)] == table.column(row)[k], (k, row)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_small_law_means_match_quadtree_rows(d):
+    from logtrees.moments import mean_tables
+    laws = small_laws(quadtree(d))
+    assert laws.cutoff > 2
+    rows = mean_tables(quadtree(d), laws.cutoff - 1, "exact")
+    for k, counts in enumerate(laws.counts):
+        assert sum(counts.values()) == math.factorial(k) ** d, k
+        assert _law_moments(counts)[0] == [row[k] for row in rows], k
+
+
+def test_mary_small_law_matches_tree_enumeration():
+    # every insertion order of n <= 8 keys: the table counts over n! are the
+    # numbers of permutations that build each (S, K, N)
+    laws = small_laws(mary(3))
+    for n in range(min(9, laws.cutoff)):
+        built = Counter(tuple(build_mary_tree(p, 3)) for p in permutations(range(n)))
+        assert laws.counts[n] == dict(built), n
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_fbbst_small_law_matches_quicksort_enumeration(t):
+    laws = small_laws(fbbst(t))
+    for n in range(min(9, laws.cutoff)):
+        runs = Counter(median_quicksort(list(p), t) for p in permutations(range(n)))
+        assert laws.counts[n] == dict(runs), (t, n)
+
+
+def _threshold_laws(instance):
+    # the recursion as it ran before the tables: every size from the split
+    # threshold on is split
+    return small_laws(instance, 0)
+
+
+@pytest.mark.parametrize("instance", [mary(3), fbbst(1), quadtree(2)], ids=str)
+def test_cutoff_matches_threshold_sampler(instance, monkeypatch):
+    # two-sample test of the table-driven recursion against the plain split
+    # recursion: every measure's mean and variance within 4 combined
+    # standard errors, and a KS test on the path length
+    from scipy.stats import ks_2samp
+
+    from logtrees import treesim
+    n, reps = 2000, 4096
+    cols = {"table": treesim._simulate_block(
+        instance, n, reps, np.random.Generator(np.random.Philox(key=[23, 0])))}
+    monkeypatch.setattr(treesim, "small_laws", _threshold_laws)
+    cols["split"] = treesim._simulate_block(
+        instance, n, reps, np.random.Generator(np.random.Philox(key=[23, 1])))
+    for i, meas in enumerate(instance.measures):
+        a, b = (np.asarray(cols[k][i], dtype=float) for k in ("table", "split"))
+        se = math.hypot(a.std() / math.sqrt(reps), b.std() / math.sqrt(reps))
+        assert abs(a.mean() - b.mean()) <= 4 * se + 1e-12, meas.name
+        sq_a, sq_b = (a - a.mean()) ** 2, (b - b.mean()) ** 2
+        se = math.hypot(sq_a.std() / math.sqrt(reps), sq_b.std() / math.sqrt(reps))
+        assert abs(sq_a.mean() - sq_b.mean()) <= 4 * se + 1e-12, meas.name
+    path = len(instance.measures) - 1 if instance.split_law is None else 1
+    assert ks_2samp(cols["table"][path], cols["split"][path]).pvalue > 1e-3
+
+
+def test_quadtree_levels_drawn_in_chunks(monkeypatch):
+    # d = 9 with 64 trees of 5000 points: the level below the roots holds
+    # more than CELL_ROWS splitting nodes, yet no cell array gets more rows
+    from logtrees import treesim
+    rows = []
+    for name in ("sample_volumes", "_multinomial_rows"):
+        real = getattr(treesim, name)
+
+        def spy(*args, real=real):
+            out = real(*args)
+            rows.append(out.shape[0])
+            return out
+        monkeypatch.setattr(treesim, name, spy)
+    stats = monte_carlo(quadtree(9), 5000, 64, seed=3)
+    assert stats.count == 64
+    assert max(rows) == treesim.CELL_ROWS
+
+
+def test_treesim_import_builds_no_tables():
+    # importing the sampler stays cheap: no table is built and neither scipy
+    # nor mpmath is loaded
+    import subprocess
+    import sys
+    code = ("import sys; import logtrees.treesim as t; "
+            "print(t.small_laws.cache_info().currsize, "
+            "any(m.split('.')[0] in ('scipy', 'mpmath') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["0", "False"]
+
+
+def test_monte_carlo_deterministic_from_cold_cache():
+    # the tables hold no randomness: building them under 4 threads or in a
+    # warm cache leaves every draw as it is
+    small_laws.cache_clear()
+    a = monte_carlo(fbbst(1), 700, 2100, seed=8, threads=4)
+    b = monte_carlo(fbbst(1), 700, 2100, seed=8, threads=1)
+    assert a.count == b.count and a._sum == b._sum and a._prod == b._prod
+
+
+@pytest.mark.parametrize("instance", [mary(3), fbbst(59)], ids=str)
+def test_small_law_draw_near_one_stays_in_its_size(instance):
+    # k + u rounds to k + 1 when u is within an ulp of k of 1; the draw must
+    # still come from the law of size k, also for the largest size
+    class Top:
+        def random(self, count):
+            return np.full(count, np.nextafter(1.0, 0.0))
+
+    laws = small_laws(instance)
+    sizes = np.arange(instance.split_threshold, laws.cutoff)
+    sums = laws.sums(Top(), sizes, np.arange(sizes.size), sizes.size)
+    for k, got in zip(sizes, sums.T):
+        assert tuple(got) in laws.counts[k], k
