@@ -368,10 +368,11 @@ def criterion_11(quick: bool) -> tuple[bool, str]:
           "64,128", "--reps", "600", "--seed", "3", "--threads", "1"],
          ["corr-profile", "--family", "fbbst", "--param", "1", "--grid",
           "64,128", "--reps", "600", "--seed", "3", "--threads", "4"]),
-        (["fixpoint", "--map", "uniK", "--family", "mary", "--param", "3",
-          "--pool", "4000", "--gens", "6", "--seed", "5"],
-         ["fixpoint", "--map", "uniK", "--family", "mary", "--param", "3",
-          "--pool", "4000", "--gens", "6", "--seed", "5"]),
+        # a pool of three chunks, the last one ragged
+        (["fixpoint", "--map", "TN_periodic", "--family", "mary", "--param", "27",
+          "--pool", "40000", "--gens", "3", "--seed", "5", "--threads", "1"],
+         ["fixpoint", "--map", "TN_periodic", "--family", "mary", "--param", "27",
+          "--pool", "40000", "--gens", "3", "--seed", "5", "--threads", "4"]),
     ]
     for a, b in pairs:
         if run(a) != run(b):

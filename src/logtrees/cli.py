@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 from fractions import Fraction
@@ -197,7 +198,7 @@ def cmd_fixpoint(args) -> dict:
 
     spec = fixed_point_spec(_instance(args), args.map)
     pool = iterate(spec, args.pool, args.gens, args.seed,
-                   full_bivariate=bool(args.full_bivariate))
+                   full_bivariate=bool(args.full_bivariate), threads=args.threads)
     diag = diagnose(pool) if spec.bivariate else {
         "map_kind": spec.map_kind, "generation": pool.generation,
         "pool": len(pool.x), **pool.moments()}
@@ -237,7 +238,10 @@ _FAMILIES = [f.value for f in Family]
 _PARAM = ("--param", dict(type=int, required=True))
 _FAMILY = (("--family", dict(choices=_FAMILIES, required=True)), _PARAM)
 _SEED = ("--seed", dict(type=int, default=1))
-_THREADS = ("--threads", dict(type=int, default=1))
+# the CPUs this process may use (all of them where affinity is not exposed)
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_THREADS = ("--threads", dict(type=int, default=_CPUS,
+                              help="worker threads (default: the CPUs this process may use)"))
 
 # name: (body, help, arguments as (flag, add_argument keywords))
 COMMANDS = {
@@ -263,7 +267,7 @@ COMMANDS = {
                  (("--map", dict(required=True, choices=FIXED_POINT_MAPS)),
                   ("--family", dict(choices=_FAMILIES, default="mary")), _PARAM,
                   ("--pool", dict(type=int, default=100_000)),
-                  ("--gens", dict(type=int, default=30)), _SEED,
+                  ("--gens", dict(type=int, default=30)), _SEED, _THREADS,
                   ("--full-bivariate", dict(action="store_true", default=None)),
                   ("--trace-out", dict(help="write the moment-trace CSV here")),
                   ("--pool-out", dict(help="write the final pool CSV here")))),

@@ -32,10 +32,19 @@ iterating), so generation error decays geometrically; pool-resampling bias
 is O(1/pool).  Periodic pools start at the mean-constraint point (0, theta);
 normalised (normal-map) pools start from iid standard normals, because the
 point-mass start has zero variance and the normalised map preserves it.
+
+Every random draw is made on the calling thread, chunk by chunk, from one
+Philox stream per generation.  The arithmetic of each chunk (toll, weights,
+gathers from the previous pool and row sums) may run on worker threads,
+which start on a chunk's toll and weights while the previous generation is
+still being combined; a pool is bit-identical at any thread count.
 """
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,13 +262,63 @@ def _split_rows(spec: FixedPointSpec, rng, size: int) -> np.ndarray:
     return np.stack([v, 1.0 - v], axis=1)
 
 
+# The chunks of a generation run on worker threads while the calling thread
+# draws the next ones.  A chunk in flight holds its index, coefficient and
+# weight rows (at most 32 bytes a cell); at most 2 x threads chunks, and at
+# most WINDOW_BYTES of them, are in flight at once.
+WINDOW_BYTES = 256 * 2**20
+
+
+@dataclass
+class _Generation:
+    """The arrays the chunks of generation ``gen`` write, and its pool once
+    the calling thread has finished it; ``done`` is set then, or when the
+    iteration stops early, with ``pool`` left None."""
+
+    gen: int
+    x: np.ndarray
+    w: np.ndarray | None
+    pool: SamplePool | None = None
+    done: threading.Event = field(default_factory=threading.Event)
+
+
+def _combine(spec: FixedPointSpec, exponent, source: _Generation, target: _Generation,
+             lo: int, idx: np.ndarray, coef: np.ndarray, fresh: np.ndarray | None) -> None:
+    """The arithmetic of one chunk: rows lo:lo+len(idx) of ``target``.  The
+    toll and the weights of the w slot need no pool; the gathers from the
+    source pool and the row sums wait until that generation is finished."""
+    hi = lo + len(idx)
+    tolls = toll(spec, coef)
+    weights = None
+    if target.w is not None:
+        weights = np.exp(exponent * np.log(coef)) if spec.is_periodic else np.sqrt(coef)
+        if fresh is not None:
+            target.w[lo:hi] = (weights * fresh).sum(axis=1)
+            weights = None
+    source.done.wait()
+    prev = source.pool
+    if prev is None:  # the iteration stopped
+        return
+    target.x[lo:hi] = (coef * prev.x[idx]).sum(axis=1) + tolls
+    if weights is not None:
+        target.w[lo:hi] = (weights * prev.w[idx]).sum(axis=1)
+
+
 def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
-            full_bivariate: bool = False) -> SamplePool:
+            full_bivariate: bool = False, threads: int = 1) -> SamplePool:
     """Evolve a sample pool through the map.
 
     Each generation resamples the previous pool with replacement;
-    generation g draws from Philox key (seed, g), processed in fixed-size
-    chunks, so results are reproducible for a given seed.
+    generation g draws from Philox key (seed, g), in chunks of CELL_ROWS
+    rows: the resampling indices, the coefficient rows, then the fresh
+    normals of the injected normal slot.  Every draw is made on the calling
+    thread in that order.  With ``threads`` > 1 the arithmetic of each
+    chunk runs on a worker thread: its toll and weights at once, its
+    gathers and row sums once the previous generation is finished, while
+    the calling thread draws ahead, at most 2 x ``threads`` chunks (and
+    WINDOW_BYTES of their rows) in flight.  Each element sees the same
+    operations in the same order at any thread count, so pools and traces
+    are bit-identical for a given seed.
     """
     if pool_size < 1000:
         raise ValueError("pool_size must be >= 1000")
@@ -283,41 +342,74 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
     pool.trace.append(pool.moments())
     branches = spec.instance.branches
     exponent = None if spec.lambda2 is None else spec.lambda2 - 1.0
+    injected = spec.bivariate and not spec.is_periodic and not full_bivariate
+    source = _Generation(0, x, w, pool)
+    source.done.set()
 
-    for gen in range(1, generations + 1):
-        rng = np.random.Generator(np.random.Philox(key=[seed, gen]))
-        new_x = np.empty(pool_size)
-        new_w = None if w is None else np.empty_like(w)
-        for lo in range(0, pool_size, CELL_ROWS):
-            hi = min(lo + CELL_ROWS, pool_size)
-            size = hi - lo
-            idx = rng.integers(0, pool_size, (size, branches))
-            coef = _split_rows(spec, rng, size)
-            tolls = toll(spec, coef)
-            new_x[lo:hi] = (coef * pool.x[idx]).sum(axis=1) + tolls
-            if new_w is None:
-                continue
-            if spec.is_periodic:
-                powers = np.exp(exponent * np.log(coef))
-                new_w[lo:hi] = (powers * pool.w[idx]).sum(axis=1)
-            elif full_bivariate:
-                new_w[lo:hi] = (np.sqrt(coef) * pool.w[idx]).sum(axis=1)
-            else:
-                fresh = rng.standard_normal((size, branches))
-                new_w[lo:hi] = (np.sqrt(coef) * fresh).sum(axis=1)
+    def finish(target: _Generation) -> None:
+        new_w = target.w
         if new_w is not None and not spec.is_periodic and full_bivariate:
             # the sqrt-coefficient combination amplifies an off-zero pool
             # mean by branches * E[sqrt(V)] > 1 per generation; the map is
             # defined on the zero-mean unit-variance constraint set, so
             # project back (re-standardise) after every step
             new_w = (new_w - new_w.mean()) / new_w.std()
-        pool = SamplePool(spec=spec, x=new_x, w=new_w,
-                          generation=gen, trace=pool.trace)
-        pool.trace.append(pool.moments())
-        if gen >= 5 and pool.x.var() < 1e-12 * (1.0 + spec.scale_constant):
+        finished = SamplePool(spec=spec, x=target.x, w=new_w, generation=target.gen,
+                              trace=pool.trace)
+        finished.trace.append(finished.moments())
+        if target.gen >= 5 and finished.x.var() < 1e-12 * (1.0 + spec.scale_constant):
             raise PoolDegeneracyError(
-                f"pool variance collapsed at generation {gen}")
-    return pool
+                f"pool variance collapsed at generation {target.gen}")
+        target.pool = finished
+        target.done.set()
+
+    # chunks in flight, oldest first: (future, or None when run inline,
+    # target, whether it is the last chunk of the target generation)
+    in_flight = deque()
+
+    def retire() -> None:
+        future, target, last = in_flight[0]
+        if future is not None:
+            future.result()
+        if last:
+            finish(target)
+        in_flight.popleft()
+
+    window = max(1, min(2 * threads, WINDOW_BYTES // (32 * CELL_ROWS * branches)))
+    workers = (ThreadPoolExecutor(max_workers=threads, thread_name_prefix="fixpoint")
+               if threads > 1 else None)
+    try:
+        for gen in range(1, generations + 1):
+            rng = np.random.Generator(np.random.Philox(key=[seed, gen]))
+            target = _Generation(gen, np.empty(pool_size),
+                                 None if w is None else np.empty_like(w))
+            for lo in range(0, pool_size, CELL_ROWS):
+                # retire the finished chunks, and the oldest while the window is full
+                while in_flight and (len(in_flight) >= window or in_flight[0][0] is None
+                                     or in_flight[0][0].done()):
+                    retire()
+                size = min(CELL_ROWS, pool_size - lo)
+                idx = rng.integers(0, pool_size, (size, branches))
+                coef = _split_rows(spec, rng, size)
+                fresh = rng.standard_normal((size, branches)) if injected else None
+                chunk = (spec, exponent, source, target, lo, idx, coef, fresh)
+                if workers is None:
+                    _combine(*chunk)
+                    future = None
+                else:
+                    future = workers.submit(_combine, *chunk)
+                in_flight.append((future, target, lo + size == pool_size))
+            source = target
+        while in_flight:
+            retire()
+    finally:
+        # on an early exit, release the chunks waiting for a generation
+        # that will not be finished, and drop those not started
+        for _, target, _ in in_flight:
+            target.done.set()
+        if workers is not None:
+            workers.shutdown(wait=True, cancel_futures=True)
+    return source.pool
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +417,15 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def _distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    n = len(a)
     A = np.abs(a[:, None] - a[None, :])
     B = np.abs(b[:, None] - b[None, :])
-    A = A - A.mean(axis=0) - A.mean(axis=1)[:, None] + A.mean()
-    B = B - B.mean(axis=0) - B.mean(axis=1)[:, None] + B.mean()
+    for D in (A, B):
+        # double centring in place: the column, row and grand means of the
+        # distances first, then subtracted and added in that order
+        col, row, grand = D.mean(axis=0), D.mean(axis=1)[:, None], D.mean()
+        D -= col
+        D -= row
+        D += grand
     dcov2 = (A * B).mean()
     dvar_a = (A * A).mean()
     dvar_b = (B * B).mean()

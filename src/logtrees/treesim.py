@@ -322,14 +322,16 @@ class SmallLaws(NamedTuple):
         """Draw the measures of subtrees of the given sizes (< cutoff) and
         add them up per replicate: (measures, reps) int64.  Sizes below the
         split threshold have point-mass laws and take no draw."""
-        x = sizes.astype(np.float64)
+        # each size k below the threshold holds one entry, the k-th
+        entry = sizes.astype(np.intp)
         drawn = sizes >= self.threshold
         count = int(np.count_nonzero(drawn))
         if count:
+            x = sizes[drawn].astype(np.float64)
             # k + u rounds up to k + 1 for u within an ulp of k of 1
-            top = np.nextafter(x[drawn] + 1, 0)
-            x[drawn] = np.minimum(x[drawn] + rng.random(count), top)
-        vals = self.values[np.searchsorted(self.cdf, x, side="right")]
+            x = np.minimum(x + rng.random(count), np.nextafter(x + 1, 0))
+            entry[drawn] = np.searchsorted(self.cdf, x, side="right")
+        vals = self.values[entry]
         return np.array([np.bincount(rep, weights=col, minlength=reps) for col in vals.T],
                         dtype=np.int64)
 

@@ -301,3 +301,21 @@ def test_quadtree_closed_forms_stay_unbounded():
                  ["roots", "--family", "quadtree", "--param", "12"],
                  ["periodic", "--kind", "P2", "--param", "12", "--points", "4"]):
         assert run_cli(argv)[0] == 0
+
+
+def test_fixpoint_threads_steer_execution_only():
+    # three chunks a generation; --threads is not echoed in the header
+    argv = ["fixpoint", "--map", "TN_periodic", "--family", "mary", "--param", "27",
+            "--pool", "40000", "--gens", "2", "--seed", "3"]
+    outs = [run_cli(argv + extra)[1] for extra in ([], ["--threads", "1"], ["--threads", "4"])]
+    assert outs[0] == outs[1] == outs[2]
+    assert "threads" not in json.loads(outs[0])["meta"]["config"]
+
+
+def test_threads_default_is_the_cpus_available():
+    import os
+
+    from logtrees.cli import build_parser
+
+    args = build_parser().parse_args(["fixpoint", "--map", "uniK", "--param", "3"])
+    assert args.threads == len(os.sched_getaffinity(0))

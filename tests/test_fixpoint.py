@@ -9,6 +9,7 @@ from logtrees.families import fbbst, mary, quadtree, harmonic
 from logtrees.fixpoint import (
     ContractionError,
     FixedPointSpec,
+    _distance_correlation,
     contraction_factor,
     diagnose,
     fixed_point_spec,
@@ -20,6 +21,7 @@ from logtrees.fixpoint import (
     variance_scale,
 )
 from logtrees.roots import solve_spectrum
+from oracles import distance_correlation
 
 
 def rng_for(seed):
@@ -284,3 +286,12 @@ def test_pool_csv_exports(tmp_path):
     tlines = (tmp_path / "trace.csv").read_text().splitlines()
     assert tlines[0] == "generation,mean_x,var_x,mean_re_w,mean_im_w,var_w,cov"
     assert len(tlines) == 5  # initial pool + 3 generations
+
+
+def test_distance_correlation_centres_in_place_bit_for_bit():
+    rng = rng_for(90)
+    a = rng.standard_normal(2048)
+    for b in (0.3 * a + rng.standard_normal(2048), rng.standard_normal(2048) ** 2,
+              np.full(2048, 1.5)):
+        assert _distance_correlation(a, b) == distance_correlation(a, b)
+    assert _distance_correlation(a, np.full(2048, 1.5)) == 0.0

@@ -17,7 +17,7 @@ from logtrees.treesim import (
     simulate_recursion,
     small_laws,
 )
-from oracles import fbbst_split_pmf, median_quicksort, sample_split
+from oracles import fbbst_split_pmf, median_quicksort, sample_split, small_law_sums
 
 FIG_SEQUENCE = [6, 2, 4, 8, 7, 1, 5, 3, 10, 9]
 
@@ -424,3 +424,19 @@ def test_small_law_draw_near_one_stays_in_its_size(instance):
     sums = laws.sums(Top(), sizes, np.arange(sizes.size), sizes.size)
     for k, got in zip(sizes, sums.T):
         assert tuple(got) in laws.counts[k], k
+
+
+@pytest.mark.parametrize("instance", [mary(3), mary(27), fbbst(1), fbbst(59), quadtree(2)],
+                         ids=str)
+def test_small_law_point_masses_skip_the_search(instance):
+    # each size below the split threshold holds one entry, the k-th, so its
+    # draw needs no search; the draws equal one search of the whole CDF
+    laws = small_laws(instance)
+    k = np.arange(laws.threshold)
+    assert np.array_equal(laws.cdf[k], k + 1.0)
+    assert [len(laws.counts[j]) for j in k] == [1] * laws.threshold
+    sizes = np.random.default_rng(5).integers(0, laws.cutoff, 20_000)
+    rep = np.arange(sizes.size) % 97
+    got = laws.sums(np.random.default_rng(6), sizes, rep, 97)
+    want = small_law_sums(laws, np.random.default_rng(6), sizes, rep, 97)
+    assert np.array_equal(got, want)
