@@ -103,34 +103,21 @@ def criterion_3(quick: bool) -> tuple[bool, str]:
 
 
 def criterion_4(quick: bool) -> tuple[bool, str]:
-    from .families import fbbst, mary
+    from .families import fbbst, mary, quadtree
     from .roots import classify_regime, quadtree_exponents, solve_spectrum
 
+    cov, dist = "covariance_phase", "distribution_phase"
+    rows = ((mary(13), cov, "linear"), (mary(14), cov, "periodic"),
+            (mary(26), dist, "gaussian"), (mary(27), dist, "periodic"),
+            (fbbst(28), cov, "linear"), (fbbst(29), cov, "periodic"),
+            (fbbst(58), dist, "gaussian"), (fbbst(59), dist, "periodic"),
+            (quadtree(5), cov, "linear"), (quadtree(6), cov, "periodic"),
+            (quadtree(8), dist, "gaussian"), (quadtree(9), dist, "periodic"))
     checks = []
-    r = classify_regime(solve_spectrum(mary(13)))
-    checks.append(r.covariance_phase.value == "linear")
-    r = classify_regime(solve_spectrum(mary(14)))
-    checks.append(r.covariance_phase.value == "periodic")
-    r = classify_regime(solve_spectrum(mary(26)))
-    checks.append(r.distribution_phase.value == "gaussian")
-    r = classify_regime(solve_spectrum(mary(27)))
-    checks.append(r.distribution_phase.value == "periodic")
-    r = classify_regime(solve_spectrum(fbbst(28)))
-    checks.append(r.covariance_phase.value == "linear")
-    r = classify_regime(solve_spectrum(fbbst(29)))
-    checks.append(r.covariance_phase.value == "periodic")
-    r = classify_regime(solve_spectrum(fbbst(58)))
-    checks.append(r.distribution_phase.value == "gaussian")
-    r = classify_regime(solve_spectrum(fbbst(59)))
-    checks.append(r.distribution_phase.value == "periodic")
-    r = classify_regime(quadtree_exponents(5))
-    checks.append(r.covariance_phase.value == "linear")
-    r = classify_regime(quadtree_exponents(6))
-    checks.append(r.covariance_phase.value == "periodic")
-    r = classify_regime(quadtree_exponents(8))
-    checks.append(r.distribution_phase.value == "gaussian")
-    r = classify_regime(quadtree_exponents(9))
-    checks.append(r.distribution_phase.value == "periodic")
+    for inst, phase, want in rows:
+        spectrum = (quadtree_exponents(inst.parameter) if inst.split_law is None
+                    else solve_spectrum(inst))
+        checks.append(getattr(classify_regime(spectrum), phase).value == want)
     ok = all(checks)
     return ok, "flips at m=13/14, m=26/27, t=28/29, t=58/59, d=5/6, d=8/9" if ok \
         else f"flip pattern wrong: {checks}"
@@ -232,6 +219,7 @@ def criterion_8(quick: bool) -> tuple[bool, str]:
 
 def criterion_9(quick: bool) -> tuple[bool, str]:
     from .asymptotics import kpl_variance_constant
+    from .cli import _CPUS
     from .families import mary
     from .fixpoint import (
         diagnose,
@@ -248,7 +236,7 @@ def criterion_9(quick: bool) -> tuple[bool, str]:
     notes = []
     for m in (3, 10, 20):
         spec = fixed_point_spec(mary(m), "uniK")
-        pool = iterate(spec, pool_size, gens, seed=SEED + m)
+        pool = iterate(spec, pool_size, gens, seed=SEED + m, threads=_CPUS)
         ck = kpl_variance_constant(m)
         var = float(pool.x.var())
         if abs(var - ck) > 0.05 * ck:
@@ -267,7 +255,7 @@ def criterion_9(quick: bool) -> tuple[bool, str]:
     if abs(frac.real.mean() - 1 / 27) > 3 * se_re or abs(frac.imag.mean()) > 3 * se_im:
         return False, "E[V^(lambda_2 - 1)] differs from 1/m beyond 3 SE"
     spec = fixed_point_spec(mary(3), "TNprime_normal")
-    pool = iterate(spec, pool_size, 25 if not quick else 15, seed=SEED + 99)
+    pool = iterate(spec, pool_size, 25 if not quick else 15, seed=SEED + 99, threads=_CPUS)
     diag = diagnose(pool)
     if diag["ks_pvalue"] <= 0.01:
         return False, f"TNprime KS p = {diag['ks_pvalue']:.4f} <= 0.01"
@@ -283,56 +271,41 @@ def criterion_10(quick: bool) -> tuple[bool, str]:
 
     from .asymptotics import dirichlet_I, dirichlet_dudv, dirichlet_dv
 
-    def quad_I(u, v, m):
+    def simplex(f, m):
+        """Integral of f(coordinates) over the (m-1)-simplex, m = 2 or 3."""
         if m == 2:
-            return quad(lambda x: (x**(u-1) + (1-x)**(u-1)) * (x**(v-1) + (1-x)**(v-1)),
-                        0, 1, epsabs=1e-12)[0]
-        def f(y, x):
-            z = 1 - x - y
-            if z <= 0:
-                return 0.0
-            return ((x**(u-1) + y**(u-1) + z**(u-1))
-                    * (x**(v-1) + y**(v-1) + z**(v-1)))
-        return dblquad(f, 0, 1, 0, lambda x: 1 - x, epsabs=1e-11)[0]
+            return quad(lambda x: f((x, 1 - x)) if 0 < x < 1 else 0.0, 0, 1, epsabs=1e-12)[0]
+        return dblquad(lambda y, x: f((x, y, 1 - x - y)) if 1 - x - y > 0 else 0.0,
+                       0, 1, 0, lambda x: 1 - x, epsabs=1e-11)[0]
 
-    def quad_dv(u, m):
-        if m == 2:
-            return quad(lambda x: (x**(u-1) + (1-x)**(u-1))
-                        * (x*math.log(x) + (1-x)*math.log(1-x)) if 0 < x < 1 else 0.0,
-                        0, 1, epsabs=1e-12)[0]
-        def f(y, x):
-            z = 1 - x - y
-            if z <= 0:
-                return 0.0
-            return ((x**(u-1) + y**(u-1) + z**(u-1))
-                    * (x*math.log(x) + y*math.log(y) + z*math.log(z)))
-        return dblquad(f, 0, 1, 0, lambda x: 1 - x, epsabs=1e-11)[0]
+    # plain loops: a generator per call doubles the quadrature time
+    def power_sum(xs, u):
+        total = 0.0
+        for x in xs:
+            total += x ** (u - 1)
+        return total
 
-    def quad_dudv(m):
-        if m == 2:
-            return quad(lambda x: (x*math.log(x) + (1-x)*math.log(1-x))**2 if 0 < x < 1 else 0.0,
-                        0, 1, epsabs=1e-12)[0]
-        def f(y, x):
-            z = 1 - x - y
-            if z <= 0:
-                return 0.0
-            s = x*math.log(x) + y*math.log(y) + z*math.log(z)
-            return s * s
-        return dblquad(f, 0, 1, 0, lambda x: 1 - x, epsabs=1e-11)[0]
+    def entropy(xs):
+        total = 0.0
+        for x in xs:
+            total += x * math.log(x)
+        return total
 
     worst = 0.0
     for m in (2, 3):
         for (u, v) in ((1, 1), (2, 2), (2, 3)):
-            dev = abs(dirichlet_I(u, v, m).real - quad_I(u, v, m))
+            dev = abs(dirichlet_I(u, v, m).real
+                      - simplex(lambda xs: power_sum(xs, u) * power_sum(xs, v), m))
             worst = max(worst, dev)
             if dev > 1e-6:
                 return False, f"I({u},{v}) m={m}: dev {dev:.2e}"
         for u in (1, 2, 3):
-            dev = abs(dirichlet_dv(u, m).real - quad_dv(u, m))
+            dev = abs(dirichlet_dv(u, m).real
+                      - simplex(lambda xs: power_sum(xs, u) * entropy(xs), m))
             worst = max(worst, dev)
             if dev > 1e-6:
                 return False, f"dI/dv(u={u}) m={m}: dev {dev:.2e}"
-        dev = abs(dirichlet_dudv(m) - quad_dudv(m))
+        dev = abs(dirichlet_dudv(m) - simplex(lambda xs: entropy(xs) ** 2, m))
         worst = max(worst, dev)
         if dev > 1e-6:
             return False, f"d2I/dudv m={m}: dev {dev:.2e}"

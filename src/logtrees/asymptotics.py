@@ -14,7 +14,7 @@ family's one):
 The c1 constant carries 2 phi gamma, not the sometimes-quoted plus-gamma:
 re-deriving through the asymptotic transfer with toll n-m+1 gives the
 2 phi gamma form, and at m=2 it reproduces the classical quicksort value
-2 gamma - 4.  The quoted variant stays available behind ``as_printed``.
+2 gamma - 4.  The quoted variant is kept in ``tests/oracles.py``.
 
 Periodic second-order factors (z = beta log n):
 
@@ -67,11 +67,10 @@ PI = 3.14159265358979323846
 # scalar constants
 # ---------------------------------------------------------------------------
 
-def c1_constant(m: int, as_printed: bool = False) -> float:
+def c1_constant(m: int) -> float:
     """Linear coefficient of E[K_n] = 2 phi n log n + c1 n + o(n)."""
     phi = float(1 / (2 * (harmonic(m) - 1)))
-    base = -0.5 - 4 * phi + 2 * phi * phi * (float(harmonic(m, 2)) - 1)
-    return base + (EULER_GAMMA if as_printed else 2 * phi * EULER_GAMMA)
+    return -0.5 - 4 * phi + 2 * phi * phi * (float(harmonic(m, 2)) - 1) + 2 * phi * EULER_GAMMA
 
 
 def c2_minus_phi_c1(spectrum: Spectrum) -> float:
@@ -210,7 +209,7 @@ def dirichlet_dv(u: complex, m: int) -> complex:
                - (m + u - 1) * digamma(m + u)))
 
 
-def dirichlet_dudv(m: int, as_printed: bool = False) -> float:
+def dirichlet_dudv(m: int) -> float:
     """d^2/du dv of dirichlet_I at u = v = 2: the simplex integral of
     (sum x_r log x_r)^2.
 
@@ -218,13 +217,10 @@ def dirichlet_dudv(m: int, as_printed: bool = False) -> float:
     - (m-1) pi^2 / (6(m+1))) / (m-1)!, which matches adaptive quadrature
     and the quadratic-toll identity behind C_K.  The sometimes-quoted
     variant with 4/phi^2 in place of (H_m-1)^2 = 1/(4 phi^2) and without
-    the 1/(m-1)! normalisation is kept behind ``as_printed``.
+    the 1/(m-1)! normalisation is kept in ``tests/oracles.py``.
     """
     h1 = float(harmonic(m))
     h2 = float(harmonic(m, 2))
-    if as_printed:
-        phi = 1 / (2 * (h1 - 1))
-        return h2 + 4 / phi**2 - 2 / (m + 1) - (m - 1) * PI * PI / (6 * (m + 1))
     return ((h2 + (h1 - 1) ** 2 - 2 / (m + 1) - (m - 1) * PI * PI / (6 * (m + 1)))
             / math.factorial(m - 1))
 
@@ -331,9 +327,6 @@ class PeriodicFunction:
 
     def __call__(self, z: float) -> float:
         return self.const + 2 * (self.osc * cmath.exp(1j * self.frequency * z)).real
-
-    def evaluate(self, z: float) -> float:
-        return self(z)
 
     def sample(self, points: int):
         """(z, value) pairs over one full 2 pi window."""

@@ -83,10 +83,6 @@ class FixedPointSpec:
         return self.map_kind == self.instance.fixed_point_maps[0]
 
 
-def variance_scale(instance: FamilyInstance) -> float:
-    return instance.variance_constant
-
-
 def fixed_point_spec(instance: FamilyInstance, map_kind: str,
                      spectrum: Spectrum | None = None,
                      theta: complex | None = None) -> FixedPointSpec:
@@ -123,7 +119,7 @@ def fixed_point_spec(instance: FamilyInstance, map_kind: str,
         mean = (0.0, spectrum_theta(spectrum))
     return FixedPointSpec(
         instance=instance, map_kind=map_kind, mean_constraint=mean,
-        lambda2=lam2, phi=phi, scale_constant=variance_scale(instance))
+        lambda2=lam2, phi=phi, scale_constant=instance.variance_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,3 @@ def digamma(z: complex) -> complex:
         tail += coef * power
         power *= inv2
     return acc + cmath.log(z) - 0.5 / z - tail
-
-
-def gamma_ratio(num: complex, den: complex) -> complex:
-    """Gamma(num)/Gamma(den) through log space (safe for large arguments)."""
-    return cmath.exp(log_gamma(num) - log_gamma(den))

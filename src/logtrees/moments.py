@@ -4,8 +4,8 @@ Every tracked quantity solves a recurrence of the shape
 
     a_n = (branches) * sum_j pi_{n,j} a_j + b_n
 
-where pi is the law of one subtree size, and ``generic_recurrence`` is the
-one loop that solves it.  The law enters only as a marginal operator:
+where pi is the law of one subtree size, and ``_recurrence`` is the one
+loop that solves it.  The law enters only as a marginal operator:
 push the next value of a, then read sum_j pi_{n,j} a_j.  It has two
 implementations.
 
@@ -43,7 +43,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -69,46 +68,6 @@ class FloatDriftError(ArithmeticError):
 
 class UnsupportedTableError(NotImplementedError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# split weights
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplitWeights:
-    """Exact split law of a size-n m-ary node: the marginal pi_{n,j} of a
-    single subtree size and the pairwise law pi2 of two distinct subtrees."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.m < 3:
-            raise ValueError("split weights need m >= 3")
-        if self.n < self.m - 1:
-            raise ValueError(f"n must be >= m-1 = {self.m - 1}")
-
-    @cached_property
-    def pi(self) -> dict[int, Fraction]:
-        n, m = self.n, self.m
-        denom = math.comb(n, m - 1)
-        return {j: Fraction(math.comb(n - 1 - j, m - 2), denom)
-                for j in range(0, n - m + 2)}
-
-    @cached_property
-    def pi2(self) -> dict[tuple[int, int], Fraction]:
-        n, m = self.n, self.m
-        denom = math.comb(n, m - 1)
-        out = {}
-        for j in range(0, n - m + 2):
-            for k in range(0, n - m + 2 - j):
-                out[(j, k)] = Fraction(math.comb(n - 2 - j - k, m - 3), denom)
-        return out
-
-
-def split_weights(n: int, m: int) -> SplitWeights:
-    return SplitWeights(n=n, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -389,93 +348,6 @@ def second_moment_tables(instance: FamilyInstance, n_max: int, mode: str = "exac
     columns = {meas.row: means[meas.name] for meas in instance.measures}
     columns.update(_covariance_rows(instance, law, means, n_max))
     return MomentTable(instance=instance, n_max=n_max, mode=mode, columns=columns)
-
-
-# ---------------------------------------------------------------------------
-# generic recurrence with user tolls
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TollSpec:
-    """Toll sequence description for the generic recurrence."""
-
-    kind: str  # constant_plus_decay | linear_plus_tn | custom_sequence
-    payload: tuple
-
-    @staticmethod
-    def constant(c, decay: Sequence | None = None) -> "TollSpec":
-        return TollSpec("constant_plus_decay", (c, tuple(decay) if decay else None))
-
-    @staticmethod
-    def linear(c, t_seq: Sequence) -> "TollSpec":
-        return TollSpec("linear_plus_tn", (c, tuple(t_seq)))
-
-    @staticmethod
-    def custom(seq: Sequence) -> "TollSpec":
-        return TollSpec("custom_sequence", (tuple(seq),))
-
-    def materialize(self, n_max: int) -> list:
-        if self.kind == "constant_plus_decay":
-            c, decay = self.payload
-            out = [c] * (n_max + 1)
-            if decay is not None:
-                if len(decay) < n_max + 1:
-                    raise ValueError("decay sequence shorter than horizon")
-                out = [c + decay[n] for n in range(n_max + 1)]
-            return out
-        if self.kind == "linear_plus_tn":
-            c, t_seq = self.payload
-            if len(t_seq) < n_max + 1:
-                raise ValueError("t_n sequence shorter than horizon")
-            return [c * (n + 1) + t_seq[n] for n in range(n_max + 1)]
-        (seq,) = self.payload
-        if len(seq) < n_max + 1:
-            raise ValueError("toll sequence shorter than horizon")
-        return list(seq[: n_max + 1])
-
-    def transfer_report(self, horizon: int) -> dict:
-        """Empirical check of the linear-toll transfer condition: t_n = o(n)
-        and absolutely convergent sum of t_n / n^2.  The partial sums of
-        |t_n| n^-2 are bounded octave by octave; reported, not proved."""
-        if self.kind != "linear_plus_tn":
-            raise ValueError("transfer condition applies to linear_plus_tn tolls")
-        _, t_seq = self.payload
-        hi = min(horizon, len(t_seq) - 1)
-        if hi < 8:
-            raise ValueError("horizon too short for a transfer report")
-        partial = 0.0
-        partials = [0.0]
-        for n in range(1, hi + 1):
-            partial += abs(t_seq[n]) / n**2
-            partials.append(partial)
-        inc_last = partials[hi] - partials[hi // 2]
-        inc_prev = partials[hi // 2] - partials[hi // 4]
-        ratio_tail = max(abs(t_seq[n]) / n for n in range(hi // 2, hi + 1))
-        return {
-            "horizon": hi,
-            "max_ratio_tail": ratio_tail,
-            "abs_partial_sum": partials[hi],
-            "last_octave_increment": inc_last,
-            "looks_convergent": bool(inc_last <= inc_prev + 1e-12),
-        }
-
-
-def generic_recurrence(toll: TollSpec, instance: FamilyInstance, n_max: int,
-                       mode: str = "float", initial: Sequence | None = None,
-                       cap: int | None = None) -> list:
-    """Solve a_n = branches * sum_j w_{n,j} a_j + b_n with a user toll and
-    user initial segment (defaults to zeros below the splitting threshold).
-    Float mode returns packed doubles (``array('d')``), exact mode a list."""
-    _check_caps(n_max, mode, cap)
-    exact = mode == "exact"
-    law = _law(instance, n_max, exact)
-    b = toll.materialize(n_max)
-    init = list(initial) if initial is not None else [law.zero] * law.start
-    if len(init) != law.start:
-        raise ValueError(f"initial segment must have length {law.start}")
-    if len(b) < len(init):
-        raise ValueError("toll shorter than initial segment")
-    return _recurrence(law, b, init if exact else [float(v) for v in init], n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -91,15 +91,6 @@ def build_indicial(instance: FamilyInstance) -> list[int]:
     return coeffs
 
 
-def eval_indicial(instance: FamilyInstance, z: complex) -> complex:
-    """P(z) via the factored form (no large intermediate coefficients)."""
-    shifts, c = indicial_shifts(instance)
-    prod = complex(1.0)
-    for s in shifts:
-        prod *= z + s
-    return prod - c
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """All indicial roots of one instance, sorted by decreasing real part
@@ -123,10 +114,6 @@ class Spectrum:
     @property
     def degree(self) -> int:
         return len(self.roots)
-
-    @property
-    def roots_complex(self) -> tuple[complex, ...]:
-        return tuple(complex(r) for r in self.roots)
 
     @property
     def lambda2(self) -> complex:

@@ -450,14 +450,6 @@ def _simulate_block(instance: FamilyInstance, n: int, reps: int, rng):
         depth += 1
 
 
-def simulate_recursion(instance: FamilyInstance, n: int, rng) -> tuple[int, ...]:
-    """One replicate of the split-size recursion: the measures of
-    ``instance.measures`` in order, (S, K, N) for mary, (stages,
-    path_length) for fbbst, and (leaves, internal_path_length) for
-    quadtree."""
-    return tuple(int(col[0]) for col in _simulate_block(instance, n, 1, rng))
-
-
 # ---------------------------------------------------------------------------
 # streaming statistics
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Test oracles: exact laws and samplers that only the tests use, kept apart
 from the routes in ``logtrees`` that they check."""
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from logtrees.families import FamilyInstance
-from logtrees.treesim import _splits
+from logtrees.asymptotics import EULER_GAMMA
+from logtrees.families import FamilyInstance, harmonic
+from logtrees.roots import indicial_shifts
 
 
 def fbbst_split_pmf(n: int, t: int, as_printed: bool = False) -> dict[int, Fraction]:
@@ -31,12 +34,67 @@ def fbbst_split_pmf(n: int, t: int, as_printed: bool = False) -> dict[int, Fract
     return out
 
 
-def sample_split(instance: FamilyInstance, n: int, rng) -> tuple[int, ...]:
-    """One draw of subtree sizes below a size-n splitting node."""
-    if n < instance.split_threshold:
-        raise ValueError(
-            f"n = {n} below the splitting threshold {instance.split_threshold} of {instance}")
-    return tuple(int(v) for v in _splits(instance, rng, np.array([n], dtype=np.int64))[0])
+@dataclass(frozen=True)
+class SplitWeights:
+    """Exact split law of a size-n m-ary node: the marginal pi_{n,j} of a
+    single subtree size and the pairwise law pi2 of two distinct subtrees,
+    as explicit sums over the compositions of n-m+1 into m parts."""
+
+    n: int
+    m: int
+
+    def __post_init__(self):
+        if self.m < 3:
+            raise ValueError("split weights need m >= 3")
+        if self.n < self.m - 1:
+            raise ValueError(f"n must be >= m-1 = {self.m - 1}")
+
+    @cached_property
+    def pi(self) -> dict[int, Fraction]:
+        n, m = self.n, self.m
+        denom = math.comb(n, m - 1)
+        return {j: Fraction(math.comb(n - 1 - j, m - 2), denom)
+                for j in range(0, n - m + 2)}
+
+    @cached_property
+    def pi2(self) -> dict[tuple[int, int], Fraction]:
+        n, m = self.n, self.m
+        denom = math.comb(n, m - 1)
+        out = {}
+        for j in range(0, n - m + 2):
+            for k in range(0, n - m + 2 - j):
+                out[(j, k)] = Fraction(math.comb(n - 2 - j - k, m - 3), denom)
+        return out
+
+
+def split_weights(n: int, m: int) -> SplitWeights:
+    return SplitWeights(n=n, m=m)
+
+
+def c1_constant_printed(m: int) -> float:
+    """The sometimes-quoted c1 with plus-gamma in place of 2 phi gamma; at
+    m = 2 it gives gamma - 4, not the quicksort value 2 gamma - 4."""
+    phi = float(1 / (2 * (harmonic(m) - 1)))
+    return -0.5 - 4 * phi + 2 * phi * phi * (float(harmonic(m, 2)) - 1) + EULER_GAMMA
+
+
+def dirichlet_dudv_printed(m: int) -> float:
+    """The sometimes-quoted display of the simplex integral of
+    (sum x_r log x_r)^2: 4/phi^2 in place of (H_m-1)^2 = 1/(4 phi^2), and no
+    1/(m-1)! normalisation."""
+    h1 = float(harmonic(m))
+    h2 = float(harmonic(m, 2))
+    phi = 1 / (2 * (h1 - 1))
+    return h2 + 4 / phi**2 - 2 / (m + 1) - (m - 1) * math.pi * math.pi / (6 * (m + 1))
+
+
+def eval_indicial(instance: FamilyInstance, z: complex) -> complex:
+    """P(z) via the factored form (no large intermediate coefficients)."""
+    shifts, c = indicial_shifts(instance)
+    prod = complex(1.0)
+    for s in shifts:
+        prod *= z + s
+    return prod - c
 
 
 def median_quicksort(keys, t):

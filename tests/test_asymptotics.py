@@ -27,6 +27,7 @@ from logtrees.asymptotics import (
 from logtrees.families import fbbst, harmonic, mary, occupancy_constant, quadtree
 from logtrees.moments import mean_tables, second_moment_tables
 from logtrees.roots import solve_spectrum
+from oracles import c1_constant_printed, dirichlet_dudv_printed
 
 QUICKSORT_VAR = 7 - 2 * math.pi**2 / 3
 
@@ -56,7 +57,7 @@ def test_variance_constants_positive():
 def test_c1_quicksort_value():
     # classical quicksort linear coefficient 2 gamma - 4
     assert abs(c1_constant(2) - (2 * EULER_GAMMA - 4)) < 1e-14
-    assert abs(c1_constant(2, as_printed=True) - (EULER_GAMMA - 4)) < 1e-14
+    assert abs(c1_constant_printed(2) - (EULER_GAMMA - 4)) < 1e-14
 
 
 def test_c1_cross_validated_against_kappa_table():
@@ -185,7 +186,7 @@ def test_dirichlet_dudv_vs_quadrature(m):
 
 def test_dirichlet_dudv_printed_variant_preserved():
     # the quoted display evaluates to 4.03510... at m=2; kept for comparison
-    assert abs(dirichlet_dudv(2, as_printed=True) - 4.0350219777) < 1e-9
+    assert abs(dirichlet_dudv_printed(2) - 4.0350219777) < 1e-9
     assert abs(dirichlet_dudv(2) - 0.2850219777) < 1e-9
 
 

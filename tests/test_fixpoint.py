@@ -18,7 +18,6 @@ from logtrees.fixpoint import (
     sample_spacings,
     sample_volumes,
     toll,
-    variance_scale,
 )
 from logtrees.roots import solve_spectrum
 from oracles import distance_correlation
@@ -189,12 +188,12 @@ def test_unik_variance_matches_exact_table_grid_top():
 def test_unik_fbbst_and_quadtree_variances():
     spec = fixed_point_spec(fbbst(1), "uniK")
     pool = iterate(spec, 50_000, 30, seed=21)
-    dx = variance_scale(fbbst(1))
+    dx = fbbst(1).variance_constant
     assert abs(pool.x.var() - dx) < 0.06 * dx
 
     spec = fixed_point_spec(quadtree(2), "uniK")
     pool = iterate(spec, 50_000, 30, seed=22)
-    ex = variance_scale(quadtree(2))
+    ex = quadtree(2).variance_constant
     assert abs(pool.x.var() - ex) < 0.06 * ex
 
 

@@ -10,7 +10,6 @@ from logtrees.gammafn import (
     GammaPoleError,
     digamma,
     gamma,
-    gamma_ratio,
     log_gamma,
     reciprocal_gamma,
 )
@@ -101,6 +100,6 @@ def test_digamma_recurrence_property(re, im):
 def test_gamma_ratio_large_arguments():
     # Gamma(m + lam - 1)/Gamma(lam) = m! at an indicial root; check the
     # log-space ratio stays finite and accurate for large first argument
-    got = gamma_ratio(130.0 + 9.0j, 4.0 + 9.0j)
+    got = cmath.exp(log_gamma(130.0 + 9.0j) - log_gamma(4.0 + 9.0j))
     want = complex(mpmath.gamma(mpmath.mpc(130, 9)) / mpmath.gamma(mpmath.mpc(4, 9)))
     assert abs(got - want) < 1e-11 * abs(want)

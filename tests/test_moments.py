@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import random
 import sys
 from fractions import Fraction
 from itertools import permutations, product
@@ -10,21 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logtrees import moments
 from logtrees.families import fbbst, harmonic, mary, quadtree
 from logtrees.moments import (
     FloatDriftError,
     MomentTable,
     TableModeError,
-    TollSpec,
     UnsupportedTableError,
-    generic_recurrence,
     growth_exponent,
     mean_tables,
     permutation_oracle,
     second_moment_tables,
-    split_weights,
 )
-from oracles import median_quicksort
+from oracles import fbbst_split_pmf, median_quicksort, split_weights
 
 MARY_ROWS = ("mu", "kappa", "nu", "VS", "VSK", "VK", "VSN", "VN", "VKN")
 
@@ -73,6 +72,41 @@ def test_split_weights_validation():
         split_weights(1, 3)
     with pytest.raises(ValueError):
         split_weights(10, 2)
+
+
+# ----------------------------- cascade operators --------------------------
+
+def _random_row(rnd, length):
+    return [Fraction(rnd.randint(-50, 50), rnd.randint(1, 20)) for _ in range(length)]
+
+
+def _check_cascade(inst, n_max, marginal, pair):
+    """Run the exact operators of ``inst`` for n = K..n_max on random
+    rows against the explicit sums: marginal(n) = {j: pi_{n,j}} and
+    pair(n) = {(j, k): pi2_n(j, k)}."""
+    rnd = random.Random(inst.parameter)
+    law = moments._law(inst, n_max, exact=True)
+    f, g = _random_row(rnd, n_max + 1), _random_row(rnd, n_max + 1)
+    op = law.marginal()
+    pair_ops = [(law.pair_marginal(), law.convolve(a, b), a, b) for a, b in ((f, g), (f, f))]
+    for n in range(law.start, n_max + 1):
+        assert op(f, n) == sum(p * f[j] for j, p in marginal(n).items()), n
+        for pair_op, conv, a, b in pair_ops:
+            want = sum(p * a[j] * b[k] for (j, k), p in pair(n).items())
+            assert pair_op(conv, n) == want, (n, a is b)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_mary_cascade_operators_match_explicit_sums(m):
+    _check_cascade(mary(m), 30, lambda n: split_weights(n, m).pi,
+                   lambda n: split_weights(n, m).pi2)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_fbbst_cascade_operators_match_explicit_sums(t):
+    # the two subtree sizes of a fbbst node determine each other
+    _check_cascade(fbbst(t), 30, lambda n: fbbst_split_pmf(n, t),
+                   lambda n: {(j, n - 1 - j): p for j, p in fbbst_split_pmf(n, t).items()})
 
 
 # ----------------------------- oracle equality ----------------------------
@@ -334,21 +368,19 @@ def test_quadtree_mean_growth_d2():
 def test_generic_recurrence_reproduces_means():
     m, n_max = 4, 120
     inst = mary(m)
+    law = moments._law(inst, n_max, True)
+    zeros = [Fraction(0)] * (m - 1)
     mu, kappa, nu = mean_tables(inst, n_max, "exact", cap=n_max)
-    one_toll = TollSpec.custom([Fraction(0)] * (m - 1)
-                               + [Fraction(1)] * (n_max - m + 2))
-    got = generic_recurrence(one_toll, inst, n_max, "exact",
-                             initial=mu[: m - 1])
+    one_toll = [Fraction(0)] * (m - 1) + [Fraction(1)] * (n_max - m + 2)
+    got = moments._recurrence(law, one_toll, mu[: m - 1], n_max)
     assert got == mu
 
-    kappa_toll = TollSpec.custom([Fraction(max(0, n - m + 1))
-                                  for n in range(n_max + 1)])
-    got = generic_recurrence(kappa_toll, inst, n_max, "exact")
+    kappa_toll = [Fraction(max(0, n - m + 1)) for n in range(n_max + 1)]
+    got = moments._recurrence(law, kappa_toll, zeros, n_max)
     assert got == kappa
 
-    nu_toll = TollSpec.custom([mu[n] - 1 if n >= m - 1 else Fraction(0)
-                               for n in range(n_max + 1)])
-    got = generic_recurrence(nu_toll, inst, n_max, "exact")
+    nu_toll = [mu[n] - 1 if n >= m - 1 else Fraction(0) for n in range(n_max + 1)]
+    got = moments._recurrence(law, nu_toll, zeros, n_max)
     assert got == nu
 
 
@@ -359,36 +391,22 @@ def test_generic_recurrence_linear_toll_form():
     inst = mary(m)
     _, kappa, _ = mean_tables(inst, n_max, "float", cap=n_max)
     t_seq = [-(n + 1.0) if n < m - 1 else -float(m) for n in range(n_max + 1)]
-    toll = TollSpec.linear(1.0, t_seq)
-    got = generic_recurrence(toll, inst, n_max, "float")
+    toll = [1.0 * (n + 1) + t_seq[n] for n in range(n_max + 1)]
+    got = moments._recurrence(moments._law(inst, n_max, False), toll, [0.0] * (m - 1), n_max)
     assert max(abs(a - b) for a, b in zip(got, kappa)) < 1e-9
 
 
 def test_generic_recurrence_fbbst_and_quadtree():
     # constant toll 1 above the threshold reproduces the stage/leaf means
     eS, _ = mean_tables(fbbst(1), 60, "exact", cap=60)
-    toll = TollSpec.custom([Fraction(0)] * 3 + [Fraction(1)] * 58)
-    got = generic_recurrence(toll, fbbst(1), 60, "exact")
+    toll = [Fraction(0)] * 3 + [Fraction(1)] * 58
+    got = moments._recurrence(moments._law(fbbst(1), 60, True), toll, [Fraction(0)] * 3, 60)
     assert got == eS
     l_mean, _ = mean_tables(quadtree(2), 40, "exact", cap=40)
-    toll = TollSpec.custom([Fraction(0)] * 41)
-    got = generic_recurrence(toll, quadtree(2), 40, "exact",
-                             initial=[Fraction(0), Fraction(1)])
+    toll = [Fraction(0)] * 41
+    got = moments._recurrence(moments._law(quadtree(2), 40, True), toll,
+                              [Fraction(0), Fraction(1)], 40)
     assert got == l_mean
-
-
-def test_generic_recurrence_toll_too_short():
-    with pytest.raises(ValueError):
-        generic_recurrence(TollSpec.custom([1.0]), mary(3), 50, "float")
-
-
-def test_transfer_report():
-    toll = TollSpec.linear(1.0, tuple(-3.0 for _ in range(5000)))
-    rep = toll.transfer_report(4096)
-    assert rep["looks_convergent"]
-    bad = TollSpec.linear(1.0, tuple(float(n) for n in range(5000)))
-    rep = bad.transfer_report(4096)
-    assert not rep["looks_convergent"]
 
 
 # ----------------------------- growth exponent ----------------------------

@@ -8,18 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logtrees.families import fbbst, mary, quadtree
+from logtrees.families import FamilyInstance, fbbst, mary, quadtree
 from logtrees.treesim import (
     SimStats,
     TreeMeasures,
+    _simulate_block,
+    _splits,
     build_mary_tree,
     monte_carlo,
-    simulate_recursion,
     small_laws,
 )
-from oracles import fbbst_split_pmf, median_quicksort, sample_split, small_law_sums
+from oracles import fbbst_split_pmf, median_quicksort, small_law_sums, split_weights
 
 FIG_SEQUENCE = [6, 2, 4, 8, 7, 1, 5, 3, 10, 9]
+
+
+def sample_split(instance: FamilyInstance, n: int, rng) -> tuple[int, ...]:
+    """One draw of subtree sizes below a size-n splitting node."""
+    if n < instance.split_threshold:
+        raise ValueError(
+            f"n = {n} below the splitting threshold {instance.split_threshold} of {instance}")
+    return tuple(int(v) for v in _splits(instance, rng, np.array([n], dtype=np.int64))[0])
 
 
 def test_reference_trees():
@@ -63,7 +72,6 @@ def test_mary_split_law_frequencies():
 
 def test_mary_split_law_vs_pi():
     # exact frequency test against the marginal law pi_{n,j}, 1e6 draws
-    from logtrees.moments import split_weights
     from logtrees.treesim import _law_splits
     n, m, draws = 12, 4, 1_000_000
     rng = np.random.default_rng(np.random.Philox(key=[11, 0]))
@@ -145,10 +153,13 @@ def test_quadtree_split_sums():
 
 def test_recursion_small_cases():
     rng = np.random.default_rng(5)
-    assert simulate_recursion(mary(3), 3, rng) == TreeMeasures(2, 1, 1)
-    assert simulate_recursion(fbbst(1), 3, rng) == (1, 2)
-    assert simulate_recursion(quadtree(4), 1, rng) == (1, 0)
-    assert simulate_recursion(quadtree(2), 0, rng) == (0, 0)
+
+    def one(instance, n):
+        return tuple(int(col[0]) for col in _simulate_block(instance, n, 1, rng))
+    assert one(mary(3), 3) == TreeMeasures(2, 1, 1)
+    assert one(fbbst(1), 3) == (1, 2)
+    assert one(quadtree(4), 1) == (1, 0)
+    assert one(quadtree(2), 0) == (0, 0)
 
 
 @pytest.mark.parametrize("m", [3, 4])
