@@ -126,18 +126,26 @@ def fixed_point_spec(instance: FamilyInstance, map_kind: str,
 # split samplers
 # ---------------------------------------------------------------------------
 
+def _spacings(u: np.ndarray) -> np.ndarray:
+    """Spacings of the uniforms of each row of u, which is sorted in place."""
+    u.sort(axis=1)
+    out = np.empty((u.shape[0], u.shape[1] + 1))
+    out[:, 0] = u[:, 0]
+    np.subtract(u[:, 1:], u[:, :-1], out=out[:, 1:-1])
+    np.subtract(1.0, u[:, -1], out=out[:, -1])
+    return out
+
+
 def sample_spacings(m: int, rng, size: int) -> np.ndarray:
     """Spacings of m-1 iid uniforms: (size, m) rows summing to 1."""
     for _ in range(8):
-        u = np.sort(rng.random((size, m - 1)), axis=1)
-        out = np.diff(u, axis=1, prepend=0.0, append=1.0)
-        bad = (out <= 0.0).any(axis=1)
-        if not bad.any():
+        out = _spacings(rng.random((size, m - 1)))
+        if out.min() > 0.0:
             return out
         # resample rows hit by floating ties (probability-zero event)
-        u2 = np.sort(rng.random((int(bad.sum()), m - 1)), axis=1)
-        out[bad] = np.diff(u2, axis=1, prepend=0.0, append=1.0)
-        if (out > 0.0).all():
+        bad = (out <= 0.0).any(axis=1)
+        out[bad] = _spacings(rng.random((int(bad.sum()), m - 1)))
+        if out.min() > 0.0:
             return out
     raise RuntimeError("persistent zero spacing; broken RNG stream?")
 
@@ -155,11 +163,15 @@ def sample_median(t: int, rng, size: int) -> np.ndarray:
 # tolls
 # ---------------------------------------------------------------------------
 
-def toll(spec: FixedPointSpec, split_sample: np.ndarray) -> np.ndarray:
-    """Toll of the map for a batch of (size, branches) coefficient rows."""
+def toll(spec: FixedPointSpec, split_sample: np.ndarray,
+         log_sample: np.ndarray | None = None) -> np.ndarray:
+    """Toll of the map for a batch of (size, branches) coefficient rows;
+    ``log_sample``, when given, holds their logarithms."""
     law = spec.instance.split_law
     kappa = 2.0 / spec.instance.parameter if law is None else 2.0 * (law[1] + 1) * spec.phi
-    b = 1.0 + kappa * (split_sample * np.log(split_sample)).sum(axis=1)
+    if log_sample is None:
+        log_sample = np.log(split_sample)
+    b = 1.0 + kappa * (split_sample * log_sample).sum(axis=1)
     scale = 1.0
     if spec.bivariate:
         # the bivariate maps follow the family's last measure, whose toll grows
@@ -284,13 +296,19 @@ def _combine(spec: FixedPointSpec, exponent, source: _Generation, target: _Gener
     toll and the weights of the w slot need no pool; the gathers from the
     source pool and the row sums wait until that generation is finished."""
     hi = lo + len(idx)
-    tolls = toll(spec, coef)
+    logs = np.log(coef)
+    tolls = toll(spec, coef, logs)
     weights = None
     if target.w is not None:
-        weights = np.exp(exponent * np.log(coef)) if spec.is_periodic else np.sqrt(coef)
+        if spec.is_periodic:
+            weights = exponent * logs
+            np.exp(weights, out=weights)  # in place: one complex array, not two
+        else:
+            weights = np.sqrt(coef)
         if fresh is not None:
             target.w[lo:hi] = (weights * fresh).sum(axis=1)
             weights = None
+    del logs  # not held while the chunk waits for its source generation
     source.done.wait()
     prev = source.pool
     if prev is None:  # the iteration stopped

@@ -193,8 +193,11 @@ def _children(instance: FamilyInstance, rng, sizes: np.ndarray, rep: np.ndarray)
     parts = []
     for lo in range(0, sizes.size, chunk):
         gaps = _splits(instance, rng, sizes[lo:lo + chunk])
-        keep = gaps > 0
-        parts.append((gaps[keep], np.broadcast_to(rep[lo:lo + chunk, None], gaps.shape)[keep]))
+        flat = gaps.ravel()  # row by row: each node's subtrees in turn
+        keep = np.flatnonzero(flat)
+        parts.append((flat.take(keep), rep[lo:lo + chunk].take(keep // gaps.shape[1])))
+    if len(parts) == 1:
+        return parts[0]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -304,19 +307,56 @@ def _cell_counts(d: int, laws: list, lift, point, work: _Work):
         yield {key: count // whole for key, count in law.items()}
 
 
+# Draws are searched in the CDF through a guide table: bucket b holds the
+# draws x with floor(x 2^GUIDE_BITS) = b, and guide[b] is the number of CDF
+# entries <= b / 2^GUIDE_BITS.  One probe from there finds the entry of every
+# draw whose bucket holds at most one entry (measured faster than two probes);
+# the few others fall back to a binary search.  Scaling by a power of two and
+# flooring are exact, so the entry is the one a binary search of the whole
+# CDF returns.
+GUIDE_BITS = 12
+
+
+def _size_plus_uniform(rng, k: np.ndarray) -> np.ndarray:
+    """k + u, u ~ U[0,1), as float64 below k + 1: the sum rounds up to k + 1
+    for u within an ulp of k of 1, and is then taken down to the largest
+    double below the integer k + 1, which is (k + 1)(1 - 2^-53)."""
+    x = rng.random(k.size)
+    k = k.astype(np.float64)
+    x += k
+    k += 1.0
+    k *= np.nextafter(1.0, 0.0)
+    return np.minimum(x, k, out=x)
+
+
 class SmallLaws(NamedTuple):
     """Exact joint laws of ``instance.measures`` for the subtree sizes
     k < cutoff: ``counts[k]`` maps a measure tuple to an integer count, out
-    of the sum of its counts.  ``cdf`` and ``values`` hold the same laws for
+    of the sum of its counts.  ``cdf`` and ``columns`` hold the same laws for
     sampling: the entries of size k, in tuple order, carry k plus their
     cumulative probability, so one search for k + u, u ~ U[0,1), draws
-    from the law of k, and k itself finds its point mass."""
+    from the law of k, and k itself finds its point mass.  ``columns[i]``
+    holds measure i of every entry, as float64 (exact: small integers), and
+    ``guide`` the guide table of the searched sizes threshold <= k < cutoff."""
 
     cutoff: int
     threshold: int
     counts: tuple[Mapping[tuple[int, ...], int], ...]
     cdf: np.ndarray
-    values: np.ndarray
+    columns: np.ndarray
+    guide: np.ndarray
+
+    def search(self, x: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(cdf, x, "right")`` for draws threshold <= x < cutoff.
+        The CDF ends in the entry cutoff, which no draw reaches, so a probe
+        never runs past it."""
+        entry = self.guide.take((x * 2.0**GUIDE_BITS).astype(np.intp)
+                                - (self.threshold << GUIDE_BITS))
+        entry += self.cdf.take(entry) <= x
+        slow = np.flatnonzero(self.cdf.take(entry) <= x)
+        if slow.size:
+            entry[slow] = np.searchsorted(self.cdf, x.take(slow), side="right")
+        return entry
 
     def sums(self, rng, sizes: np.ndarray, rep: np.ndarray, reps: int) -> np.ndarray:
         """Draw the measures of subtrees of the given sizes (< cutoff) and
@@ -324,16 +364,11 @@ class SmallLaws(NamedTuple):
         split threshold have point-mass laws and take no draw."""
         # each size k below the threshold holds one entry, the k-th
         entry = sizes.astype(np.intp)
-        drawn = sizes >= self.threshold
-        count = int(np.count_nonzero(drawn))
-        if count:
-            x = sizes[drawn].astype(np.float64)
-            # k + u rounds up to k + 1 for u within an ulp of k of 1
-            x = np.minimum(x + rng.random(count), np.nextafter(x + 1, 0))
-            entry[drawn] = np.searchsorted(self.cdf, x, side="right")
-        vals = self.values[entry]
-        return np.array([np.bincount(rep, weights=col, minlength=reps) for col in vals.T],
-                        dtype=np.int64)
+        drawn = np.flatnonzero(sizes >= self.threshold)
+        if drawn.size:
+            entry[drawn] = self.search(_size_plus_uniform(rng, sizes.take(drawn)))
+        return np.array([np.bincount(rep, weights=col.take(entry), minlength=reps)
+                         for col in self.columns], dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,14 +429,23 @@ def small_laws(instance: FamilyInstance, span: int = CUTOFF_SPAN) -> SmallLaws:
             cdf.append(k + acc / total)
             values.append(value)
     cdf = np.array(cdf)
-    values = np.array(values, dtype=np.int64).reshape(len(values), len(measures))
-    cdf.flags.writeable = values.flags.writeable = False
-    return SmallLaws(len(tables), start, tables, cdf, values)
+    columns = np.array(values, dtype=np.float64).reshape(len(values), len(measures)).T.copy()
+    edges = np.arange(start << GUIDE_BITS, len(tables) << GUIDE_BITS) / 2.0**GUIDE_BITS
+    guide = np.searchsorted(cdf, edges, side="right")
+    cdf.flags.writeable = columns.flags.writeable = guide.flags.writeable = False
+    return SmallLaws(len(tables), start, tables, cdf, columns, guide)
 
 
 # ---------------------------------------------------------------------------
 # split-size recursion
 # ---------------------------------------------------------------------------
+
+def _select(mask: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The elements of each array where mask holds, in order: one index
+    array and a take each, faster than boolean indexing by a scattered mask."""
+    at = np.flatnonzero(mask)
+    return tuple(a.take(at) for a in arrays)
+
 
 def _depth_cap(n: int) -> int:
     return 64 * max(1, math.ceil(math.log2(max(2, n)))) + 64
@@ -435,8 +479,8 @@ def _simulate_block(instance: FamilyInstance, n: int, reps: int, rng):
         if depth > cap:
             raise DepthCapError(f"depth {depth} exceeded cap {cap} at n={n}")
         small = sizes < laws.cutoff
-        step = laws.sums(rng, sizes[small], rep[small], reps)
-        rep, sizes = rep[~small], sizes[~small]  # from here on: the splitting nodes
+        step = laws.sums(rng, *_select(small, sizes, rep), reps)
+        sizes, rep = _select(~small, sizes, rep)  # from here on: the splitting nodes
         if sizes.size:
             splits = np.bincount(rep, minlength=reps)
             keys = np.bincount(rep, weights=sizes, minlength=reps).astype(np.int64)

@@ -5,11 +5,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import mpmath
 import numpy as np
 
 from logtrees.asymptotics import EULER_GAMMA
 from logtrees.families import FamilyInstance, harmonic
-from logtrees.roots import indicial_shifts
 
 
 def fbbst_split_pmf(n: int, t: int, as_printed: bool = False) -> dict[int, Fraction]:
@@ -89,12 +89,18 @@ def dirichlet_dudv_printed(m: int) -> float:
 
 
 def eval_indicial(instance: FamilyInstance, z: complex) -> complex:
-    """P(z) via the factored form (no large intermediate coefficients)."""
-    shifts, c = indicial_shifts(instance)
-    prod = complex(1.0)
-    for s in shifts:
-        prod *= z + s
-    return prod - c
+    """m E[V^(z-1)] - 1 for a coefficient V ~ Beta(t+1, (m-1)(t+1)) of the
+    (m,t) split law, zero exactly at the indicial roots.  Written from the
+    Beta Mellin moment E[V^s] = B(a+s, b) / B(a, b), not from the shifts of
+    the polynomial the routes solve; at a root z + t in {0, -1, ...} the
+    poles of Gamma(a+s) and Gamma(a+b+s) cancel, and gammaprod takes the
+    limit.  Since the moment is m Gamma(z+t) K! / (Gamma(z+K) t!) with
+    K = m(t+1)-1, this is -P(z) / prod(z + shifts): a relative residual."""
+    m, t = instance.split_law
+    a, b = t + 1, (m - 1) * (t + 1)
+    with mpmath.workdps(30):
+        s = mpmath.mpc(z) - 1
+        return complex(m * mpmath.gammaprod([a + s, a + b], [a + b + s, a]) - 1)
 
 
 def median_quicksort(keys, t):
@@ -187,6 +193,6 @@ def small_law_sums(laws, rng, sizes: np.ndarray, rep: np.ndarray, reps: int) -> 
     if count:
         top = np.nextafter(x[drawn] + 1, 0)
         x[drawn] = np.minimum(x[drawn] + rng.random(count), top)
-    vals = laws.values[np.searchsorted(laws.cdf, x, side="right")]
-    return np.array([np.bincount(rep, weights=col, minlength=reps) for col in vals.T],
-                    dtype=np.int64)
+    entry = np.searchsorted(laws.cdf, x, side="right")
+    return np.array([np.bincount(rep, weights=col[entry], minlength=reps)
+                     for col in laws.columns], dtype=np.int64)

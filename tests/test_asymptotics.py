@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction
 

@@ -1,14 +1,11 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 
 from logtrees.asymptotics import RegimeMismatchError, kpl_variance_constant
-from logtrees.families import fbbst, mary, quadtree, harmonic
+from logtrees.families import fbbst, mary, quadtree
 from logtrees.fixpoint import (
-    ContractionError,
-    FixedPointSpec,
     _distance_correlation,
     contraction_factor,
     diagnose,

@@ -130,12 +130,12 @@ def test_worker_error_reaches_caller(monkeypatch, threads):
     lock = threading.Lock()
     real_toll = fixpoint.toll
 
-    def failing_toll(spec, coef):
+    def failing_toll(spec, coef, *logs):
         with lock:
             calls[0] += 1
             if calls[0] == 5:
                 raise RuntimeError("toll failed")
-        return real_toll(spec, coef)
+        return real_toll(spec, coef, *logs)
 
     monkeypatch.setattr(fixpoint, "toll", failing_toll)
     spec = fixed_point_spec(mary(3), "uniK")
@@ -147,7 +147,7 @@ def test_worker_error_reaches_caller(monkeypatch, threads):
 def test_pool_degeneracy_fires_at_the_serial_generation(monkeypatch, threads):
     # with no toll the normalised map contracts its first slot by
     # branches * E[V^2] = 1/2 a generation until the variance check trips
-    monkeypatch.setattr(fixpoint, "toll", lambda spec, coef: np.zeros(len(coef)))
+    monkeypatch.setattr(fixpoint, "toll", lambda spec, coef, *logs: np.zeros(len(coef)))
     spec = fixed_point_spec(mary(3), "TNprime_normal")
     with pytest.raises(PoolDegeneracyError) as want:
         serial_iterate(spec, POOL, 80, seed=41)

@@ -6,7 +6,6 @@ import sys
 from fractions import Fraction
 from itertools import permutations, product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

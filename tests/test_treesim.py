@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from logtrees.families import FamilyInstance, fbbst, mary, quadtree
 from logtrees.treesim import (
+    CUTOFF_SPAN,
+    GUIDE_BITS,
     SimStats,
     TreeMeasures,
     _simulate_block,
@@ -451,3 +454,39 @@ def test_small_law_point_masses_skip_the_search(instance):
     got = laws.sums(np.random.default_rng(6), sizes, rep, 97)
     want = small_law_sums(laws, np.random.default_rng(6), sizes, rep, 97)
     assert np.array_equal(got, want)
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_draws(instance, span):
+    # every CDF entry, every bucket edge and the largest draw of each
+    # searched size, with their neighbours one ulp away, inside the searched
+    # range [threshold, cutoff)
+    laws = small_laws(instance, span)
+    k = np.arange(laws.threshold, laws.cutoff, dtype=np.float64)
+    edges = np.arange(laws.threshold << GUIDE_BITS, laws.cutoff << GUIDE_BITS) / 2.0**GUIDE_BITS
+    x = np.concatenate([
+        *(np.nextafter(at, side) for at in (laws.cdf, edges) for side in (-np.inf, np.inf)),
+        laws.cdf, edges, k, k + np.nextafter(1.0, 0.0), np.nextafter(k + 1.0, 0.0)])
+    return x[(x >= laws.threshold) & (x < laws.cutoff)]
+
+
+@pytest.mark.parametrize("span", [CUTOFF_SPAN, 0])
+@pytest.mark.parametrize("instance", [mary(3), mary(27), fbbst(1), fbbst(59), quadtree(2),
+                                      quadtree(9)], ids=str)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_guide_table_equals_searchsorted(instance, span, data):
+    # the guide table returns the entry a binary search of the whole CDF
+    # returns, at every edge and for any draw k + u a size can make
+    laws = small_laws(instance, span)
+    assert laws.guide.size == (laws.cutoff - laws.threshold) << GUIDE_BITS
+    x = _edge_draws(instance, span)
+    if laws.cutoff > laws.threshold:
+        sizes = st.integers(laws.threshold, laws.cutoff - 1)
+        k = np.array(data.draw(st.lists(sizes, min_size=1, max_size=200)), dtype=np.float64)
+        u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                               min_size=k.size, max_size=k.size))
+        anywhere = data.draw(st.lists(st.floats(laws.threshold, laws.cutoff, exclude_max=True),
+                                      max_size=200))
+        x = np.concatenate([x, np.minimum(k + u, np.nextafter(k + 1.0, 0.0)), anywhere])
+    assert np.array_equal(laws.search(x), np.searchsorted(laws.cdf, x, side="right"))
