@@ -23,13 +23,21 @@ Periodic second-order factors (z = beta log n):
     rho(S_n, K_n) ~ F2(z)/sqrt(C_K F1(z))      (m >= 27)
 
 with fbbst analogues G1 (t >= 59), G2 (t >= 29) and quadtree analogues
-P1 (d >= 9), P2 (d >= 6).  F2 and G2 are derived from the Dirichlet
-derivative identity and the asymptotic transfer; the sometimes-quoted
-displays drop the conjugate-pair factor and carry inconsistent digamma
-coefficients, and are rejected by the exact moment tables (the toll
-amplitudes extracted from the tables match the forms used here).
-Every gamma ratio runs through log space, so branching degrees in the
-hundreds stay in range.
+P1 (d >= 9), P2 (d >= 6).  F1/G1 and F2/G2 are one formula each over the
+(m,t) law, V ~ Dirichlet(t+1, ..., t+1): with M = m(t+1), lam = lambda_2,
+q = A_2/Gamma(lam), s(x) = 1 - m E[V^x] and kappa = 2(t+1) phi, the variance
+factor is c0 + 2 Re(c2 e^(2iz)) and the covariance factor 2 Re(c e^(iz)),
+
+    c0 = 2|q|^2 (-1 + m(m-1) Re E[V_1^(lam-1) V_2^(conj(lam)-1)] / s(2 alpha - 2))
+    c2 = q^2 (-1 + m(m-1) E[V_1^(lam-1) V_2^(lam-1)] / s(2 lam - 2))
+    c  = q ((M+lam-1) + kappa ((t+lam) psi(t+1+lam) + (m-1)(t+1) psi(t+2)
+         - (M+lam-1) psi(M+lam))) / ((m-1)(t+1)),
+
+c being the toll amplitude q m E[V^(lam-1) (1 + kappa sum_r V_r log V_r)] / s(lam)
+reduced with m E[V^(lam-1)] = 1 at the root.  The sometimes-quoted displays
+drop the conjugate-pair factor, carry inconsistent digamma coefficients and
+are rejected by the exact moment tables.  Every gamma ratio runs through
+log space, so branching degrees in the hundreds stay in range.
 """
 from __future__ import annotations
 
@@ -43,6 +51,7 @@ from .families import (  # RegimeMismatchError and the variance constants are re
     Family,
     FamilyInstance,
     RegimeMismatchError,
+    dirichlet_moment,
     fbbst_tpl_variance_constant,
     harmonic,
     kpl_variance_constant,
@@ -192,18 +201,18 @@ def constants(instance: FamilyInstance, spectrum: Spectrum | None = None) -> Fam
 # ---------------------------------------------------------------------------
 
 def dirichlet_I(u: complex, v: complex, m: int) -> complex:
-    """Closed form of the simplex integral of (sum x_l^(u-1))(sum x_r^(v-1)):
-    (m Gamma(u+v-1) + m(m-1) Gamma(u) Gamma(v)) / Gamma(u+v+m-2)."""
+    """The simplex integral of (sum x_l^(u-1))(sum x_r^(v-1)) from the t = 0
+    Dirichlet moments: (m E[V^(u+v-2)] + m(m-1) E[V_1^(u-1) V_2^(v-1)]) / Gamma(m),
+    the simplex having volume 1/Gamma(m)."""
     if m < 2:
         raise ValueError("m >= 2 required")
-    num = m * gamma(u + v - 1) + m * (m - 1) * gamma(u) * gamma(v)
-    return num / gamma(u + v + m - 2)
+    return ((m * dirichlet_moment(m, 0, u + v - 2)
+             + m * (m - 1) * dirichlet_moment(m, 0, u - 1, v - 1)) / math.factorial(m - 1))
 
 
 def dirichlet_dv(u: complex, m: int) -> complex:
     """d/dv of dirichlet_I at v = 2: the simplex integral of
     (sum x_l^(u-1))(sum x_r log x_r)."""
-    u = complex(u)
     return (m * gamma(u) / gamma(u + m)
             * (u * digamma(u + 1) + (m - 1) * (1 - EULER_GAMMA)
                - (m + u - 1) * digamma(m + u)))
@@ -229,66 +238,28 @@ def dirichlet_dudv(m: int) -> float:
 # periodic functions
 # ---------------------------------------------------------------------------
 
-def _lg(z) -> complex:
-    return log_gamma(complex(z))
+def _variance_factor(m: int, t: int, lam: complex, amp2: complex) -> tuple[float, complex]:
+    """(c0, c2) of the Var(S) factor (module docstring): both come from
+    -1 + m(m-1) E[V_1^(lam-1) V_2^(mu-1)] / s(lam+mu-2), at mu = conj(lam) and mu = lam."""
+    q = amp2 * cmath.exp(-log_gamma(lam))
+    b0, b2 = (-1 + m * (m - 1) * dirichlet_moment(m, t, lam - 1, mu - 1)
+              / (1 - m * dirichlet_moment(m, t, lam + mu - 2)) for mu in (lam.conjugate(), lam))
+    return 2 * abs(q) ** 2 * b0.real, q * q * b2
 
 
-def _f1_coefficients(m: int, lam: complex, a2: complex) -> tuple[float, complex]:
-    alpha = lam.real
-    log_mf = math.lgamma(m + 1)
-    # constant block: -1 + m!(m-1)|Gamma(lam)|^2 / (Gamma(2a+m-2) - m!Gamma(2a-1))
-    r_real = math.exp(log_mf + math.lgamma(2 * alpha - 1) - math.lgamma(2 * alpha + m - 2))
-    amp2 = abs(a2) ** 2 * math.exp(-2 * _lg(lam).real)
-    big = (m - 1) * abs(a2) ** 2 * math.exp(log_mf - math.lgamma(2 * alpha + m - 2))
-    c0 = 2 * (-amp2 + big / (1 - r_real))
-    # oscillating block at frequency 2 beta
-    q = a2 * cmath.exp(-_lg(lam))
-    r_cplx = cmath.exp(log_mf + _lg(2 * lam - 1) - _lg(2 * lam + m - 2))
-    big_c = (m - 1) * a2 * a2 * cmath.exp(log_mf - _lg(2 * lam + m - 2))
-    c2 = -q * q + big_c / (1 - r_cplx)
-    return c0, c2
-
-
-def _f2_coefficient(m: int, lam: complex, a2: complex, phi: float) -> complex:
-    inner = (lam + m - 1) + 2 * phi * (
-        lam * digamma(lam + 1) + (m - 1) * (1 - EULER_GAMMA)
-        - (m + lam - 1) * digamma(m + lam))
-    return a2 * cmath.exp(-_lg(lam)) * inner / (m - 1)
-
-
-def _beta_moment(s: complex, t: int) -> complex:
-    """E[V^s] for V ~ Beta(t+1, t+1)."""
-    return cmath.exp(_lg(t + 1 + s) + math.lgamma(2 * t + 2)
-                     - _lg(2 * t + 2 + s) - math.lgamma(t + 1))
-
-
-def _g1_coefficients(t: int, rho: complex, c2amp: complex) -> tuple[float, complex]:
-    at = rho.real
-    log_b0 = 2 * math.lgamma(t + 1) - math.lgamma(2 * t + 2)
-    r23 = math.exp(2 * _lg(t + rho).real - math.lgamma(2 * t + 2 * at) - log_b0)
-    m_real = _beta_moment(2 * at - 2, t).real
-    amp2 = abs(c2amp) ** 2 * math.exp(-2 * _lg(rho).real)
-    c0 = 2 * amp2 * (-1 + 2 * r23 / (1 - 2 * m_real))
-    r22 = cmath.exp(2 * _lg(t + rho) - _lg(2 * t + 2 * rho) - log_b0)
-    m_cplx = _beta_moment(2 * rho - 2, t)
-    q = c2amp * cmath.exp(-_lg(rho))
-    c2 = q * q * (-1 + 2 * r22 / (1 - 2 * m_cplx))
-    return c0, c2
-
-
-def _g2_coefficient(t: int, rho: complex, c2amp: complex) -> complex:
-    h = float(harmonic(2 * t + 2) - harmonic(t + 1))
-    m_rho = _beta_moment(rho, t)
-    e_vlogv = m_rho * (digamma(t + 1 + rho) - digamma(2 * t + 2 + rho))
-    log_b0 = 2 * math.lgamma(t + 1) - math.lgamma(2 * t + 2)
-    n1 = cmath.exp(_lg(t + rho) + math.lgamma(t + 2) - _lg(2 * t + 2 + rho) - log_b0)
-    e_cross = n1 * (digamma(t + 2) - digamma(2 * t + 2 + rho))
-    stuff = 1.0 + (2.0 / h) * (e_vlogv + e_cross)
-    return c2amp * cmath.exp(-_lg(rho)) * stuff / (1 - 2 * m_rho)
+def _covariance_factor(m: int, t: int, lam: complex, amp2: complex, phi: float) -> complex:
+    """c of the Cov(S, path length) factor (module docstring)."""
+    k = m * (t + 1)
+    psi_t2 = float(harmonic(t + 1)) - EULER_GAMMA
+    inner = (lam + k - 1) + 2 * (t + 1) * phi * (
+        (t + lam) * digamma(t + 1 + lam) + (m - 1) * (t + 1) * psi_t2
+        - (k + lam - 1) * digamma(k + lam))
+    return amp2 * cmath.exp(-log_gamma(lam)) * inner / ((m - 1) * (t + 1))
 
 
 def _eta(u: complex, v: complex, d: int) -> complex:
-    base = 1 / (u + v + 1) + cmath.exp(_lg(u + 1) + _lg(v + 1) - _lg(u + v + 2))
+    base = 1 / (u + v + 1) + cmath.exp(log_gamma(u + 1) + log_gamma(v + 1)
+                                       - log_gamma(u + v + 2))
     return base ** d
 
 
@@ -378,36 +349,28 @@ def periodic(kind: str, instance: FamilyInstance,
         raise RegimeMismatchError(f"{kind} is not a periodic factor of {instance}")
     if p < need:
         raise RegimeMismatchError(f"{kind} needs parameter >= {need}, got {instance}")
-    if instance.split_law is not None and spectrum is None:
+    law = instance.split_law
+    if law is not None and spectrum is None:
         spectrum = solve_spectrum(instance)
-    if kind == "F1":
-        c0, c2 = _f1_coefficients(p, spectrum.lambda2, amplitude(spectrum, 2))
-        return PeriodicFunction("F1", instance, c0, c2, 2)
-    if kind == "F2":
-        q = _f2_coefficient(p, spectrum.lambda2, amplitude(spectrum, 2),
-                            float(occupancy_constant(instance)))
-        return PeriodicFunction("F2", instance, 0.0, q, 1)
     if kind == instance.correlation_factor:
         return CorrelationFactor(kind, instance, spectrum)
-    if kind == "G1":
-        c0, c2 = _g1_coefficients(p, spectrum.lambda2, amplitude(spectrum, 2))
-        return PeriodicFunction("G1", instance, c0, c2, 2)
-    if kind == "G2":
-        q = _g2_coefficient(p, spectrum.lambda2, amplitude(spectrum, 2))
-        return PeriodicFunction("G2", instance, 0.0, q, 1)
-    qe = quadtree_exponents(p)
+    if law is not None:
+        lam, amp2 = spectrum.lambda2, amplitude(spectrum, 2)
+        if kind == var_kind:
+            return PeriodicFunction(kind, instance, *_variance_factor(*law, lam, amp2), 2)
+        q = _covariance_factor(*law, lam, amp2, float(occupancy_constant(instance)))
+        return PeriodicFunction(kind, instance, 0.0, q, 1)
+    qe, d = quadtree_exponents(p), p
     u = complex(qe.alpha_hat, qe.beta_hat)
-    d = p
-    if kind == "P1":
-        mult_r = ((2 * qe.alpha_hat + 1) ** d
-                  / ((2 * qe.alpha_hat + 1) ** d - 2.0 ** d))
+    if kind == var_kind:
+        mult_r = (2 * qe.alpha_hat + 1) ** d / ((2 * qe.alpha_hat + 1) ** d - 2.0 ** d)
         c0 = 2 * mult_r * abs(cplus) ** 2 * _quadtree_cl(u, u.conjugate(), d).real
         zmult = (2 * u + 1) ** d / ((2 * u + 1) ** d - 2.0 ** d)
         c2 = zmult * cplus * cplus * _quadtree_cl(u, u, d)
-        return PeriodicFunction("P1", instance, c0, c2, 2)
+        return PeriodicFunction(kind, instance, c0, c2, 2)
     zmult = (u + 2) ** d / ((u + 2) ** d - 2.0 ** d)
     q = zmult * cplus * _quadtree_ck(u, d)
-    return PeriodicFunction("P2", instance, 0.0, q, 1)
+    return PeriodicFunction(kind, instance, 0.0, q, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -214,10 +214,12 @@ def cmd_fixpoint(args) -> dict:
 def cmd_periodic(args):
     from .asymptotics import periodic
 
+    inst = FamilyInstance(PERIODIC_KINDS[args.kind], args.param)
+    if inst.split_law is not None and (args.cplus_re, args.cplus_im) != (None, None):
+        raise ValueError(f"--cplus-re/--cplus-im set the quadtree amplitude, not {args.kind}'s")
     cplus = complex(1.0 if args.cplus_re is None else args.cplus_re,
                     0.0 if args.cplus_im is None else args.cplus_im)
-    pf = periodic(args.kind, FamilyInstance(PERIODIC_KINDS[args.kind], args.param),
-                  cplus=cplus)
+    pf = periodic(args.kind, inst, cplus=cplus)
     return lambda fh: pf.write_csv(fh, points=args.points)
 
 
@@ -234,13 +236,21 @@ def cmd_verify(args):
 # command table and parser
 # ---------------------------------------------------------------------------
 
+def _int_from(lo: int):  # argparse type: an int >= lo; a smaller one is a usage error
+    def parse(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return int(text)
+    return parse
+
+
 _FAMILIES = [f.value for f in Family]
 _PARAM = ("--param", dict(type=int, required=True))
 _FAMILY = (("--family", dict(choices=_FAMILIES, required=True)), _PARAM)
 _SEED = ("--seed", dict(type=int, default=1))
 # the CPUs this process may use (all of them where affinity is not exposed)
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_THREADS = ("--threads", dict(type=int, default=_CPUS,
+_THREADS = ("--threads", dict(type=_int_from(1), default=_CPUS,
                               help="worker threads (default: the CPUs this process may use)"))
 
 # name: (body, help, arguments as (flag, add_argument keywords))
@@ -255,7 +265,7 @@ COMMANDS = {
                   ("--to", dict(dest="m_to", type=int, default=30)))),
     "constants": (cmd_constants, "closed-form constants as JSON", _FAMILY),
     "moments": (cmd_moments, "moment table as CSV",
-                (*_FAMILY, ("--nmax", dict(type=int, required=True)),
+                (*_FAMILY, ("--nmax", dict(type=_int_from(0), required=True)),
                  ("--mode", dict(choices=("exact", "float"), default="exact")))),
     "simulate": (cmd_simulate, "Monte Carlo statistics as JSON",
                  (*_FAMILY, ("--n", dict(type=int, required=True)),
@@ -274,7 +284,7 @@ COMMANDS = {
     "periodic": (cmd_periodic, "periodic-factor samples as CSV",
                  (("--kind", dict(required=True, choices=PERIODIC_KINDS)),
                   _PARAM,
-                  ("--points", dict(type=int, default=1024)),
+                  ("--points", dict(type=_int_from(1), default=1024)),
                   ("--cplus-re", dict(type=float, help="default 1")),
                   ("--cplus-im", dict(type=float, help="default 0")))),
     "verify": (cmd_verify, "run the acceptance suite",

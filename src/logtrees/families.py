@@ -17,11 +17,14 @@ P(I = j) = C(j,t) C(n-1-j, (m-1)(t+1)-1) / C(n, m(t+1)-1).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
+
+from .gammafn import log_gamma
 
 
 class RegimeMismatchError(ValueError):
@@ -73,7 +76,8 @@ class FamilyInstance:
 
     @property
     def split_threshold(self) -> int:
-        """Smallest subtree size that splits into children."""
+        """Smallest subtree size that splits: m for mary, not the law's m-1, so
+        that size m-1 (one full node) is a point mass with no Monte Carlo draw."""
         if self.family is Family.MARY:
             return self.parameter
         if self.family is Family.FBBST:
@@ -187,6 +191,24 @@ def occupancy_constant(instance: FamilyInstance) -> Fraction:
         raise ValueError("occupancy constant is defined for (m,t) split laws only")
     m, t = instance.split_law
     return 1 / (2 * (t + 1) * (harmonic(m * (t + 1)) - harmonic(t + 1)))
+
+
+def dirichlet_moment(m: int, t: int, a, b=None):
+    """E[V_1^a], or E[V_1^a V_2^b] when b is given, for the (m,t) split coefficients
+    V ~ Dirichlet(t+1, ..., t+1), in log space: Gamma(M) / Gamma(M + a (+ b)), M = m(t+1),
+    times Gamma(t+1+e) / Gamma(t+1) per exponent e.  Real gamma arguments take
+    math.lgamma, complex ones ``gammafn.log_gamma``."""
+    exps = (a,) if b is None else (a, b)
+    if min((t + 1 + e).real for e in exps) <= 0:
+        raise ValueError(f"Dirichlet moment diverges at exponents {exps} for t = {t}")
+    k = m * (t + 1)
+    log = (sum(_lgamma(t + 1 + e) for e in exps) + math.lgamma(k) - _lgamma(k + sum(exps))
+           - len(exps) * math.lgamma(t + 1))
+    return cmath.exp(log) if any(isinstance(e, complex) for e in exps) else math.exp(log)
+
+
+def _lgamma(z) -> float | complex:
+    return log_gamma(z) if z.imag else math.lgamma(z.real)
 
 
 def kpl_variance_constant(m: int) -> float:

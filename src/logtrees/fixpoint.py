@@ -49,7 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import FIXED_POINT_MAPS, FamilyInstance, RegimeMismatchError, occupancy_constant
+from .families import (FIXED_POINT_MAPS, FamilyInstance, RegimeMismatchError,
+                       dirichlet_moment, occupancy_constant)
 from .roots import Spectrum, quadtree_exponents, solve_spectrum, theta as spectrum_theta
 from .treesim import CELL_ROWS, check_cells, sample_volumes
 
@@ -192,12 +193,7 @@ def _coefficient_moment(instance: FamilyInstance, s: float) -> float:
     """E[V^s] of one coefficient V: the Beta(t+1, (m-1)(t+1)) Mellin moment
     for the (m,t) law, (1/(s+1))^d for a volume of d uniform factors."""
     law = instance.split_law
-    if law is None:
-        return (1.0 / (s + 1.0)) ** instance.parameter
-    m, t = law
-    k = m * (t + 1)
-    return math.exp(math.lgamma(t + 1 + s) + math.lgamma(k)
-                    - math.lgamma(k + s) - math.lgamma(t + 1))
+    return (1.0 / (s + 1.0)) ** instance.parameter if law is None else dirichlet_moment(*law, s)
 
 
 def contraction_factor(spec: FixedPointSpec) -> float:

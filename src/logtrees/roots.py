@@ -430,6 +430,9 @@ def amplitude(spectrum: Spectrum, k: int = 2) -> complex:
     mary:  A_k = 1 / (lam (lam-1) sum_{0<=j<=m-2} 1/(j+lam))
     fbbst: C_k = t! / (2 (rho-1) rho (rho+1)...(rho+t-1)
                        sum_{t<=j<=2t} 1/(j+rho))
+
+    Both sums are -d/dz m E[V^(z-1)] at the root; the amplitude stays per family
+    as it also depends on S below the split threshold (mary 1, fbbst 0).
     """
     if k < 2 or k > spectrum.degree:
         raise AmplitudeError(f"k must index a non-principal root (2..{spectrum.degree})")

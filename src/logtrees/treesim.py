@@ -137,15 +137,19 @@ def _law_splits(rng, m: int, t: int, sizes: np.ndarray) -> np.ndarray:
 
 
 def sample_volumes(d: int, rng, size: int) -> np.ndarray:
-    """Cell volumes of a uniform point of [0,1]^d: (size, 2^d) rows."""
+    """Cell volumes of a uniform point of [0,1]^d: (size, 2^d) rows.  Factor l
+    turns the first 2^l columns into (those times x_l, those times 1 - x_l)."""
     x = rng.random((size, d))
     while ((x <= 0.0) | (x >= 1.0)).any():
         bad = ((x <= 0.0) | (x >= 1.0)).any(axis=1)
         x[bad] = rng.random((int(bad.sum()), d))
-    vol = np.ones((size, 1))
+    vol = np.empty((size, 2 ** d))
+    vol[:, 0] = 1.0
     for l in range(d):
         xl = x[:, l : l + 1]
-        vol = np.hstack([vol * xl, vol * (1.0 - xl)])
+        block = vol[:, : 2 ** l]
+        np.multiply(block, 1.0 - xl, out=vol[:, 2 ** l : 2 ** (l + 1)])
+        np.multiply(block, xl, out=block)
     return vol
 
 

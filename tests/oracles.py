@@ -1,15 +1,17 @@
 """Test oracles: exact laws and samplers that only the tests use, kept apart
 from the routes in ``logtrees`` that they check."""
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import mpmath
 import numpy as np
 
 from logtrees.asymptotics import EULER_GAMMA
 from logtrees.families import FamilyInstance, harmonic
+from logtrees.gammafn import digamma, log_gamma
 
 
 def fbbst_split_pmf(n: int, t: int, as_printed: bool = False) -> dict[int, Fraction]:
@@ -196,3 +198,122 @@ def small_law_sums(laws, rng, sizes: np.ndarray, rep: np.ndarray, reps: int) -> 
     entry = np.searchsorted(laws.cdf, x, side="right")
     return np.array([np.bincount(rep, weights=col[entry], minlength=reps)
                      for col in laws.columns], dtype=np.int64)
+
+
+@cache
+def periodic_factors_mp(instance: FamilyInstance, dps: int = 50):
+    """(c0, c2, cov) of the variance and covariance periodic factors of an
+    (m,t) instance at ``dps`` digits, from lambda_2 of a 192-bit spectrum:
+    the amplitude written out per family, the Dirichlet moments as gamma
+    products, and the covariance toll amplitude
+    m E[V^(lam-1) (1 + kappa sum_r V_r log V_r)] / (1 - m E[V^lam]) taken
+    as it stands, without the root identity m E[V^(lam-1)] = 1.  Cached:
+    the 192-bit spectrum of a high degree takes seconds."""
+    from logtrees.families import occupancy_constant
+    from logtrees.roots import solve_spectrum
+
+    spec = solve_spectrum(instance, precision=192)
+    root = min(spec.roots, key=lambda r: abs(complex(r) - spec.lambda2))
+    m, t = instance.split_law
+    k = m * (t + 1)
+    phi = occupancy_constant(instance)
+    with mpmath.workdps(dps):
+        lam = mpmath.mpc(root)
+        if t == 0:
+            amp = 1 / (lam * (lam - 1) * mpmath.fsum(1 / (j + lam) for j in range(m - 1)))
+        else:
+            amp = mpmath.factorial(t) / (2 * (lam - 1) * mpmath.rf(lam, t)
+                                         * mpmath.fsum(1 / (j + lam) for j in range(t, 2 * t + 1)))
+
+        def moment(*exps):
+            return mpmath.gammaprod([t + 1 + e for e in exps] + [k],
+                                    [k + sum(exps)] + [t + 1] * len(exps))
+
+        q = amp / mpmath.gamma(lam)
+        alpha = mpmath.re(lam)
+        c0 = 2 * abs(q) ** 2 * (-1 + m * (m - 1) * mpmath.re(moment(lam - 1, mpmath.conj(lam) - 1))
+                                / (1 - m * moment(2 * alpha - 2)))
+        c2 = q * q * (-1 + m * (m - 1) * moment(lam - 1, lam - 1) / (1 - m * moment(2 * lam - 2)))
+        kappa = 2 * (t + 1) * mpmath.mpf(phi.numerator) / phi.denominator
+        v_log_v = moment(lam) * (mpmath.digamma(t + 1 + lam) - mpmath.digamma(k + lam))
+        cross = moment(lam - 1, 1) * (mpmath.digamma(t + 2) - mpmath.digamma(k + lam))
+        cov = (q * (m * moment(lam - 1) + m * kappa * (v_log_v + (m - 1) * cross))
+               / (1 - m * moment(lam)))
+        return float(c0), complex(c2), complex(cov)
+
+
+# ---------------------------------------------------------------------------
+# the hand-derived periodic factors asymptotics.periodic used before the one
+# (m,t) formula: F1/F2 for m-ary trees, G1/G2 for fringe-balanced BSTs
+# ---------------------------------------------------------------------------
+
+def _lg(z) -> complex:
+    return log_gamma(complex(z))
+
+
+def f1_coefficients(m: int, lam: complex, a2: complex) -> tuple[float, complex]:
+    alpha = lam.real
+    log_mf = math.lgamma(m + 1)
+    # constant block: -1 + m!(m-1)|Gamma(lam)|^2 / (Gamma(2a+m-2) - m!Gamma(2a-1))
+    r_real = math.exp(log_mf + math.lgamma(2 * alpha - 1) - math.lgamma(2 * alpha + m - 2))
+    amp2 = abs(a2) ** 2 * math.exp(-2 * _lg(lam).real)
+    big = (m - 1) * abs(a2) ** 2 * math.exp(log_mf - math.lgamma(2 * alpha + m - 2))
+    c0 = 2 * (-amp2 + big / (1 - r_real))
+    # oscillating block at frequency 2 beta
+    q = a2 * cmath.exp(-_lg(lam))
+    r_cplx = cmath.exp(log_mf + _lg(2 * lam - 1) - _lg(2 * lam + m - 2))
+    big_c = (m - 1) * a2 * a2 * cmath.exp(log_mf - _lg(2 * lam + m - 2))
+    c2 = -q * q + big_c / (1 - r_cplx)
+    return c0, c2
+
+
+def f2_coefficient(m: int, lam: complex, a2: complex, phi: float) -> complex:
+    inner = (lam + m - 1) + 2 * phi * (
+        lam * digamma(lam + 1) + (m - 1) * (1 - EULER_GAMMA)
+        - (m + lam - 1) * digamma(m + lam))
+    return a2 * cmath.exp(-_lg(lam)) * inner / (m - 1)
+
+
+def beta_moment(s: complex, t: int) -> complex:
+    """E[V^s] for V ~ Beta(t+1, t+1)."""
+    return cmath.exp(_lg(t + 1 + s) + math.lgamma(2 * t + 2)
+                     - _lg(2 * t + 2 + s) - math.lgamma(t + 1))
+
+
+def g1_coefficients(t: int, rho: complex, c2amp: complex) -> tuple[float, complex]:
+    at = rho.real
+    log_b0 = 2 * math.lgamma(t + 1) - math.lgamma(2 * t + 2)
+    r23 = math.exp(2 * _lg(t + rho).real - math.lgamma(2 * t + 2 * at) - log_b0)
+    m_real = beta_moment(2 * at - 2, t).real
+    amp2 = abs(c2amp) ** 2 * math.exp(-2 * _lg(rho).real)
+    c0 = 2 * amp2 * (-1 + 2 * r23 / (1 - 2 * m_real))
+    r22 = cmath.exp(2 * _lg(t + rho) - _lg(2 * t + 2 * rho) - log_b0)
+    m_cplx = beta_moment(2 * rho - 2, t)
+    q = c2amp * cmath.exp(-_lg(rho))
+    c2 = q * q * (-1 + 2 * r22 / (1 - 2 * m_cplx))
+    return c0, c2
+
+
+def g2_coefficient(t: int, rho: complex, c2amp: complex) -> complex:
+    h = float(harmonic(2 * t + 2) - harmonic(t + 1))
+    m_rho = beta_moment(rho, t)
+    e_vlogv = m_rho * (digamma(t + 1 + rho) - digamma(2 * t + 2 + rho))
+    log_b0 = 2 * math.lgamma(t + 1) - math.lgamma(2 * t + 2)
+    n1 = cmath.exp(_lg(t + rho) + math.lgamma(t + 2) - _lg(2 * t + 2 + rho) - log_b0)
+    e_cross = n1 * (digamma(t + 2) - digamma(2 * t + 2 + rho))
+    stuff = 1.0 + (2.0 / h) * (e_vlogv + e_cross)
+    return c2amp * cmath.exp(-_lg(rho)) * stuff / (1 - 2 * m_rho)
+
+
+def sample_volumes_hstack(d: int, rng, size: int) -> np.ndarray:
+    """``treesim.sample_volumes`` as d ``np.hstack`` copies of the growing
+    (size, 2^l) array; the same products in the same order."""
+    x = rng.random((size, d))
+    while ((x <= 0.0) | (x >= 1.0)).any():
+        bad = ((x <= 0.0) | (x >= 1.0)).any(axis=1)
+        x[bad] = rng.random((int(bad.sum()), d))
+    vol = np.ones((size, 1))
+    for l in range(d):
+        xl = x[:, l : l + 1]
+        vol = np.hstack([vol * xl, vol * (1.0 - xl)])
+    return vol

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -23,10 +24,25 @@ from logtrees.asymptotics import (
     periodic,
     quadtree_ipl_variance_constant,
 )
-from logtrees.families import fbbst, harmonic, mary, occupancy_constant, quadtree
+from logtrees.families import (
+    dirichlet_moment,
+    fbbst,
+    harmonic,
+    mary,
+    occupancy_constant,
+    quadtree,
+)
 from logtrees.moments import mean_tables, second_moment_tables
-from logtrees.roots import solve_spectrum
-from oracles import c1_constant_printed, dirichlet_dudv_printed
+from logtrees.roots import amplitude, solve_spectrum
+from oracles import (
+    c1_constant_printed,
+    dirichlet_dudv_printed,
+    f1_coefficients,
+    f2_coefficient,
+    g1_coefficients,
+    g2_coefficient,
+    periodic_factors_mp,
+)
 
 QUICKSORT_VAR = 7 - 2 * math.pi**2 / 3
 
@@ -134,6 +150,26 @@ def test_dirichlet_I_closed_values():
 def test_dirichlet_symmetry():
     for (u, v, m) in ((1.3, 2.7, 3), (2 + 1j, 3 - 0.5j, 4)):
         assert abs(dirichlet_I(u, v, m) - dirichlet_I(v, u, m)) < 1e-12
+
+
+@pytest.mark.parametrize("m,t", [(2, 0), (3, 0), (5, 0), (2, 1), (2, 4), (3, 2)])
+def test_dirichlet_moment_against_mpmath(m, t):
+    k = m * (t + 1)
+    with mpmath.workdps(30):
+        for a, b in ((2.0, None), (0.5, 1.5), (1.3 + 0.7j, None), (0.4 + 2j, 0.4 - 2j),
+                     (1 + 3j, 2 - 1j)):
+            exps = (a,) if b is None else (a, b)
+            want = complex(mpmath.gammaprod([t + 1 + e for e in exps] + [k],
+                                            [k + sum(exps)] + [t + 1] * len(exps)))
+            got = dirichlet_moment(m, t, a, b)
+            assert isinstance(got, complex) == any(isinstance(e, complex) for e in exps)
+            assert abs(got - want) < 1e-13 * abs(want), (a, b)
+
+
+def test_dirichlet_moment_rejects_divergent_exponents():
+    for t, a, b in ((0, -1, None), (0, -1.5, None), (2, 1.0, -3.0), (1, -2 + 1j, None)):
+        with pytest.raises(ValueError, match="diverges"):
+            dirichlet_moment(3, t, a, b)
 
 
 def _quad_I(u, v, m):
@@ -249,6 +285,48 @@ def test_g_functions_real_and_periodic():
         assert g1(z + math.pi) == pytest.approx(g1(z), rel=1e-10, abs=1e-12)
         assert g2(z + 2 * math.pi) == pytest.approx(g2(z), rel=1e-10, abs=1e-12)
     assert g1(0.3) == g1(0.3).real
+
+
+# relative errors of the (m,t) factors against a 50-digit evaluation; the
+# former F1/F2/G1/G2 forms are held to the errors measured for them (G2
+# reaches 2.7e-10 at t = 120)
+COV_CASES = [mary(m) for m in (14, 20, 27, 40, 60, 100)] + [fbbst(t) for t in (29, 40, 59, 80, 120)]
+VAR_CASES = [mary(m) for m in (27, 40, 60, 100)] + [fbbst(t) for t in (59, 80, 120)]
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+def _former_forms(inst, spec):
+    """((c0, c2), cov) from the former F1/F2 or G1/G2 forms."""
+    p, lam, a2 = inst.parameter, spec.lambda2, amplitude(spec, 2)
+    if inst.split_law[1] == 0:
+        phi = float(occupancy_constant(inst))
+        return f1_coefficients(p, lam, a2), f2_coefficient(p, lam, a2, phi)
+    return g1_coefficients(p, lam, a2), g2_coefficient(p, lam, a2)
+
+
+@pytest.mark.parametrize("inst", COV_CASES, ids=str)
+def test_covariance_factor_against_mpmath(inst):
+    spec = solve_spectrum(inst)
+    _, _, want = periodic_factors_mp(inst)
+    got = periodic(inst.periodic_factors[1], inst, spec).osc
+    assert _rel(got, want) < 1e-12
+    _, former = _former_forms(inst, spec)
+    assert _rel(got, former) < (1e-12 if inst.split_law[1] == 0 else 5e-10)
+
+
+@pytest.mark.parametrize("inst", VAR_CASES, ids=str)
+def test_variance_factor_against_mpmath(inst):
+    spec = solve_spectrum(inst)
+    c0, c2, _ = periodic_factors_mp(inst)
+    got = periodic(inst.periodic_factors[0], inst, spec)
+    assert _rel(got.const, c0) < 3e-11
+    assert _rel(got.osc, c2) < 3e-11
+    (f0, f2), _ = _former_forms(inst, spec)
+    assert _rel(got.const, f0) < 3e-11
+    assert _rel(got.osc, f2) < 3e-11
 
 
 def test_p_functions_shape():

@@ -319,3 +319,25 @@ def test_threads_default_is_the_cpus_available():
 
     args = build_parser().parse_args(["fixpoint", "--map", "uniK", "--param", "3"])
     assert args.threads == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("argv", [
+    ["periodic", "--kind", "F1", "--param", "27", "--cplus-re", "5"],
+    ["periodic", "--kind", "G2", "--param", "29", "--cplus-im", "0.5"],
+    ["periodic", "--kind", "Frho", "--param", "27", "--cplus-re", "1", "--cplus-im", "0"],
+    ["periodic", "--kind", "P1", "--param", "9", "--points", "0"],
+    ["periodic", "--kind", "F2", "--param", "14", "--points", "-3"],
+    ["moments", "--family", "mary", "--param", "3", "--nmax", "-1"],
+    ["simulate", "--family", "mary", "--param", "3", "--n", "30", "--reps", "4",
+     "--threads", "0"],
+    ["corr-profile", "--family", "fbbst", "--param", "1", "--grid", "30", "--reps", "4",
+     "--threads", "-2"],
+    ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "1",
+     "--threads", "0"],
+], ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
+def test_out_of_range_inputs_are_usage_errors(argv, tmp_path):
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(["-o", str(path), *argv])
+    assert (code, out) == (2, "")
+    assert "error" in err
+    assert not path.exists()

@@ -1,15 +1,22 @@
 """sha256 of the stdout of small CLI runs, recorded before the family
 dispatch moved onto ``FamilyInstance``; every run must stay byte-identical.
 
-The fbbst fixed-point maps are not listed: their toll is evaluated from the
-coefficient rows (V, 1-V), so log(1-V) replaces log1p(-V) and the last
-digits move.
+The fbbst fixed-point maps were recorded later, before the contraction
+factor moved onto ``families.dirichlet_moment``; that move changed none of
+their bytes.
 
 The ``simulate`` and ``corr-profile`` digests were recorded again when the
 split recursion began to stop at the cutoff of ``treesim.small_laws`` and
 to draw quadtree levels in chunks; the digests the mary and fbbst
 ``simulate`` runs had before stay pinned, with the cutoff set back to the
 split threshold.
+
+``corr-profile-mary-27`` and ``corr-profile-fbbst-59`` were recorded again
+when the periodic variance and covariance factors became one Dirichlet
+formula over the (m,t) law: their predicted rho moved, mary(27) by under
+1e-15 relative (rounding in the variance factor) and fbbst(59) by 3e-11
+relative, the error of the former fbbst covariance form G2 (2.3e-11 against
+a 50-digit evaluation, 1.4e-14 for the (m,t) form).
 """
 import contextlib
 import hashlib
@@ -41,7 +48,8 @@ CASES = {
        for f, p in (("mary", 3), ("fbbst", 1), ("quadtree", 2)) for th in (1, 2)},
     **{f"fixpoint-{kind}-{f}-{p}": _fixpoint(kind, f, p) for kind, f, p in (
         ("uniK", "mary", 3), ("TNprime_normal", "mary", 3), ("TN_periodic", "mary", 27),
-        ("Tquad_normal", "quadtree", 2), ("Tquad_periodic", "quadtree", 9))},
+        ("Tquad_normal", "quadtree", 2), ("Tquad_periodic", "quadtree", 9),
+        ("Tmed_normal", "fbbst", 1), ("Tmed_periodic", "fbbst", 59))},
     **{f"constants-{f}-{p}": ["constants", "--family", f, "--param", str(p)]
        for f, p in (("mary", 3), ("mary", 27), ("fbbst", 1), ("fbbst", 59),
                     ("quadtree", 2), ("quadtree", 9))},
@@ -68,6 +76,10 @@ DIGESTS = {
         "e470328a1e96bea46489a1db683a9a969625e9b16af702cbc14ff57a6d2f11d8",
     "fixpoint-Tquad_periodic-quadtree-9":
         "fb4b15e670ac88ae18c097107c8027d2433288d55590e2a01aa13942ce26c281",
+    "fixpoint-Tmed_normal-fbbst-1":
+        "57d524f1d9ce4c313b0aef9f9a2b8843f75d757988f515abe98999b916b003be",
+    "fixpoint-Tmed_periodic-fbbst-59":
+        "b2fe83a70a058095c41c5a50805a3ee904982a382ed039b1510c015fb6cff539",
     "constants-mary-3": "99d5222a1e7e0a5cdeee180f9837a10de6b18ac7548374db439988b976e2ed82",
     "constants-mary-27": "5eef3e507675ee804c4f4a44c0c43bc8222b97bbb750a3fb679ceeb730851cc9",
     "constants-fbbst-1": "1ef1d5fc891378ac07afe6bc3f0764f9a81a26c109ab21c8f9df4c933dcb6f8e",
@@ -77,9 +89,9 @@ DIGESTS = {
     "roots-mary-27": "391e1900fb82bab78abbe6b1e88ad9e1a2ebe4bf65c3554aa9f4ad5a5db958d4",
     "roots-fbbst-59": "dd7157cca6fb79f8c3e3e3daf87e3b7f624ecc3c99d5a329eb46fd1f4afda476",
     "corr-profile-mary-3": "8d2b6a7f29065379824d850b45c50c6c8b0f6a6133cda92b04d2881b7beb1784",
-    "corr-profile-mary-27": "ab724c6c651db4f80d90e2d9d6e940515a75ae3c8713d9dd5feb6db2c742ea1d",
+    "corr-profile-mary-27": "bdf88828b6ec369a536f2ea5646ad112a23f990bf39e052a30b59701eb8eefc3",
     "corr-profile-fbbst-1": "3e6d7b67065173923d500ffc5bf501fb08f8b7917ed5278a9325a14573770d56",
-    "corr-profile-fbbst-59": "fa80bcc71f3fd6b5209b22ff57072761db2ec4f43a0c07d79c1441e3e8b07bb6",
+    "corr-profile-fbbst-59": "30c2d193f1221540119d46c70b05e64a58e9018c930f661c9b186c91454c4c15",
     "corr-profile-quadtree-2": "dc51cd701672e625e98ec6933797d6937d5907024804c34a3627a8758a3d6716",
     "corr-profile-quadtree-9": "bb2d19107785c6f5cf669cdb6f0fcc0fe06f285b5314b3ed271176710fddc0c4",
 }

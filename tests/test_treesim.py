@@ -21,7 +21,13 @@ from logtrees.treesim import (
     monte_carlo,
     small_laws,
 )
-from oracles import fbbst_split_pmf, median_quicksort, small_law_sums, split_weights
+from oracles import (
+    fbbst_split_pmf,
+    median_quicksort,
+    sample_volumes_hstack,
+    small_law_sums,
+    split_weights,
+)
 
 FIG_SEQUENCE = [6, 2, 4, 8, 7, 1, 5, 3, 10, 9]
 
@@ -146,6 +152,15 @@ def test_quadtree_d1_split_is_uniform():
         emp = (lefts == j).mean()
         se = math.sqrt((1 / n) * (1 - 1 / n) / draws)
         assert abs(emp - 1 / n) < 5 * se, j
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+def test_sample_volumes_bitwise_equal_to_hstack_loop(d):
+    from logtrees.treesim import sample_volumes
+    got = sample_volumes(d, np.random.Generator(np.random.Philox(key=[23, d])), 3000)
+    want = sample_volumes_hstack(d, np.random.Generator(np.random.Philox(key=[23, d])), 3000)
+    assert got.shape == (3000, 2 ** d) and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_quadtree_split_sums():
