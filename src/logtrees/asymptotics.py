@@ -25,7 +25,8 @@ Periodic second-order factors (z = beta log n):
 with fbbst analogues G1 (t >= 59), G2 (t >= 29) and quadtree analogues
 P1 (d >= 9), P2 (d >= 6).  F1/G1 and F2/G2 are one formula each over the
 (m,t) law, V ~ Dirichlet(t+1, ..., t+1): with M = m(t+1), lam = lambda_2,
-q = A_2/Gamma(lam), s(x) = 1 - m E[V^x] and kappa = 2(t+1) phi, the variance
+q = A_2/Gamma(lam) (A_2 the one (m,t) ``roots.amplitude``, the same expression
+for mary and fbbst), s(x) = 1 - m E[V^x] and kappa = 2(t+1) phi, the variance
 factor is c0 + 2 Re(c2 e^(2iz)) and the covariance factor 2 Re(c e^(iz)),
 
     c0 = 2|q|^2 (-1 + m(m-1) Re E[V_1^(lam-1) V_2^(conj(lam)-1)] / s(2 alpha - 2))
@@ -48,7 +49,6 @@ from fractions import Fraction
 
 from .families import (  # RegimeMismatchError and the variance constants are re-exported
     PERIODIC_KINDS,
-    Family,
     FamilyInstance,
     RegimeMismatchError,
     dirichlet_moment,
@@ -77,23 +77,24 @@ PI = 3.14159265358979323846
 # ---------------------------------------------------------------------------
 
 def c1_constant(m: int) -> float:
-    """Linear coefficient of E[K_n] = 2 phi n log n + c1 n + o(n)."""
-    phi = float(1 / (2 * (harmonic(m) - 1)))
+    """Linear coefficient of E[K_n] = 2 phi n log n + c1 n + o(n).  c1 and
+    c2 - phi c1 are t = 0 constants: the key path length (toll n - m + 1) and
+    the uniform spacings V ~ Dirichlet(1, ..., 1) give their H_m^(2) and gamma
+    terms, and no (m,t) form is derived, so t >= 1 laws have none."""
+    phi = float(occupancy_constant((m, 0)))
     return -0.5 - 4 * phi + 2 * phi * phi * (float(harmonic(m, 2)) - 1) + 2 * phi * EULER_GAMMA
 
 
 def c2_minus_phi_c1(spectrum: Spectrum) -> float:
     """c2 - phi c1 = 2 phi (phi - 1/(m-1) + sum_l A_l/(2 - lambda_l)) from
-    high-precision roots; a rational number in disguise."""
-    inst = spectrum.instance
-    if inst.family is not Family.MARY:
-        raise ValueError("c2 - phi c1 is an m-ary quantity")
-    m = inst.parameter
-    phi = float(1 / (2 * (harmonic(m) - 1)))
-    tot = 0.0 + 0.0j
-    for k in range(2, spectrum.degree + 1):
-        lam = complex(spectrum.roots[k - 1])
-        tot += amplitude(spectrum, k) / (2.0 - lam)
+    high-precision roots; a rational number in disguise.  A t = 0 constant
+    (``c1_constant``): a spectrum with t >= 1 raises ValueError."""
+    m, t = spectrum.instance.split_law
+    if t != 0:
+        raise ValueError("c2 - phi c1 is defined for the t = 0 (m-ary) split law only")
+    phi = float(occupancy_constant(spectrum.instance))
+    tot = sum(amplitude(spectrum, k) / (2.0 - complex(spectrum.roots[k - 1]))
+              for k in range(2, spectrum.degree + 1))
     if abs(tot.imag) > 1e-9 * max(1.0, abs(tot.real)):
         raise ArithmeticError(f"root sum not real: {tot}")
     return 2 * phi * (phi - 1 / (m - 1) + tot.real)
@@ -137,12 +138,8 @@ REFERENCE_C2C1: dict[int, Fraction] = {
 
 @dataclass(frozen=True)
 class FamilyConstants:
-    """Bundle of closed-form asymptotic constants for one instance.
-
-    ``harmonic_1`` and ``harmonic_2`` are the harmonic numbers the family's
-    constants are built from: H_m and H_m^(2) for m-ary trees, H_d and
-    H_d^(2) for quadtrees, and for fringe-balanced BSTs the occupancy
-    denominator H_{2t+2} - H_{t+1} and H_{2t+2}^(2)."""
+    """Bundle of closed-form asymptotic constants for one instance;
+    ``harmonic_1`` and ``harmonic_2`` are ``FamilyInstance.harmonics``."""
 
     instance: FamilyInstance
     phi: Fraction | None
@@ -174,23 +171,15 @@ class FamilyConstants:
 def constants(instance: FamilyInstance, spectrum: Spectrum | None = None) -> FamilyConstants:
     """All closed-form constants of one instance (solving the spectrum on
     demand for the root-dependent ones)."""
-    p = instance.parameter
     law = instance.split_law
     if law is not None and spectrum is None:
         spectrum = solve_spectrum(instance)
-    mary = instance.family is Family.MARY
-    if instance.family is Family.FBBST:
-        h1, h2 = harmonic(2 * p + 2) - harmonic(p + 1), harmonic(2 * p + 2, 2)
-    else:
-        h1, h2 = harmonic(p), harmonic(p, 2)
+    uniform = law is not None and law[1] == 0
     return FamilyConstants(
-        instance=instance,
-        phi=None if law is None else occupancy_constant(instance),
-        harmonic_1=h1,
-        harmonic_2=h2,
-        c1=c1_constant(p) if mary else None,
-        c2_minus_phi_c1=c2_minus_phi_c1(spectrum) if mary else None,
-        c2_minus_phi_c1_exact=REFERENCE_C2C1.get(p) if mary else None,
+        instance, None if law is None else occupancy_constant(instance), *instance.harmonics,
+        c1=c1_constant(law[0]) if uniform else None,
+        c2_minus_phi_c1=c2_minus_phi_c1(spectrum) if uniform else None,
+        c2_minus_phi_c1_exact=REFERENCE_C2C1.get(law[0]) if uniform else None,
         cK=instance.variance_constant,
         theta=None if law is None else theta(spectrum),
     )

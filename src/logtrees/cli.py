@@ -104,7 +104,7 @@ def _instance(args) -> FamilyInstance:
 def cmd_roots(args) -> dict:
     from .roots import classify_regime, quadtree_exponents, solve_spectrum
 
-    if args.family == "quadtree":
+    if _instance(args).split_law is None:
         spec = quadtree_exponents(args.param)
         fields = {"alpha_hat": spec.alpha_hat, "beta_hat": spec.beta_hat}
     else:

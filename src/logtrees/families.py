@@ -160,6 +160,12 @@ class FamilyInstance:
         """Var(path length) / n^2 in the limit: C_K, D_X or E_X."""
         return _DATA[self.family].variance_constant(self.parameter)
 
+    @property
+    def harmonics(self) -> tuple[Fraction, Fraction]:
+        """H_m, H_m^(2) (mary); H_d, H_d^(2) (quadtree); H_{2t+2} - H_{t+1},
+        H_{2t+2}^(2) (fbbst): the harmonic numbers its constants use."""
+        return _DATA[self.family].harmonics(self.parameter)
+
     def __str__(self) -> str:
         return f"{self.family.value}({self.parameter})"
 
@@ -183,13 +189,15 @@ def harmonic(m: int, order: int = 1) -> Fraction:
     return sum((Fraction(1, k**order) for k in range(1, m + 1)), Fraction(0))
 
 
-def occupancy_constant(instance: FamilyInstance) -> Fraction:
+def occupancy_constant(instance: FamilyInstance | tuple[int, int]) -> Fraction:
     """Exact linear-mean coefficient 1/(2(t+1)(H_{m(t+1)} - H_{t+1})) of the
-    (m,t) law: 1/(2(H_m - 1)) for m-ary trees, 1/(2(t+1)(H_{2t+2} - H_{t+1}))
-    for fringe-balanced BSTs."""
-    if instance.split_law is None:
+    (m,t) law of an instance, or of an (m, t) pair such as quicksort's (2, 0):
+    1/(2(H_m - 1)) for m-ary trees, 1/(2(t+1)(H_{2t+2} - H_{t+1})) for
+    fringe-balanced BSTs."""
+    law = instance if isinstance(instance, tuple) else instance.split_law
+    if law is None:
         raise ValueError("occupancy constant is defined for (m,t) split laws only")
-    m, t = instance.split_law
+    m, t = law
     return 1 / (2 * (t + 1) * (harmonic(m * (t + 1)) - harmonic(t + 1)))
 
 
@@ -216,7 +224,7 @@ def kpl_variance_constant(m: int) -> float:
     if m < 2:
         raise ValueError("m >= 2 required")
     h2 = float(harmonic(m, 2))
-    phi = float(1 / (2 * (harmonic(m) - 1)))
+    phi = float(occupancy_constant((m, 0)))
     return 4 * phi * phi * (((m + 1) * h2 - 2) / (m - 1) - math.pi * math.pi / 6)
 
 
@@ -247,16 +255,21 @@ class _FamilyData(NamedTuple):
     periodic_factors: tuple[str, str]
     fixed_point_maps: tuple[str, str]
     variance_constant: Callable[[int], float]
+    harmonics: Callable[[int], tuple[Fraction, Fraction]]
     correlation_factor: str | None = None
 
 
 _DATA = {
     Family.MARY: _FamilyData(3, (14, 27), ("F1", "F2"), ("TN_periodic", "TNprime_normal"),
-                             kpl_variance_constant, "Frho"),
+                             kpl_variance_constant, lambda m: (harmonic(m), harmonic(m, 2)),
+                             "Frho"),
     Family.FBBST: _FamilyData(1, (29, 59), ("G1", "G2"), ("Tmed_periodic", "Tmed_normal"),
-                              fbbst_tpl_variance_constant),
+                              fbbst_tpl_variance_constant,
+                              lambda t: (harmonic(2 * t + 2) - harmonic(t + 1),
+                                         harmonic(2 * t + 2, 2))),
     Family.QUADTREE: _FamilyData(1, (6, 9), ("P1", "P2"), ("Tquad_periodic", "Tquad_normal"),
-                                 quadtree_ipl_variance_constant),
+                                 quadtree_ipl_variance_constant,
+                                 lambda d: (harmonic(d), harmonic(d, 2))),
 }
 
 # every fixed-point map, and the family of every periodic factor

@@ -21,6 +21,13 @@ exact conjugate pairs before the radii are taken at the returned points.
 When the disks are pairwise disjoint each holds exactly one zero, a disk
 centred on the real axis holds a real zero, and the roots are certified.
 
+Each root lam carries the amplitude A of (1-x)^(-lam) in the generating
+function A(x) of the means a_n of the first measure S (``amplitude``).  With
+K = m(t+1)-1 and theta = (1-x) d/dx = d/du under x = 1 - e^(-u), the sum of
+(1-x)^K x^n C(n,K) times the recurrence is (theta)_t P(theta) A = c K!/(1-x),
+c the toll of S; its Laplace residue at e^(lam u) = (1-x)^(-lam) is
+A = K! (c/(lam-1) + m acc) / ((lam)_t P'(lam)), acc holding a_j for j < K.
+
 mpmath runs only on demand: when the caller asks for more than 64 bits, or
 when the double-precision disks are too wide or overlap, the roots are
 Newton-polished at twice the requested precision and certified the same
@@ -36,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .families import Family, FamilyInstance, RegimeMismatchError
+from .families import FamilyInstance, RegimeMismatchError
 from .gammafn import reciprocal_gamma
 
 
@@ -106,7 +113,6 @@ class Spectrum:
     beta: float
     certified_error: float  # max_k r_k / max(1, |z_k|) over the inclusion disks
     precision: int
-    scale: int = field(repr=False, default=1)  # max |integer coefficient|
     # inclusion radii r_k, one per root: |w - roots[k]| <= r_k holds exactly
     # one zero w, and the disks are pairwise disjoint
     radii: tuple = field(repr=False, default=())
@@ -341,7 +347,6 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
         beta=beta,
         certified_error=certified,
         precision=precision,
-        scale=max(abs(a) for a in build_indicial(instance)),
         radii=radii,
     )
 
@@ -425,42 +430,33 @@ def classify_regime(spectrum_or_exponents) -> Regime:
 
 
 def amplitude(spectrum: Spectrum, k: int = 2) -> complex:
-    """Mean-expansion amplitude attached to the k-th root (1-based, k >= 2).
+    """Amplitude A of (1-x)^(-lam) at the k-th root lam (1-based, k >= 2) in
+    the mean generating function of S (module docstring), for any (m,t):
 
-    mary:  A_k = 1 / (lam (lam-1) sum_{0<=j<=m-2} 1/(j+lam))
-    fbbst: C_k = t! / (2 (rho-1) rho (rho+1)...(rho+t-1)
-                       sum_{t<=j<=2t} 1/(j+rho))
+        A = t! (m (1-lam) acc - c) / (m (1-lam) (lam)_t sum_{t<=s<K} 1/(lam+s)),
+        acc = sum_{t<=j<K} a_j (t+1)_(j-t) / (lam+t)_(j-t+1)   (nested, from j = K-1),
 
-    Both sums are -d/dz m E[V^(z-1)] at the root; the amplitude stays per family
-    as it also depends on S below the split threshold (mary 1, fbbst 0).
-    """
+    with a_0 = 0, a_j = S.initial and c the toll of S.  Over 1 - lam, a real
+    root's zero imaginary part has the sign the per-family forms gave it."""
     if k < 2 or k > spectrum.degree:
         raise AmplitudeError(f"k must index a non-principal root (2..{spectrum.degree})")
     lam = complex(spectrum.roots[k - 1])
-    inst = spectrum.instance
-    if inst.family is Family.MARY:
-        m = inst.parameter
-        if min(abs(lam), abs(lam - 1)) < 1e-12:
-            raise AmplitudeError(f"amplitude undefined at lambda = {lam}")
-        s = sum(1.0 / (j + lam) for j in range(0, m - 1))
-        if abs(s) < 1e-300:
-            raise AmplitudeError("zero harmonic-type sum")
-        return 1.0 / (lam * (lam - 1.0) * s)
-    if inst.family is Family.FBBST:
-        t = inst.parameter
-        prod = lam - 1.0
-        for i in range(0, t):
-            prod *= lam + i
-        if abs(prod) < 1e-300:
-            raise AmplitudeError(f"amplitude undefined at rho = {lam}")
-        s = sum(1.0 / (j + lam) for j in range(t, 2 * t + 1))
-        return math.factorial(t) / (2.0 * prod * s)
-    raise AmplitudeError("amplitudes are defined for mary and fbbst spectra")
+    m, t = spectrum.instance.split_law
+    size = m * (t + 1) - 1
+    first = spectrum.instance.measures[0]
+    acc = 0.0
+    for j in range(size - 1, t - 1, -1):
+        acc = ((first.initial if j else 0) + (j + 1) * acc) / (lam + j)
+    prod = 1.0 - lam
+    for i in range(0, t):
+        prod *= lam + i
+    s = sum(1.0 / (j + lam) for j in range(t, size))
+    return math.factorial(t) * (m * (1.0 - lam) * acc - first.toll[0]) / (m * prod * s)
 
 
 def theta(spectrum: Spectrum) -> complex:
-    """Oscillation amplitude of the linear-mean correction: 2 A_2 / Gamma(lambda_2)
-    (fbbst analogue 2 C_2 / Gamma(rho_2)).  Zero when lambda_2 is a negative
-    integer, where 1/Gamma vanishes."""
+    """Oscillation amplitude 2 A_2 / Gamma(lambda_2) of the linear-mean correction,
+    A_2 the (m,t) ``amplitude`` (C_2 for fbbst).  Zero when lambda_2 is a
+    negative integer, where 1/Gamma vanishes."""
     lam = spectrum.lambda2
     return 2.0 * amplitude(spectrum, 2) * reciprocal_gamma(lam)

@@ -200,12 +200,43 @@ def small_law_sums(laws, rng, sizes: np.ndarray, rep: np.ndarray, reps: int) -> 
                      for col in laws.columns], dtype=np.int64)
 
 
+def amplitude_mary(m: int, lam: complex) -> complex:
+    """The m-ary closed form A_k = 1 / (lam (lam-1) sum_{0<=j<=m-2} 1/(j+lam))
+    at a root lam, which uses the root identity; the (m,t)
+    ``roots.amplitude`` is checked against it."""
+    s = sum(1.0 / (j + lam) for j in range(0, m - 1))
+    return 1.0 / (lam * (lam - 1.0) * s)
+
+
+def amplitude_fbbst(t: int, lam: complex) -> complex:
+    """The fringe-balanced closed form C_k = t! / (2 (lam-1) lam (lam+1)...
+    (lam+t-1) sum_{t<=j<=2t} 1/(j+lam)) at a root lam; the (m,t)
+    ``roots.amplitude`` must reproduce its bits."""
+    prod = lam - 1.0
+    for i in range(0, t):
+        prod *= lam + i
+    s = sum(1.0 / (j + lam) for j in range(t, 2 * t + 1))
+    return math.factorial(t) / (2.0 * prod * s)
+
+
+def amplitude_mp(instance: FamilyInstance, lam):
+    """The amplitude at a root ``lam`` of an (m,t) instance in mpmath at the
+    working precision, written out per family: the m-ary A_k for t = 0, the
+    fringe-balanced C_k otherwise."""
+    m, t = instance.split_law
+    lam = mpmath.mpc(lam)
+    if t == 0:
+        return 1 / (lam * (lam - 1) * mpmath.fsum(1 / (j + lam) for j in range(m - 1)))
+    return mpmath.factorial(t) / (2 * (lam - 1) * mpmath.rf(lam, t)
+                                  * mpmath.fsum(1 / (j + lam) for j in range(t, 2 * t + 1)))
+
+
 @cache
 def periodic_factors_mp(instance: FamilyInstance, dps: int = 50):
     """(c0, c2, cov) of the variance and covariance periodic factors of an
     (m,t) instance at ``dps`` digits, from lambda_2 of a 192-bit spectrum:
-    the amplitude written out per family, the Dirichlet moments as gamma
-    products, and the covariance toll amplitude
+    the amplitude written out per family (``amplitude_mp``), the Dirichlet
+    moments as gamma products, and the covariance toll amplitude
     m E[V^(lam-1) (1 + kappa sum_r V_r log V_r)] / (1 - m E[V^lam]) taken
     as it stands, without the root identity m E[V^(lam-1)] = 1.  Cached:
     the 192-bit spectrum of a high degree takes seconds."""
@@ -219,11 +250,7 @@ def periodic_factors_mp(instance: FamilyInstance, dps: int = 50):
     phi = occupancy_constant(instance)
     with mpmath.workdps(dps):
         lam = mpmath.mpc(root)
-        if t == 0:
-            amp = 1 / (lam * (lam - 1) * mpmath.fsum(1 / (j + lam) for j in range(m - 1)))
-        else:
-            amp = mpmath.factorial(t) / (2 * (lam - 1) * mpmath.rf(lam, t)
-                                         * mpmath.fsum(1 / (j + lam) for j in range(t, 2 * t + 1)))
+        amp = amplitude_mp(instance, lam)
 
         def moment(*exps):
             return mpmath.gammaprod([t + 1 + e for e in exps] + [k],

@@ -101,6 +101,15 @@ def test_c2_minus_phi_c1_small_values():
     assert abs(c2_minus_phi_c1(spec4) - 222 / 2197) < 1e-12
 
 
+def test_c2_minus_phi_c1_is_a_t0_constant():
+    # c1 and c2 - phi c1 are derived for the t = 0 law only
+    with pytest.raises(ValueError):
+        c2_minus_phi_c1(solve_spectrum(fbbst(1)))
+    for t in (1, 2, 59):
+        c = constants(fbbst(t))
+        assert c.c1 is None and c.c2_minus_phi_c1 is None and c.c2_minus_phi_c1_exact is None
+
+
 def test_c2_minus_phi_c1_full_reference_table():
     for m in range(3, 31):
         got = c2_minus_phi_c1(solve_spectrum(mary(m)))

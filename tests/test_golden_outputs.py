@@ -17,6 +17,13 @@ formula over the (m,t) law: their predicted rho moved, mary(27) by under
 1e-15 relative (rounding in the variance factor) and fbbst(59) by 3e-11
 relative, the error of the former fbbst covariance form G2 (2.3e-11 against
 a 50-digit evaluation, 1.4e-14 for the (m,t) form).
+
+``constants-mary-27``, ``fixpoint-TN_periodic-mary-27`` and
+``corr-profile-mary-27`` were recorded again when ``roots.amplitude``
+became one (m,t) formula: the m-ary amplitudes moved in the last bits
+(theta of mary(27) by 1.4e-15 relative; its error against a 50-digit
+evaluation went from 5.7e-15 to 4.3e-15).  The fbbst amplitudes kept
+every bit, and so did mary(3)'s.
 """
 import contextlib
 import hashlib
@@ -71,7 +78,7 @@ DIGESTS = {
     "fixpoint-TNprime_normal-mary-3":
         "68922a9132749c544f748c6347d23a94934d29dcafb3b7a4b33a330ac9ebfa5f",
     "fixpoint-TN_periodic-mary-27":
-        "d9347a1a7e0543b08886c974aa2f2164a52319c5b72994bc34a6e55c390cce24",
+        "76425d5bf2cd5a9776c6ec031f8724bafc1572e295c148c851b6c4883d4f3b07",
     "fixpoint-Tquad_normal-quadtree-2":
         "e470328a1e96bea46489a1db683a9a969625e9b16af702cbc14ff57a6d2f11d8",
     "fixpoint-Tquad_periodic-quadtree-9":
@@ -81,7 +88,7 @@ DIGESTS = {
     "fixpoint-Tmed_periodic-fbbst-59":
         "b2fe83a70a058095c41c5a50805a3ee904982a382ed039b1510c015fb6cff539",
     "constants-mary-3": "99d5222a1e7e0a5cdeee180f9837a10de6b18ac7548374db439988b976e2ed82",
-    "constants-mary-27": "5eef3e507675ee804c4f4a44c0c43bc8222b97bbb750a3fb679ceeb730851cc9",
+    "constants-mary-27": "c68f0d4360b0a9dd714ccbd7e1b078c9182859bddedf4b3a56b013b44db1d654",
     "constants-fbbst-1": "1ef1d5fc891378ac07afe6bc3f0764f9a81a26c109ab21c8f9df4c933dcb6f8e",
     "constants-fbbst-59": "600c755679ac3e6d3b57cf8944946134d045b5b4549528db925497d3557bf132",
     "constants-quadtree-2": "166a2c133ddac8488068db9b3ea4e82b90c6749998ac6990da972867e07f1ce1",
@@ -89,7 +96,7 @@ DIGESTS = {
     "roots-mary-27": "391e1900fb82bab78abbe6b1e88ad9e1a2ebe4bf65c3554aa9f4ad5a5db958d4",
     "roots-fbbst-59": "dd7157cca6fb79f8c3e3e3daf87e3b7f624ecc3c99d5a329eb46fd1f4afda476",
     "corr-profile-mary-3": "8d2b6a7f29065379824d850b45c50c6c8b0f6a6133cda92b04d2881b7beb1784",
-    "corr-profile-mary-27": "bdf88828b6ec369a536f2ea5646ad112a23f990bf39e052a30b59701eb8eefc3",
+    "corr-profile-mary-27": "a04ac4580b6b9a6baf1ff96fdf106028fbf65dc9a2d2d4951382446bdd75eb11",
     "corr-profile-fbbst-1": "3e6d7b67065173923d500ffc5bf501fb08f8b7917ed5278a9325a14573770d56",
     "corr-profile-fbbst-59": "30c2d193f1221540119d46c70b05e64a58e9018c930f661c9b186c91454c4c15",
     "corr-profile-quadtree-2": "dc51cd701672e625e98ec6933797d6937d5907024804c34a3627a8758a3d6716",

@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import logtrees
@@ -26,7 +27,7 @@ from logtrees.roots import (
     solve_spectrum,
     theta,
 )
-from oracles import eval_indicial
+from oracles import amplitude_fbbst, amplitude_mary, amplitude_mp, eval_indicial
 
 # Approximate alpha values as printed (truncated to 3 decimals) in the
 # reference table, m = 3..26.
@@ -199,6 +200,35 @@ def test_amplitude_conjugate_symmetry():
     a2 = amplitude(spec, 2)
     a3 = amplitude(spec, 3)
     assert a3 == pytest.approx(a2.conjugate(), abs=1e-12)
+
+
+@pytest.mark.parametrize("inst", [mary(m) for m in range(3, 41)]
+                         + [fbbst(t) for t in range(1, 61)], ids=str)
+def test_amplitude_matches_family_forms(inst):
+    # the (m,t) amplitude against the per-family forms at every root: within
+    # 5e-14 relative for mary (3.2e-14 measured, the far roots of m near 40)
+    # and the same bits, signed zeros included, for fbbst
+    spec = solve_spectrum(inst)
+    m, t = inst.split_law
+    for k in range(2, spec.degree + 1):
+        lam = complex(spec.roots[k - 1])
+        got = amplitude(spec, k)
+        if t == 0:
+            want = amplitude_mary(m, lam)
+            assert abs(got - want) <= 5e-14 * abs(want), (k, got, want)
+        else:
+            assert repr(got) == repr(amplitude_fbbst(t, lam)), k
+
+
+@pytest.mark.parametrize("inst", [mary(m) for m in (14, 27, 40, 100, 200)]
+                         + [fbbst(t) for t in (29, 59, 120)], ids=str)
+def test_amplitude_lambda2_against_mpmath(inst):
+    # 40 digits at the same double root; measured 1.2e-15 (mary(27)) and
+    # 2.7e-15 (fbbst(120), the bits of the former fbbst form)
+    spec = solve_spectrum(inst)
+    with mpmath.workdps(40):
+        want = complex(amplitude_mp(inst, spec.roots[1]))
+    assert abs(amplitude(spec, 2) - want) <= 3e-15 * abs(want)
 
 
 def test_amplitude_rejects_principal():
