@@ -7,7 +7,8 @@ samples subtree sizes directly from each family's split law
     mary, fbbst:  the (m,t) law with t = 0 and m = 2 respectively: m(t+1)-1
                   distinct key ranks out of n, of which every (t+1)-th,
                   from the (t+1)-st on, is a split key,
-    quadtree:     multinomial over the 2^d cell volumes of a uniform point.
+    quadtree:     the cell counts from a uniform rank of the node's point in
+                  each coordinate and a chain of hypergeometric draws.
 
 The recursion stops at a cutoff size K: a subtree of size k < K draws its
 whole measure tuple at once from a table of its exact joint law, built by
@@ -39,8 +40,8 @@ from .families import FamilyInstance
 BLOCK = 1024  # replicates per RNG stream; fixed so --threads cannot change draws
 
 # The sampling routes draw the cells of many splits at once, as (rows, 2^d)
-# float arrays of at most CELL_ROWS rows: a fixed-point chunk, or a chunk of
-# a Monte Carlo level.  One such array must fit MAX_CELL_BYTES.
+# arrays of 8-byte volumes or counts with at most CELL_ROWS rows: a fixed-point
+# chunk, or a chunk of a Monte Carlo level.  One must fit MAX_CELL_BYTES.
 CELL_ROWS = 16_384
 MAX_CELL_BYTES = 64 * 2**20
 
@@ -163,21 +164,34 @@ def check_cells(instance: FamilyInstance) -> None:
             f"{MAX_CELL_BYTES >> 20} MiB cell-array limit for d > {max_d}")
 
 
-def _multinomial_rows(rng, counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Multinomial per row via a chain of binomials (works on any numpy
-    version, deterministic draw order)."""
-    rows, cells = probs.shape
-    out = np.zeros((rows, cells), dtype=np.int64)
-    rem = counts.astype(np.int64).copy()
-    remp = np.ones(rows)
-    for h in range(cells - 1):
-        p = np.clip(probs[:, h] / np.maximum(remp, 1e-300), 0.0, 1.0)
-        c = rng.binomial(rem, p)
-        out[:, h] = c
-        rem -= c
-        remp -= probs[:, h]
-    out[:, cells - 1] = rem
-    return out
+def _cell_splits(rng, d: int, sizes: np.ndarray) -> np.ndarray:
+    """Cell counts of the size - 1 other points around a d-dimensional
+    quadtree node, from coordinate ranks: a (rows, 2^d) int64 view, columns
+    laid out as ``sample_volumes`` lays out the volumes.
+
+    In coordinate l the node's point has a uniform rank, so a_l ~ U{0..size-1}
+    of the other points lie below it, and they form a uniform a_l-subset,
+    independent across coordinates.  Coordinate l therefore splits each of
+    the 2^l cells so far into its points below (cell c) and above (cell
+    2^l + c) by a multivariate hypergeometric draw of a_l, chained over the
+    cells (``left`` of the a_l points are still to place, among the ``rest``
+    points of the cells not yet split); the last cell takes what is left.
+    Cells are filled as contiguous rows of a (2^d, rows) array.  numpy's
+    hypergeometric takes counts below 10^9, so sizes may reach 10^9."""
+    cells = np.empty((2 ** d, sizes.shape[0]), dtype=np.int64)
+    cells[0] = sizes - 1
+    for l in range(d):
+        width = 2 ** l
+        left, rest = rng.integers(0, sizes), sizes - 1
+        for count, above in zip(cells[:width - 1], cells[width:]):
+            low = rng.hypergeometric(count, rest - count, left)
+            np.subtract(count, low, out=above)
+            rest -= count
+            left -= low
+            count[...] = low
+        np.subtract(cells[width - 1], left, out=cells[2 * width - 1])
+        cells[width - 1] = left
+    return cells.T
 
 
 def _splits(instance: FamilyInstance, rng, sizes: np.ndarray) -> np.ndarray:
@@ -185,8 +199,7 @@ def _splits(instance: FamilyInstance, rng, sizes: np.ndarray) -> np.ndarray:
     law = instance.split_law
     if law is not None:
         return _law_splits(rng, *law, sizes)
-    vols = sample_volumes(instance.parameter, rng, sizes.shape[0])
-    return _multinomial_rows(rng, sizes - 1, vols)
+    return _cell_splits(rng, instance.parameter, sizes)
 
 
 def _children(instance: FamilyInstance, rng, sizes: np.ndarray, rep: np.ndarray):

@@ -344,3 +344,21 @@ def sample_volumes_hstack(d: int, rng, size: int) -> np.ndarray:
         xl = x[:, l : l + 1]
         vol = np.hstack([vol * xl, vol * (1.0 - xl)])
     return vol
+
+
+def multinomial_rows(rng, counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Multinomial per row via a chain of binomials: the quadtree cell counts
+    given the cell volumes of ``treesim.sample_volumes`` rows, the reference
+    route for ``treesim._cell_splits``."""
+    rows, cells = probs.shape
+    out = np.zeros((rows, cells), dtype=np.int64)
+    rem = counts.astype(np.int64).copy()
+    remp = np.ones(rows)
+    for h in range(cells - 1):
+        p = np.clip(probs[:, h] / np.maximum(remp, 1e-300), 0.0, 1.0)
+        c = rng.binomial(rem, p)
+        out[:, h] = c
+        rem -= c
+        remp -= probs[:, h]
+    out[:, cells - 1] = rem
+    return out

@@ -24,6 +24,16 @@ became one (m,t) formula: the m-ary amplitudes moved in the last bits
 (theta of mary(27) by 1.4e-15 relative; its error against a 50-digit
 evaluation went from 5.7e-15 to 4.3e-15).  The fbbst amplitudes kept
 every bit, and so did mary(3)'s.
+
+``simulate-quadtree-2-t1``/``-t2``, ``corr-profile-quadtree-2`` and
+``corr-profile-quadtree-9`` were recorded again when the quadtree split
+recursion began to draw the cell counts of a node from coordinate ranks (a
+uniform rank per coordinate, then a chain of hypergeometric draws) instead
+of a multinomial over sampled cell volumes: the same exact law, other
+draws.  The two laws were compared first (tests/test_treesim.py: a
+chi-square against the closed-form law, and a two-sample test against the
+volume multinomial kept in tests/oracles.py).  The ``fixpoint-Tquad_*``
+runs still sample cell volumes and kept every byte.
 """
 import contextlib
 import hashlib
@@ -72,8 +82,8 @@ DIGESTS = {
     "simulate-mary-3-t2": "d9e1ef721b62611fd276ccaa1f0753ac84b97a0c1ebc759f2612b9aab7e7229e",
     "simulate-fbbst-1-t1": "15b46e64c3c40e2f5ae914f104ed01f91ec4be1628f28183ea69e0dcd9dda644",
     "simulate-fbbst-1-t2": "15b46e64c3c40e2f5ae914f104ed01f91ec4be1628f28183ea69e0dcd9dda644",
-    "simulate-quadtree-2-t1": "91d2e57f85553d876ca3da58cbafe742822c0ad2b052fb51235c209b81606628",
-    "simulate-quadtree-2-t2": "91d2e57f85553d876ca3da58cbafe742822c0ad2b052fb51235c209b81606628",
+    "simulate-quadtree-2-t1": "2437923a518a860ea715d0ea93d74ce4c9ed1fc6f0983ea9f8218d4f76486ca5",
+    "simulate-quadtree-2-t2": "2437923a518a860ea715d0ea93d74ce4c9ed1fc6f0983ea9f8218d4f76486ca5",
     "fixpoint-uniK-mary-3": "accca1b888e10d39199da55b4b16883a018a0cced62cdc96fb398ef3d6a87349",
     "fixpoint-TNprime_normal-mary-3":
         "68922a9132749c544f748c6347d23a94934d29dcafb3b7a4b33a330ac9ebfa5f",
@@ -99,8 +109,8 @@ DIGESTS = {
     "corr-profile-mary-27": "a04ac4580b6b9a6baf1ff96fdf106028fbf65dc9a2d2d4951382446bdd75eb11",
     "corr-profile-fbbst-1": "3e6d7b67065173923d500ffc5bf501fb08f8b7917ed5278a9325a14573770d56",
     "corr-profile-fbbst-59": "30c2d193f1221540119d46c70b05e64a58e9018c930f661c9b186c91454c4c15",
-    "corr-profile-quadtree-2": "dc51cd701672e625e98ec6933797d6937d5907024804c34a3627a8758a3d6716",
-    "corr-profile-quadtree-9": "bb2d19107785c6f5cf669cdb6f0fcc0fe06f285b5314b3ed271176710fddc0c4",
+    "corr-profile-quadtree-2": "7b408c5044d61cb88308432f4c337a859e3ba5b41a0a81538d470ed35754aba8",
+    "corr-profile-quadtree-9": "fd2c10b0c13e3a478dd26c31a84871eb96330cde300040ad30621be98b85a894",
 }
 
 

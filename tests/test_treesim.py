@@ -15,15 +15,18 @@ from logtrees.treesim import (
     GUIDE_BITS,
     SimStats,
     TreeMeasures,
+    _cell_splits,
     _simulate_block,
     _splits,
     build_mary_tree,
     monte_carlo,
+    sample_volumes,
     small_laws,
 )
 from oracles import (
     fbbst_split_pmf,
     median_quicksort,
+    multinomial_rows,
     sample_volumes_hstack,
     small_law_sums,
     split_weights,
@@ -143,11 +146,9 @@ def test_law_splits_reproduce_family_samplers(m, t):
 
 def test_quadtree_d1_split_is_uniform():
     # d=1 reduces to the BST split law: left size uniform on {0..n-1}
-    from logtrees.treesim import _multinomial_rows, sample_volumes
     n, draws = 8, 1_000_000
     rng = np.random.default_rng(np.random.Philox(key=[17, 0]))
-    probs = sample_volumes(1, rng, draws)
-    lefts = _multinomial_rows(rng, np.full(draws, n - 1, dtype=np.int64), probs)[:, 0]
+    lefts = _cell_splits(rng, 1, np.full(draws, n, dtype=np.int64))[:, 0]
     for j in range(n):
         emp = (lefts == j).mean()
         se = math.sqrt((1 / n) * (1 - 1 / n) / draws)
@@ -156,11 +157,61 @@ def test_quadtree_d1_split_is_uniform():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 9])
 def test_sample_volumes_bitwise_equal_to_hstack_loop(d):
-    from logtrees.treesim import sample_volumes
     got = sample_volumes(d, np.random.Generator(np.random.Philox(key=[23, d])), 3000)
     want = sample_volumes_hstack(d, np.random.Generator(np.random.Philox(key=[23, d])), 3000)
     assert got.shape == (3000, 2 ** d) and got.flags.c_contiguous
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def _cell_count_law(d: int, n: int) -> dict[tuple[int, ...], Fraction]:
+    """Law of the cell counts of the n - 1 other points around a quadtree
+    node of size n: a multinomial over the cell volumes of the node's
+    uniform point, integrated coordinate by coordinate, is
+    (n-1)!/prod c! times prod_l a_l! b_l!/n!, with a_l and b_l the points
+    below and above that point in coordinate l (cell bit l clear or set)."""
+    law = {}
+    for cells in _compositions(n - 1, 2 ** d):
+        p = Fraction(math.factorial(n - 1), math.prod(map(math.factorial, cells)))
+        for l in range(d):
+            a = sum(c for j, c in enumerate(cells) if not j >> l & 1)
+            p *= Fraction(math.factorial(a) * math.factorial(n - 1 - a), math.factorial(n))
+        law[cells] = p
+    return law
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadtree_cell_counts_match_closed_form_law(d, n):
+    # chi-square of 200,000 drawn cell-count tuples against the closed form;
+    # bins expected below 5 are pooled
+    from scipy.stats import chisquare
+    law = _cell_count_law(d, n)
+    assert sum(law.values()) == 1
+    draws = 200_000
+    rng = np.random.Generator(np.random.Philox(key=[29, 8 * d + n]))
+    cells = _cell_splits(rng, d, np.full(draws, n, dtype=np.int64))
+    assert cells.shape == (draws, 2 ** d) and cells.dtype == np.int64
+    place = n ** np.arange(2 ** d)
+    codes, hits = np.unique(cells @ place, return_counts=True)
+    drawn = dict(zip(codes.tolist(), hits.tolist()))
+    keys = [int(np.dot(c, place)) for c in law]
+    assert set(drawn) <= set(keys)
+    observed = np.array([drawn.get(key, 0) for key in keys], dtype=float)
+    expected = np.array([float(p) * draws for p in law.values()])
+    rare = expected < 5
+    if rare.any():
+        observed = np.append(observed[~rare], observed[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+    assert chisquare(observed, expected).pvalue > 1e-4
 
 
 def test_quadtree_split_sums():
@@ -236,7 +287,7 @@ def _point_quadtree(points):
     return leaves, xi
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_recursion_matches_point_quadtree_builder(d):
     # quadtree split recursion against explicit insertion of uniform points:
     # mean leaves and internal path length agree within 4 standard errors
@@ -250,9 +301,10 @@ def test_recursion_matches_point_quadtree_builder(d):
         assert abs(stats.mean(name) - built[:, col].mean()) < 4 * se, name
 
 
-def test_monte_carlo_deterministic_across_threads():
-    a = monte_carlo(mary(3), 500, 3000, seed=42, threads=1)
-    b = monte_carlo(mary(3), 500, 3000, seed=42, threads=4)
+@pytest.mark.parametrize("instance", [mary(3), fbbst(1), quadtree(2), quadtree(3)], ids=str)
+def test_monte_carlo_deterministic_across_threads(instance):
+    a = monte_carlo(instance, 500, 3000, seed=42, threads=1)
+    b = monte_carlo(instance, 500, 3000, seed=42, threads=4)
     assert a.count == b.count and a._sum == b._sum and a._prod == b._prod
 
 
@@ -375,29 +427,53 @@ def _threshold_laws(instance):
     return small_laws(instance, 0)
 
 
-@pytest.mark.parametrize("instance", [mary(3), fbbst(1), quadtree(2)], ids=str)
-def test_cutoff_matches_threshold_sampler(instance, monkeypatch):
-    # two-sample test of the table-driven recursion against the plain split
-    # recursion: every measure's mean and variance within 4 combined
-    # standard errors, and a KS test on the path length
+def _assert_same_law(instance, a_cols, b_cols, reps):
+    # two samples of the measures of one instance: every measure's mean and
+    # variance within 4 combined standard errors, and a KS test on the path
+    # length
     from scipy.stats import ks_2samp
-
-    from logtrees import treesim
-    n, reps = 2000, 4096
-    cols = {"table": treesim._simulate_block(
-        instance, n, reps, np.random.Generator(np.random.Philox(key=[23, 0])))}
-    monkeypatch.setattr(treesim, "small_laws", _threshold_laws)
-    cols["split"] = treesim._simulate_block(
-        instance, n, reps, np.random.Generator(np.random.Philox(key=[23, 1])))
     for i, meas in enumerate(instance.measures):
-        a, b = (np.asarray(cols[k][i], dtype=float) for k in ("table", "split"))
+        a, b = (np.asarray(cols[i], dtype=float) for cols in (a_cols, b_cols))
         se = math.hypot(a.std() / math.sqrt(reps), b.std() / math.sqrt(reps))
         assert abs(a.mean() - b.mean()) <= 4 * se + 1e-12, meas.name
         sq_a, sq_b = (a - a.mean()) ** 2, (b - b.mean()) ** 2
         se = math.hypot(sq_a.std() / math.sqrt(reps), sq_b.std() / math.sqrt(reps))
         assert abs(sq_a.mean() - sq_b.mean()) <= 4 * se + 1e-12, meas.name
     path = len(instance.measures) - 1 if instance.split_law is None else 1
-    assert ks_2samp(cols["table"][path], cols["split"][path]).pvalue > 1e-3
+    assert ks_2samp(a_cols[path], b_cols[path]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("instance", [mary(3), fbbst(1), quadtree(2)], ids=str)
+def test_cutoff_matches_threshold_sampler(instance, monkeypatch):
+    # two-sample test of the table-driven recursion against the plain split
+    # recursion
+    from logtrees import treesim
+    n, reps = 2000, 4096
+    table = treesim._simulate_block(
+        instance, n, reps, np.random.Generator(np.random.Philox(key=[23, 0])))
+    monkeypatch.setattr(treesim, "small_laws", _threshold_laws)
+    split = treesim._simulate_block(
+        instance, n, reps, np.random.Generator(np.random.Philox(key=[23, 1])))
+    _assert_same_law(instance, table, split, reps)
+
+
+def _volume_splits(rng, d, sizes):
+    # the cell counts as a multinomial over the cell volumes of the node's
+    # uniform point
+    return multinomial_rows(rng, sizes - 1, sample_volumes(d, rng, sizes.shape[0]))
+
+
+@pytest.mark.parametrize("d,n,reps", [(2, 2000, 4096), (3, 2000, 4096), (9, 300, 1024)])
+def test_rank_splits_match_volume_multinomial(d, n, reps, monkeypatch):
+    # two-sample test of the recursion drawing cell counts from coordinate
+    # ranks against the same recursion drawing them from cell volumes
+    from logtrees import treesim
+    ranks = treesim._simulate_block(
+        quadtree(d), n, reps, np.random.Generator(np.random.Philox(key=[37, d])))
+    monkeypatch.setattr(treesim, "_cell_splits", _volume_splits)
+    volumes = treesim._simulate_block(
+        quadtree(d), n, reps, np.random.Generator(np.random.Philox(key=[41, d])))
+    _assert_same_law(quadtree(d), ranks, volumes, reps)
 
 
 def test_quadtree_levels_drawn_in_chunks(monkeypatch):
@@ -405,14 +481,13 @@ def test_quadtree_levels_drawn_in_chunks(monkeypatch):
     # more than CELL_ROWS splitting nodes, yet no cell array gets more rows
     from logtrees import treesim
     rows = []
-    for name in ("sample_volumes", "_multinomial_rows"):
-        real = getattr(treesim, name)
+    real = treesim._cell_splits
 
-        def spy(*args, real=real):
-            out = real(*args)
-            rows.append(out.shape[0])
-            return out
-        monkeypatch.setattr(treesim, name, spy)
+    def spy(*args):
+        out = real(*args)
+        rows.append(out.shape[0])
+        return out
+    monkeypatch.setattr(treesim, "_cell_splits", spy)
     stats = monte_carlo(quadtree(9), 5000, 64, seed=3)
     assert stats.count == 64
     assert max(rows) == treesim.CELL_ROWS
@@ -469,6 +544,30 @@ def test_small_law_point_masses_skip_the_search(instance):
     got = laws.sums(np.random.default_rng(6), sizes, rep, 97)
     want = small_law_sums(laws, np.random.default_rng(6), sizes, rep, 97)
     assert np.array_equal(got, want)
+
+
+# README "Limits and accuracy": the probability of the entries the stored
+# CDF gives zero width, summed over every tabulated size of an instance
+NEVER_DRAWN_BOUND = 1e-13
+
+
+@pytest.mark.parametrize("instance", [mary(3), mary(27), fbbst(1), quadtree(2)], ids=str)
+def test_small_law_cdf_widths_match_exact_counts(instance):
+    # the width of each entry in the CDF (from k, the end of size k - 1) is
+    # its exact probability count / total up to the rounding of
+    # k + acc / total; an entry narrower than that rounding is never drawn
+    laws = small_laws(instance)
+    lo, never = 0, Fraction(0)
+    for k, counts in enumerate(laws.counts):
+        total = sum(counts.values())
+        widths = np.diff(laws.cdf[lo:lo + len(counts)], prepend=float(k))
+        exact = np.array([count / total for count in counts.values()])
+        assert np.all(np.abs(widths - exact) <= 2 * np.spacing(k + 1.0)), k
+        never += sum(Fraction(count, total)
+                     for count, width in zip(counts.values(), widths) if width == 0)
+        lo += len(counts)
+    assert lo == laws.cdf.size
+    assert never < NEVER_DRAWN_BOUND
 
 
 @functools.lru_cache(maxsize=None)
