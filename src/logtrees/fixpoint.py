@@ -38,6 +38,14 @@ Philox stream per generation.  The arithmetic of each chunk (toll, weights,
 gathers from the previous pool and row sums) may run on worker threads,
 which start on a chunk's toll and weights while the previous generation is
 still being combined; a pool is bit-identical at any thread count.
+
+The periodic weights V^(lambda_2 - 1) = exp((a + ib) log V) do not go
+through numpy's complex exp, which runs a scalar exp, cos and sin an
+element: ``_periodic_weights`` takes exp(a log V) from the vectorised real
+exp, reduces the phase b log V to k 2 pi / 1024 + r with a two-part
+(Cody-Waite) constant, and multiplies the table entry cis(2 pi k / 1024) by
+the Taylor polynomial of cis(r), on sub-blocks that stay in cache.  The
+weights are within a few ulps of ``np.exp`` (README, "Limits and accuracy").
 """
 from __future__ import annotations
 
@@ -286,6 +294,98 @@ class _Generation:
     done: threading.Event = field(default_factory=threading.Event)
 
 
+# The periodic weights (``_periodic_weights``) read cis(2 pi k / TURN_STEPS)
+# from a table; the Taylor polynomial of the rest, |r| <= pi / TURN_STEPS,
+# is within 1e-21 of cis(r).
+TURN_STEPS = 1024
+_TWO_PI_HI, _TWO_PI_LO = 6.283185307179586, 2.4492935982947064e-16  # 2 pi = HI + LO
+_LOG_TINY = math.log(math.ldexp(1.0, -1074))  # log of the smallest positive double
+# x + _ROUND_SHIFT - _ROUND_SHIFT rounds |x| < 2^51 to an integer, and the low
+# bits of x + _ROUND_SHIFT hold that integer modulo every power of two
+_ROUND_SHIFT = 1.5 * 2.0 ** 52
+WEIGHT_BLOCK = 2 ** 14  # elements of a sub-block: its temporaries stay in L2
+
+
+def _turn_step(bits: int) -> tuple[float, float]:
+    """2 pi / TURN_STEPS as hi + lo (Cody-Waite): hi keeps the leading
+    ``bits`` bits, so k hi is exact for |k| < 2^(53 - bits), and lo carries
+    the rest of 2 pi to about 1e-32."""
+    step = _TWO_PI_HI / TURN_STEPS
+    mantissa, exp2 = math.frexp(step)
+    hi = math.ldexp(math.floor(math.ldexp(mantissa, bits)), exp2 - bits)
+    return hi, (step - hi) + _TWO_PI_LO / TURN_STEPS
+
+
+def _turn_table() -> np.ndarray:
+    """cis(2 pi k / TURN_STEPS), k < TURN_STEPS, within an ulp: the libm
+    cos and sin at the exact double k hi, moved to first order by the k lo
+    that hi leaves out (|k lo| < 1e-12)."""
+    hi, lo = _turn_step(53 - TURN_STEPS.bit_length())
+    k = np.arange(TURN_STEPS, dtype=np.float64)
+    cos, sin = np.cos(k * hi), np.sin(k * hi)
+    table = np.empty(TURN_STEPS, complex)
+    table.real = cos - k * lo * sin
+    table.imag = sin + k * lo * cos
+    table.setflags(write=False)
+    return table
+
+
+_TURNS = _turn_table()
+
+
+def _periodic_weights(exponent: complex, logs: np.ndarray) -> np.ndarray:
+    """exp(exponent * logs), a complex array of the shape of ``logs``, within
+    a few ulps of ``np.exp`` (which runs a scalar complex exp an element),
+    from array operations on sub-blocks of WEIGHT_BLOCK elements.
+
+    The magnitude is exp(a L).  The phase theta = b L, the same double
+    ``np.exp`` takes, is reduced to theta = k 2 pi / TURN_STEPS + r by
+    k = rint(theta TURN_STEPS / 2 pi) and r = (theta - k hi) - k lo, where
+    k hi is exact for every |k| that L >= log(smallest positive double) can
+    give; cis(r) is the degree-6 Taylor polynomial of e^(ir), its real and
+    imaginary parts by Horner in r^2, times the magnitude, turned by the
+    table entry of k mod TURN_STEPS."""
+    a, b = exponent.real, exponent.imag
+    k_max = abs(b) * -_LOG_TINY * TURN_STEPS / _TWO_PI_HI + 2
+    hi, lo = _turn_step(53 - math.ceil(math.log2(k_max)))
+    per_radian = TURN_STEPS / _TWO_PI_HI
+    flat = logs.reshape(-1)
+    out = np.empty(logs.shape, complex)
+    out_flat = out.reshape(-1)
+    pairs = out_flat.view(np.float64).reshape(-1, 2)  # (re, im) rows of out
+    size = min(WEIGHT_BLOCK, flat.size)
+    theta, k, tmp, cos, sin = (np.empty(size) for _ in range(5))
+    for lo_el in range(0, flat.size, WEIGHT_BLOCK):
+        L = flat[lo_el:lo_el + WEIGHT_BLOCK]
+        n = L.size
+        th, kk, t, c, s = theta[:n], k[:n], tmp[:n], cos[:n], sin[:n]
+        np.multiply(L, b, out=th)
+        np.multiply(th, per_radian, out=kk)
+        kk += _ROUND_SHIFT
+        turn = kk.view(np.int64) & (TURN_STEPS - 1)
+        kk -= _ROUND_SHIFT
+        th -= np.multiply(kk, hi, out=t)
+        th -= np.multiply(kk, lo, out=t)  # r
+        r2 = np.multiply(th, th, out=kk)
+        np.multiply(r2, -1 / 720, out=c)
+        c += 1 / 24
+        c *= r2
+        c -= 1 / 2
+        c *= r2
+        c += 1.0
+        np.multiply(r2, 1 / 120, out=s)
+        s -= 1 / 6
+        s *= r2
+        s += 1.0
+        s *= th
+        magnitude = np.exp(np.multiply(L, a, out=t), out=t)
+        np.multiply(c, magnitude, out=pairs[lo_el:lo_el + n, 0])
+        np.multiply(s, magnitude, out=pairs[lo_el:lo_el + n, 1])
+        block = out_flat[lo_el:lo_el + n]
+        block *= _TURNS.take(turn)
+    return out
+
+
 def _combine(spec: FixedPointSpec, exponent, source: _Generation, target: _Generation,
              lo: int, idx: np.ndarray, coef: np.ndarray, fresh: np.ndarray | None) -> None:
     """The arithmetic of one chunk: rows lo:lo+len(idx) of ``target``.  The
@@ -297,8 +397,7 @@ def _combine(spec: FixedPointSpec, exponent, source: _Generation, target: _Gener
     weights = None
     if target.w is not None:
         if spec.is_periodic:
-            weights = exponent * logs
-            np.exp(weights, out=weights)  # in place: one complex array, not two
+            weights = _periodic_weights(exponent, logs)
         else:
             weights = np.sqrt(coef)
         if fresh is not None:
@@ -309,9 +408,15 @@ def _combine(spec: FixedPointSpec, exponent, source: _Generation, target: _Gener
     prev = source.pool
     if prev is None:  # the iteration stopped
         return
-    target.x[lo:hi] = (coef * prev.x[idx]).sum(axis=1) + tolls
+    gathered = prev.x.take(idx)
+    gathered *= coef
+    target.x[lo:hi] = gathered.sum(axis=1) + tolls
     if weights is not None:
-        target.w[lo:hi] = (weights * prev.w[idx]).sum(axis=1)
+        # pool values first: numpy's complex product can round differently
+        # with its operands swapped, so the order is part of the pool's bits
+        gathered = prev.w.take(idx)
+        gathered *= weights
+        target.w[lo:hi] = gathered.sum(axis=1)
 
 
 def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
@@ -426,19 +531,27 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
 # diagnostics
 # ---------------------------------------------------------------------------
 
+def _centred_distances(a: np.ndarray) -> np.ndarray:
+    """The doubly centred distance matrix of a sample, built in place: the
+    column, row and grand means of |a_i - a_j| first, then subtracted and
+    added in that order."""
+    D = np.subtract.outer(a, a)
+    np.abs(D, out=D)
+    col, row, grand = D.mean(axis=0), D.mean(axis=1)[:, None], D.mean()
+    D -= col
+    D -= row
+    D += grand
+    return D
+
+
 def _distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    A = np.abs(a[:, None] - a[None, :])
-    B = np.abs(b[:, None] - b[None, :])
-    for D in (A, B):
-        # double centring in place: the column, row and grand means of the
-        # distances first, then subtracted and added in that order
-        col, row, grand = D.mean(axis=0), D.mean(axis=1)[:, None], D.mean()
-        D -= col
-        D -= row
-        D += grand
-    dcov2 = (A * B).mean()
+    # at most two n x n matrices live at once: A * A is reduced before B
+    # exists, and A's buffer then takes A * B and B * B in turn
+    A = _centred_distances(a)
     dvar_a = (A * A).mean()
-    dvar_b = (B * B).mean()
+    B = _centred_distances(b)
+    dcov2 = np.multiply(A, B, out=A).mean()
+    dvar_b = np.multiply(B, B, out=A).mean()
     if dvar_a <= 0 or dvar_b <= 0:
         return 0.0
     return math.sqrt(max(dcov2, 0.0) / math.sqrt(dvar_a * dvar_b))

@@ -121,7 +121,10 @@ def serial_iterate(spec, pool_size: int, generations: int, seed: int,
                    full_bivariate: bool = False):
     """The fixed-point iteration as one serial loop: every chunk is drawn
     and combined in turn on the calling thread.  ``fixpoint.iterate`` must
-    reproduce its pools and traces bit for bit at any thread count."""
+    reproduce its pools and traces bit for bit at any thread count.  It
+    checks the orchestration only: it takes the periodic weights from the
+    same ``fixpoint._periodic_weights``, whose accuracy is tested against
+    ``np.exp`` and mpmath on its own."""
     from logtrees import fixpoint
     from logtrees.treesim import CELL_ROWS
 
@@ -153,8 +156,8 @@ def serial_iterate(spec, pool_size: int, generations: int, seed: int,
             if new_w is None:
                 continue
             if spec.is_periodic:
-                powers = np.exp(exponent * np.log(coef))
-                new_w[lo:hi] = (powers * pool.w[idx]).sum(axis=1)
+                powers = fixpoint._periodic_weights(exponent, np.log(coef))
+                new_w[lo:hi] = (pool.w[idx] * powers).sum(axis=1)
             elif full_bivariate:
                 new_w[lo:hi] = (np.sqrt(coef) * pool.w[idx]).sum(axis=1)
             else:

@@ -1,12 +1,17 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from logtrees.asymptotics import RegimeMismatchError, kpl_variance_constant
+from logtrees import fixpoint
 from logtrees.families import fbbst, mary, quadtree
 from logtrees.fixpoint import (
     _distance_correlation,
+    _periodic_weights,
+    _split_rows,
     contraction_factor,
     diagnose,
     fixed_point_spec,
@@ -291,3 +296,96 @@ def test_distance_correlation_centres_in_place_bit_for_bit():
               np.full(2048, 1.5)):
         assert _distance_correlation(a, b) == distance_correlation(a, b)
     assert _distance_correlation(a, np.full(2048, 1.5)) == 0.0
+
+
+def test_distance_correlation_holds_two_distance_matrices():
+    # the former version held three n x n matrices at its peak (A, B and a
+    # product), the one-expression oracle four
+    n = 1024
+    rng = rng_for(91)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        _distance_correlation(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * n * n * 8
+
+
+# ---------------------------------------------------------------------------
+# the periodic weights V^(lambda_2 - 1) without the complex exp
+# ---------------------------------------------------------------------------
+
+EPS = 2.0 ** -52
+LOG_TINY = math.log(math.ldexp(1.0, -1074))  # log of the smallest positive double
+
+PERIODIC = {
+    "mary(27)": (mary(27), "TN_periodic", 4000),
+    "fbbst(59)": (fbbst(59), "Tmed_periodic", 4000),
+    "quadtree(9)": (quadtree(9), "Tquad_periodic", 1000),
+}
+
+
+def periodic_case(case):
+    inst, kind, pool = PERIODIC[case]
+    spec = fixed_point_spec(inst, kind, **({"theta": 0.5 + 0.25j} if inst.split_law is None else {}))
+    return spec, spec.lambda2 - 1.0, pool
+
+
+def coefficient_logs(spec, elements, seed):
+    """Logarithms of about ``elements`` coefficients of the map's split law."""
+    rows = max(1, elements // spec.instance.branches)
+    return np.log(_split_rows(spec, rng_for(seed), rows)).ravel()
+
+
+def theta_grid(points):
+    """log V from log(smallest positive double) to 0: the phases b log V out
+    to the largest the kernel can be given."""
+    return np.linspace(LOG_TINY, 0.0, points)
+
+
+def relative_error(got, want):
+    return np.abs(got - want) / np.abs(want)
+
+
+@pytest.mark.parametrize("case", PERIODIC)
+def test_periodic_weights_against_mpmath(case):
+    # every element is within np.exp's own error at that element + 4 eps of
+    # exp(e L) in 40 digits, for the same double e and L: the rounding of
+    # the phase b L, which both take, is the bulk of either error
+    spec, e, _ = periodic_case(case)
+    logs = np.concatenate([coefficient_logs(spec, 300, 5), theta_grid(200)])
+    with mpmath.workdps(40):
+        ez = mpmath.mpc(e.real, e.imag)
+        exact = [mpmath.exp(ez * mpmath.mpf(float(x))) for x in logs]
+
+        def errors(values):
+            return np.array([float(abs(mpmath.mpc(v.real, v.imag) - z) / abs(z))
+                             for v, z in zip(values, exact)])
+
+        ours, numpys = errors(_periodic_weights(e, logs)), errors(np.exp(e * logs))
+    assert (ours <= numpys + 4 * EPS).all(), (ours - numpys).max() / EPS
+
+
+@pytest.mark.parametrize("case", PERIODIC)
+def test_periodic_weights_against_numpy_exp(case):
+    spec, e, _ = periodic_case(case)
+    for logs in (coefficient_logs(spec, 10 ** 6, 6), theta_grid(10 ** 6)):
+        err = relative_error(_periodic_weights(e, logs), np.exp(e * logs))
+        assert err.max() <= 8 * EPS, err.max() / EPS
+    # a chunk's (rows, branches) shape and sub-blocks that do not divide it
+    logs = coefficient_logs(spec, 3 * fixpoint.WEIGHT_BLOCK + 5000, 7)
+    logs = logs.reshape(-1, spec.instance.branches)
+    assert relative_error(_periodic_weights(e, logs), np.exp(e * logs)).max() <= 8 * EPS
+
+
+@pytest.mark.parametrize("case", PERIODIC)
+def test_periodic_pools_agree_with_the_exp_route(case, monkeypatch):
+    # the x slot takes no weight; the w slot stays within 1e-12 SD(w)
+    spec, _, pool = periodic_case(case)
+    got = iterate(spec, pool, 30, seed=61, threads=2)
+    monkeypatch.setattr(fixpoint, "_periodic_weights", lambda e, logs: np.exp(e * logs))
+    want = iterate(spec, pool, 30, seed=61, threads=2)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.abs(got.w - want.w).max() <= 1e-12 * want.w.std()
