@@ -10,16 +10,28 @@ z = 2 is always a zero (the principal one); the real part alpha of the
 second-largest zero decides the phase of second-order moments.  Quadtrees
 need no polynomial: their exponents are 2 e^(2 pi i / d) in closed form.
 
-Roots are found by Aberth-Ehrlich simultaneous iteration started from a
-perturbed circle, run in double precision on the factored form (in log
-space, so huge factorial constants never overflow).  Each returned root
-z_k carries an inclusion disk |w - z_k| <= r_k = deg |p/p'(z_k)|, which
-holds at least one zero of p (Bini-Fiorentino, Numer. Algorithms 2000);
-r_k includes a bound on the rounding error of evaluating p/p'.  Roots
-whose disk meets the real axis are snapped onto it and the rest are made
-exact conjugate pairs before the radii are taken at the returned points.
-When the disks are pairwise disjoint each holds exactly one zero, a disk
-centred on the real axis holds a real zero, and the roots are certified.
+With c = m prod (s+1) the roots solve prod (z+s)/(s+1) = m, whose factors
+stay moderate in size however large c is.  Each upper half-plane root is the
+one solution of its own branch equation sum log((z+s)/(s+1)) = log m +
+2 pi i k, k = 1 .. (deg-1)//2; a few damped Newton steps from the circle
+|z + mean shift| = c^(1/deg) solve it to 1e-8.  With the conjugates, z = 2
+and (for even degree) the negative real root, these start Aberth-Ehrlich
+simultaneous iteration in double precision, whose Newton correction takes
+the same ratio form.  It stops at rounding noise, once the largest relative
+step is below 1e-12 and no longer halves: 1-3 sweeps over mary(3..300) and
+fbbst(1..170).  lambda_2 and its conjugate then take one or two Newton
+steps on p evaluated exactly (a double is a Gaussian integer over a power
+of two), which makes lambda_2 the correctly rounded root, whatever path
+the iteration took to it.
+
+Each returned root z_k carries an inclusion disk |w - z_k| <= r_k =
+deg |p/p'(z_k)|, which holds at least one zero of p (Bini-Fiorentino,
+Numer. Algorithms 2000); r_k includes a bound on the rounding error of
+evaluating p/p' in log space.  Roots whose disk meets the real axis are
+snapped onto it and the rest are made exact conjugate pairs before the
+radii are taken at the returned points.  When the disks are pairwise
+disjoint each holds exactly one zero, a disk centred on the real axis holds
+a real zero, and the roots are certified.
 
 Each root lam carries the amplitude A of (1-x)^(-lam) in the generating
 function A(x) of the means a_n of the first measure S (``amplitude``).  With
@@ -128,36 +140,116 @@ class Spectrum:
         return complex(self.alpha, self.beta)
 
 
-def _aberth_double(shifts: Sequence[int], log_c: float, maxiter: int = 400) -> np.ndarray:
-    """Aberth-Ehrlich in double precision on the factored polynomial.
-
-    Works in log space: p/p' = (1 - exp(log c - log prod)) / sum 1/(z+s),
-    so degree-260 instances with 500-digit constants stay in range.
-    """
-    deg = len(shifts)
+def _branch_circle(shifts: Sequence[int], m: int) -> np.ndarray:
+    """The roots of (z + mean shift)^deg = c in the upper half-plane,
+    -mean + c^(1/deg) e^(2 pi i k / deg) for k = 1 .. (deg-1)//2: where the
+    Newton iteration on branch k starts."""
     sh = np.asarray(shifts, dtype=float)
-    center = -sh.mean()
-    radius = math.exp(log_c / deg) + (sh.max() - sh.min()) / 2.0 + 1.0
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    z = center + radius * np.exp(1j * angles) * (1.0 + 1e-3 * np.cos(7.0 * angles))
+    deg = len(sh)
+    radius = math.exp((math.log(m) + np.log(sh + 1.0).sum()) / deg)
+    k = np.arange(1, (deg - 1) // 2 + 1)
+    return -sh.mean() + radius * np.exp(2j * np.pi * k / deg)
 
-    for _ in range(maxiter):
+
+def _aberth_starts(shifts: Sequence[int], m: int) -> np.ndarray:
+    """One start point per root of prod (z+s)/(s+1) = m.
+
+    On the upper half-plane F(z) = sum log((z+s)/(s+1)) is univalent (its
+    derivative sum 1/(z+s) has negative imaginary part), so each branch
+    F(z) = log m + 2 pi i k, k = 1 .. (deg-1)//2, has exactly one root.
+    Newton steps on it from the ``_branch_circle`` point, halved while they
+    would leave the half-plane, run until every relative step is below
+    1e-8.  The conjugates, z = 2 and, for even degree, the negative real
+    root follow.  That one solves sum log(-(x+s)/(s+1)) = log m by Newton
+    from x = -(max shift + 1), where the product is 1/C(K, t) < m: the left
+    side is concave and increasing in -x, so the steps climb monotonically
+    onto the root."""
+    sh = np.asarray(shifts, dtype=float)
+    deg = len(sh)
+    log_den = np.log(sh + 1.0)
+    target = math.log(m)
+    z = _branch_circle(shifts, m)
+    branch = 2j * np.pi * np.arange(1, z.size + 1)
+    todo = np.arange(z.size)
+    for _ in range(50):
+        if not todo.size:
+            break
+        zs = z[todo, None] + sh[None, :]
+        step = ((np.log(zs) - log_den).sum(axis=1) - target - branch[todo]) \
+            / (1.0 / zs).sum(axis=1)
+        new = z[todo] - step
+        while (new.imag <= 0.0).any():
+            step[new.imag <= 0.0] *= 0.5
+            new = z[todo] - step
+        z[todo] = new
+        todo = todo[np.abs(step) > 1e-8 * (1.0 + np.abs(new))]
+    starts = [z, z.conj(), [2.0]]
+    if deg % 2 == 0:
+        x = -sh.max() - 1.0
+        for _ in range(50):
+            xs = x + sh
+            step = ((np.log(-xs) - log_den).sum() - target) / (1.0 / xs).sum()
+            x -= step
+            if abs(step) <= 1e-8 * (1.0 + abs(x)):
+                break
+        starts.append([x])
+    return np.concatenate(starts).astype(complex)
+
+
+def _aberth_double(shifts: Sequence[int], m: int, maxiter: int = 400) -> tuple[np.ndarray, int]:
+    """Aberth-Ehrlich in double precision from ``_aberth_starts``; returns
+    the points and the number of sweeps.
+
+    The Newton correction is taken in the ratio form
+    p/p' = (1 - m/q) / sum 1/(z+s) with q = prod (z+s)/(s+1), whose factors
+    stay moderate in size, so no factorial constant or its logarithm enters.
+    The sweeps stop at rounding noise: once the largest relative step is
+    below 1e-12 and no longer halves from one sweep to the next.
+    """
+    sh = np.asarray(shifts, dtype=float)
+    den = sh + 1.0
+    z = _aberth_starts(shifts, m)
+    prev = math.inf
+    for sweep in range(1, maxiter + 1):
         zs = z[:, None] + sh[None, :]
-        # nudge any exact collision with a factor root off the pole
-        bad = zs == 0
-        if bad.any():
-            z = z + 1e-12 * (1 + 1j)
-            zs = z[:, None] + sh[None, :]
-        log_q = np.log(zs).sum(axis=1)
-        s1 = (1.0 / zs).sum(axis=1)
-        newton = (1.0 - np.exp(log_c - log_q)) / s1
+        q = (zs / den).prod(axis=1)
+        newton = (1.0 - m / q) / (1.0 / zs).sum(axis=1)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
-        repulse = (1.0 / diff).sum(axis=1)
-        w = newton / (1.0 - newton * repulse)
+        w = newton / (1.0 - newton * (1.0 / diff).sum(axis=1))
         z = z - w
-        if np.max(np.abs(w) / (1.0 + np.abs(z))) < 5e-15:
+        big = float(np.max(np.abs(w) / (1.0 + np.abs(z))))
+        if big == 0.0 or (big <= 1e-12 and big > 0.5 * prev):
             break
+        prev = big
+    return z, sweep
+
+
+def _newton_exact(shifts: Sequence[int], const: int, z: complex) -> complex:
+    """One or two Newton steps on p(z) = prod (z+s) - c with p evaluated
+    exactly.
+
+    A double z is a Gaussian integer over a power of two D, so D^deg p(z) is
+    a Gaussian integer.  The step p/p' = (1 - c/P) / sum 1/(z+s),
+    P = prod (z+s), then carries only the few rounding errors of its double
+    evaluation, far below an ulp of z, and z - step is the correctly
+    rounded root once z is within a few ulps of it."""
+    for _ in range(2):
+        (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        d = max(da, db)
+        a, b = a * (d // da), b * (d // db)
+        re, im = 1, 0
+        for s in shifts:
+            u = a + s * d
+            re, im = re * u - im * b, re * b + im * u
+        # scale numerator and denominator alike into the double range
+        scale = 1 << max(0, max(re.bit_length(), im.bit_length()) - 64)
+        ratio = complex((re - const * d ** len(shifts)) / scale, im / scale) \
+            / complex(re / scale, im / scale)
+        new = z - ratio / sum(1.0 / (z + s) for s in shifts)
+        if new == z:
+            break
+        z = new
     return z
 
 
@@ -301,9 +393,17 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
     if deg < 2:
         raise RootConvergenceError(f"degree {deg} < 2, nothing to solve")
 
-    log_c = math.log(const)
-    approx = [complex(z) for z in _aberth_double(shifts, log_c)]
+    m = instance.split_law[0]
+    points, _ = _aberth_double(shifts, m)
+    approx = [complex(z) for z in points[np.argsort(-points.real, kind="stable")]]
+    # lambda_2 and its conjugate (or the next root) follow the principal root
+    for k in range(1, min(3, deg)):
+        approx[k] = _newton_exact(shifts, const, approx[k])
 
+    # log c = log m + sum log(s+1), a sum of rounded logs: math.log of the
+    # big integer c is off by up to ~1e-13 at degree 150, which the radii
+    # see as a residual at every root
+    log_c = math.fsum([math.log(m), *(math.log(s + 1) for s in shifts)])
     found = None
     if precision == 64:
         found = _certify(approx, lambda pts: _radii_double(shifts, log_c, pts))
@@ -447,11 +547,15 @@ def amplitude(spectrum: Spectrum, k: int = 2) -> complex:
     acc = 0.0
     for j in range(size - 1, t - 1, -1):
         acc = ((first.initial if j else 0) + (j + 1) * acc) / (lam + j)
-    prod = 1.0 - lam
+    # (1-lam) (lam)_t = prod 2^e, rescaled by powers of two (exactly) before
+    # it leaves the double range; t! / 2^e is then rounded once
+    prod, e = 1.0 - lam, 0
     for i in range(0, t):
         prod *= lam + i
+        if abs(prod) > 2.0 ** 512:
+            prod, e = prod * 2.0 ** -512, e + 512
     s = sum(1.0 / (j + lam) for j in range(t, size))
-    return math.factorial(t) * (m * (1.0 - lam) * acc - first.toll[0]) / (m * prod * s)
+    return math.factorial(t) / 2 ** e * (m * (1.0 - lam) * acc - first.toll[0]) / (m * prod * s)
 
 
 def theta(spectrum: Spectrum) -> complex:

@@ -234,6 +234,24 @@ def amplitude_mp(instance: FamilyInstance, lam):
                                   * mpmath.fsum(1 / (j + lam) for j in range(t, 2 * t + 1)))
 
 
+def root_mp(instance: FamilyInstance, start: complex, prec: int = 192) -> complex:
+    """The indicial root of an (m,t) instance next to ``start``, Newton-solved
+    at ``prec`` bits on (z+t)_(K-t) - m (t+1)_(K-t), K = m(t+1)-1, in rising
+    factorials, and rounded to the nearest double in each part."""
+    m, t = instance.split_law
+    n = m * (t + 1) - 1 - t
+    with mpmath.workprec(prec):
+        z = mpmath.mpc(start)
+        for _ in range(20):
+            prod = mpmath.rf(z + t, n)
+            step = (prod - m * mpmath.rf(t + 1, n)) / (prod * mpmath.fsum(1 / (z + t + j)
+                                                                         for j in range(n)))
+            z -= step
+            if abs(step) <= mpmath.mpf(2) ** (16 - prec) * abs(z):
+                break
+        return complex(z)
+
+
 @cache
 def periodic_factors_mp(instance: FamilyInstance, dps: int = 50):
     """(c0, c2, cov) of the variance and covariance periodic factors of an

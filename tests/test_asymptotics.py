@@ -298,9 +298,16 @@ def test_g_functions_real_and_periodic():
 
 # relative errors of the (m,t) factors against a 50-digit evaluation; the
 # former F1/F2/G1/G2 forms are held to the errors measured for them (G2
-# reaches 2.7e-10 at t = 120)
+# reached 2.7e-10 at t = 120, 4.3e-11 at the correctly rounded lambda_2)
 COV_CASES = [mary(m) for m in (14, 20, 27, 40, 60, 100)] + [fbbst(t) for t in (29, 40, 59, 80, 120)]
 VAR_CASES = [mary(m) for m in (27, 40, 60, 100)] + [fbbst(t) for t in (59, 80, 120)]
+# (c0, c2) bounds of the variance factor, 3e-11 where not listed: about three
+# times the error measured once lambda_2 was correctly rounded and s(x) a
+# finite product, where that cut the error tenfold or more (c0 of mary(27)
+# 4.2e-13 -> 8.2e-15, mary(40) 1.0e-13 -> 1.4e-15, mary(100) 3.7e-12 ->
+# 8.9e-14; c2 of fbbst(120) 8.7e-12 -> 8.2e-13)
+VAR_BOUNDS = {"mary(27)": (2.5e-14, 3e-11), "mary(40)": (5e-15, 3e-11),
+              "mary(100)": (3e-13, 3e-11), "fbbst(120)": (3e-11, 2.5e-12)}
 
 
 def _rel(got, want):
@@ -331,8 +338,9 @@ def test_variance_factor_against_mpmath(inst):
     spec = solve_spectrum(inst)
     c0, c2, _ = periodic_factors_mp(inst)
     got = periodic(inst.periodic_factors[0], inst, spec)
-    assert _rel(got.const, c0) < 3e-11
-    assert _rel(got.osc, c2) < 3e-11
+    bound0, bound2 = VAR_BOUNDS.get(str(inst), (3e-11, 3e-11))
+    assert _rel(got.const, c0) < bound0
+    assert _rel(got.osc, c2) < bound2
     (f0, f2), _ = _former_forms(inst, spec)
     assert _rel(got.const, f0) < 3e-11
     assert _rel(got.osc, f2) < 3e-11

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import types
 from importlib import resources
 
@@ -65,6 +66,16 @@ def test_constants_json_schema():
     doc = json.loads(out)
     jsonschema.validate(doc, load_schema("constants.schema.json"))
     assert doc["phi"] == "3/7"
+
+
+def test_constants_fbbst_past_the_factorial_range():
+    # 171! overflows a double; the amplitude behind theta once raised
+    # OverflowError here, which the CLI reported as a usage error (exit 2)
+    code, out, err = run_cli(["constants", "--family", "fbbst", "--param", "171"])
+    assert code == 0, err
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema("constants.schema.json"))
+    assert 0 < abs(complex(doc["theta_re"], doc["theta_im"])) < math.inf
 
 
 def test_moments_csv_header_and_rationals():

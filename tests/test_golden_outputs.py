@@ -44,6 +44,21 @@ weights moved by at most 3 ulps (tests/test_fixpoint.py checks them
 against ``np.exp`` and a 40-digit mpmath exp), so the w moments moved in
 their last digits, and after 30 generations the periodic pools agree with
 the ``np.exp`` route to within 1e-12 of SD(w) (3e-15 measured).
+
+``roots-mary-27``, ``roots-fbbst-59``, ``constants-mary-27``,
+``constants-fbbst-59``, ``fixpoint-TN_periodic-mary-27``,
+``fixpoint-Tmed_periodic-fbbst-59``, ``corr-profile-mary-27`` and
+``corr-profile-fbbst-59`` were recorded again when the spectrum solve began
+to start Aberth from per-root branch solutions, stop at rounding noise and
+polish lambda_2 to the correctly rounded root.  lambda_2 moved by 19 / 3
+ulps (real / imaginary part) at mary(27) and by 69 / 1 ulps at fbbst(59),
+toward the 192-bit root; the other roots moved in their last bits.  theta
+moved by 3.9e-15 / 6.6e-14 relative and the fixed-point weights
+V^(lambda_2 - 1) in their last bits.  The predicted rho moved with the
+variance factor, whose s(x) = 1 - m E[V^x] became a finite product (c0 of
+fbbst(59) by 2.0e-11 relative, its former error against a 50-digit
+evaluation, now 5.8e-13), and with the covariance factor, rearranged
+against cancellation (by 2.5e-14 relative at fbbst(59)).
 """
 import contextlib
 import hashlib
@@ -98,7 +113,7 @@ DIGESTS = {
     "fixpoint-TNprime_normal-mary-3":
         "68922a9132749c544f748c6347d23a94934d29dcafb3b7a4b33a330ac9ebfa5f",
     "fixpoint-TN_periodic-mary-27":
-        "75af367ca9e9a527c323343d6588a0688adce05155fc320cba3c024d5a86fd72",
+        "a89a960c5fd4103c5e0536708d09a0333b7dc36afc5ea6ca242f247b8dfa4c9c",
     "fixpoint-Tquad_normal-quadtree-2":
         "e470328a1e96bea46489a1db683a9a969625e9b16af702cbc14ff57a6d2f11d8",
     "fixpoint-Tquad_periodic-quadtree-9":
@@ -106,19 +121,19 @@ DIGESTS = {
     "fixpoint-Tmed_normal-fbbst-1":
         "57d524f1d9ce4c313b0aef9f9a2b8843f75d757988f515abe98999b916b003be",
     "fixpoint-Tmed_periodic-fbbst-59":
-        "47ee1f71eb3e4decd11d3f227b8fe2082d9a42539cc7d0f79c7f79240aeb246c",
+        "19bc5996edd72b426572e27a5af98c762011223ab92a5c9f313b1d64baea1c36",
     "constants-mary-3": "99d5222a1e7e0a5cdeee180f9837a10de6b18ac7548374db439988b976e2ed82",
-    "constants-mary-27": "c68f0d4360b0a9dd714ccbd7e1b078c9182859bddedf4b3a56b013b44db1d654",
+    "constants-mary-27": "cf398695d5c5f9f3046c8af08696575b66d140220347481f1d8b6c43adae7e68",
     "constants-fbbst-1": "1ef1d5fc891378ac07afe6bc3f0764f9a81a26c109ab21c8f9df4c933dcb6f8e",
-    "constants-fbbst-59": "600c755679ac3e6d3b57cf8944946134d045b5b4549528db925497d3557bf132",
+    "constants-fbbst-59": "002c8ef85e3b5860b207551b9d91073ebd0361728dc13dab09a641ffbd29d8f3",
     "constants-quadtree-2": "166a2c133ddac8488068db9b3ea4e82b90c6749998ac6990da972867e07f1ce1",
     "constants-quadtree-9": "a6e8423cd1e54f28a60bebf724ff666a07b12976e1cd7c6a27c55dbc5721c895",
-    "roots-mary-27": "391e1900fb82bab78abbe6b1e88ad9e1a2ebe4bf65c3554aa9f4ad5a5db958d4",
-    "roots-fbbst-59": "dd7157cca6fb79f8c3e3e3daf87e3b7f624ecc3c99d5a329eb46fd1f4afda476",
+    "roots-mary-27": "802d02cc9587544a7def9b510be66e31cd73f9970ffa081d809153600dfc5698",
+    "roots-fbbst-59": "56fdf12a6091ec1a42f81076fae0e6d6696905209164c7c21ad7da41ff17e516",
     "corr-profile-mary-3": "8d2b6a7f29065379824d850b45c50c6c8b0f6a6133cda92b04d2881b7beb1784",
-    "corr-profile-mary-27": "a04ac4580b6b9a6baf1ff96fdf106028fbf65dc9a2d2d4951382446bdd75eb11",
+    "corr-profile-mary-27": "8e86670fb63fb61e3da067e0119cd03ddac75aec854d828e0d28be5bc371a26b",
     "corr-profile-fbbst-1": "3e6d7b67065173923d500ffc5bf501fb08f8b7917ed5278a9325a14573770d56",
-    "corr-profile-fbbst-59": "30c2d193f1221540119d46c70b05e64a58e9018c930f661c9b186c91454c4c15",
+    "corr-profile-fbbst-59": "f9b0801f486fc7b8730ee1245419744826f0abff0902211e6c792dc6f8af81e3",
     "corr-profile-quadtree-2": "7b408c5044d61cb88308432f4c337a859e3ba5b41a0a81538d470ed35754aba8",
     "corr-profile-quadtree-9": "fd2c10b0c13e3a478dd26c31a84871eb96330cde300040ad30621be98b85a894",
 }

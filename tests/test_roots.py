@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ from logtrees import roots as roots_module
 
 from logtrees.families import fbbst, mary, quadtree
 from logtrees.roots import (
+    CERTIFIED_TOLERANCE,
     AmplitudeError,
     CovariancePhase,
     DistributionPhase,
@@ -27,7 +29,7 @@ from logtrees.roots import (
     solve_spectrum,
     theta,
 )
-from oracles import amplitude_fbbst, amplitude_mary, amplitude_mp, eval_indicial
+from oracles import amplitude_fbbst, amplitude_mary, amplitude_mp, eval_indicial, root_mp
 
 # Approximate alpha values as printed (truncated to 3 decimals) in the
 # reference table, m = 3..26.
@@ -351,3 +353,69 @@ def test_cli_import_does_not_load_mpmath():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out.strip() == "False"
+
+
+# every seventh instance of the (m, t) scan the phase table covers, with the
+# instances the benchmark and the goldens solve
+SWEEP_SCAN = ([mary(m) for m in sorted({*range(3, 301, 7), 27, 270})]
+              + [fbbst(t) for t in sorted({*range(1, 171, 7), 59})])
+
+
+@pytest.mark.parametrize("inst", SWEEP_SCAN, ids=str)
+def test_aberth_converges_in_few_sweeps(inst):
+    # from the per-root starts Aberth stops at rounding noise after 1-3
+    # sweeps; a fixed step target once kept fbbst(59) at the 400-sweep cap
+    # and the start circle cost mary(270) 124 sweeps
+    shifts, _ = indicial_shifts(inst)
+    _, sweeps = roots_module._aberth_double(shifts, inst.split_law[0])
+    assert sweeps <= 10
+    if inst.split_law[1] >= 156:
+        return  # fbbst(160..170) take the mpmath polish, as they did before
+    spec = solve_spectrum(inst)
+    assert all(type(r) is complex for r in spec.roots)
+    assert spec.certified_error <= CERTIFIED_TOLERANCE
+
+
+def _ulps(got: float, want: float) -> float:
+    return abs(got - want) / math.ulp(want) if want else abs(got)
+
+
+@pytest.mark.parametrize("inst", [mary(m) for m in range(3, 61)]
+                         + [fbbst(t) for t in range(1, 61)], ids=str)
+def test_lambda2_is_the_correctly_rounded_root(inst):
+    # against a 192-bit Newton solution rounded to double: 0 ulps measured
+    lam = solve_spectrum(inst).lambda2
+    want = root_mp(inst, lam)
+    assert _ulps(lam.real, want.real) <= 1 and _ulps(lam.imag, want.imag) <= 1, (lam, want)
+
+
+@pytest.mark.parametrize("inst", [mary(27), fbbst(59)], ids=str)
+def test_lambda2_matches_the_192_bit_spectrum(inst):
+    assert solve_spectrum(inst).lambda2 == complex(solve_spectrum(inst, precision=192).roots[1])
+
+
+@pytest.mark.parametrize("inst", [mary(27), mary(100), fbbst(59), fbbst(120)], ids=str)
+def test_lambda2_does_not_depend_on_the_starts(inst, monkeypatch):
+    # turning the Newton starts by 0.01 rad moves the Aberth points in
+    # their last bits, but lambda_2 is the correctly rounded root either way
+    shifts, _ = indicial_shifts(inst)
+    m = inst.split_law[0]
+    before, _ = roots_module._aberth_double(shifts, m)
+    want = solve_spectrum(inst).lambda2
+    circle = roots_module._branch_circle
+    monkeypatch.setattr(roots_module, "_branch_circle",
+                        lambda sh, m: circle(sh, m) * cmath.exp(0.01j))
+    after, _ = roots_module._aberth_double(shifts, m)
+    assert sorted(before.tolist(), key=abs) != sorted(after.tolist(), key=abs)
+    assert solve_spectrum(inst).lambda2 == want
+
+
+def test_fbbst_amplitude_past_the_factorial_range():
+    # 171! exceeds the double range; the amplitude rescales (lam)_t by powers
+    # of two instead, so the fbbst routes keep working (the spectrum itself
+    # takes the mpmath polish there)
+    spec = solve_spectrum(fbbst(171))
+    lam = complex(spec.roots[1])
+    with mpmath.workdps(40):
+        want = complex(amplitude_mp(fbbst(171), lam))
+    assert abs(amplitude(spec, 2) - want) <= 1e-14 * abs(want)  # 6.6e-15 measured
