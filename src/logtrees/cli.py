@@ -276,8 +276,8 @@ COMMANDS = {
     "fixpoint": (cmd_fixpoint, "population-dynamics fixed point",
                  (("--map", dict(required=True, choices=FIXED_POINT_MAPS)),
                   ("--family", dict(choices=_FAMILIES, default="mary")), _PARAM,
-                  ("--pool", dict(type=int, default=100_000)),
-                  ("--gens", dict(type=int, default=30)), _SEED, _THREADS,
+                  ("--pool", dict(type=_int_from(1000), default=100_000)),
+                  ("--gens", dict(type=_int_from(1), default=30)), _SEED, _THREADS,
                   ("--full-bivariate", dict(action="store_true", default=None)),
                   ("--trace-out", dict(help="write the moment-trace CSV here")),
                   ("--pool-out", dict(help="write the final pool CSV here")))),

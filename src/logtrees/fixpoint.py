@@ -37,7 +37,11 @@ Every random draw is made on the calling thread, chunk by chunk, from one
 Philox stream per generation.  The arithmetic of each chunk (toll, weights,
 gathers from the previous pool and row sums) may run on worker threads,
 which start on a chunk's toll and weights while the previous generation is
-still being combined; a pool is bit-identical at any thread count.
+still being combined; a pool is bit-identical at any thread count.  The
+resampling indices are drawn as 32-bit integers (the values and the stream
+position of 64-bit draws), and the gathers, products and row sums of a
+chunk run on row sub-blocks of WEIGHT_BLOCK elements, so a chunk in flight
+holds 28 bytes a cell and no gathered copy of its rows.
 
 The periodic weights V^(lambda_2 - 1) = exp((a + ib) log V) do not go
 through numpy's complex exp, which runs a scalar exp, cos and sin an
@@ -46,6 +50,10 @@ exp, reduces the phase b log V to k 2 pi / 1024 + r with a two-part
 (Cody-Waite) constant, and multiplies the table entry cis(2 pi k / 1024) by
 the Taylor polynomial of cis(r), on sub-blocks that stay in cache.  The
 weights are within a few ulps of ``np.exp`` (README, "Limits and accuracy").
+
+The distance correlation of ``diagnose`` streams its two n x n distance
+matrices through sub-blocks in numpy's summation order, so it returns the
+bits of the matrix formulas without holding either matrix.
 """
 from __future__ import annotations
 
@@ -276,8 +284,9 @@ def _split_rows(spec: FixedPointSpec, rng, size: int) -> np.ndarray:
 
 # The chunks of a generation run on worker threads while the calling thread
 # draws the next ones.  A chunk in flight holds its index, coefficient and
-# weight rows (at most 32 bytes a cell); at most 2 x threads chunks, and at
-# most WINDOW_BYTES of them, are in flight at once.
+# weight rows (at most 28 bytes a cell: a 32-bit index, a float and a
+# complex); at most 2 x threads chunks, and at most WINDOW_BYTES of them, are
+# in flight at once.
 WINDOW_BYTES = 256 * 2**20
 
 
@@ -386,12 +395,24 @@ def _periodic_weights(exponent: complex, logs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_blocks(lo: int, rows: int, branches: int):
+    """(chunk rows, pool rows) slices of the sub-blocks of a chunk of
+    ``rows`` rows written from pool row ``lo`` on: whole rows, at most
+    WEIGHT_BLOCK elements (one row when a row is longer)."""
+    step = max(1, WEIGHT_BLOCK // branches)
+    for r in range(0, rows, step):
+        stop = min(r + step, rows)
+        yield slice(r, stop), slice(lo + r, lo + stop)
+
+
 def _combine(spec: FixedPointSpec, exponent, source: _Generation, target: _Generation,
              lo: int, idx: np.ndarray, coef: np.ndarray, fresh: np.ndarray | None) -> None:
     """The arithmetic of one chunk: rows lo:lo+len(idx) of ``target``.  The
     toll and the weights of the w slot need no pool; the gathers from the
-    source pool and the row sums wait until that generation is finished."""
-    hi = lo + len(idx)
+    source pool and the row sums wait until that generation is finished.
+    Products and row sums run on row sub-blocks (``_row_blocks``); each
+    value is made per element or per row, so the sub-blocks change no bit
+    of it, and no gathered array of a whole chunk is held."""
     logs = np.log(coef)
     tolls = toll(spec, coef, logs)
     weights = None
@@ -401,22 +422,24 @@ def _combine(spec: FixedPointSpec, exponent, source: _Generation, target: _Gener
         else:
             weights = np.sqrt(coef)
         if fresh is not None:
-            target.w[lo:hi] = (weights * fresh).sum(axis=1)
+            for rows, out in _row_blocks(lo, *idx.shape):
+                target.w[out] = (weights[rows] * fresh[rows]).sum(axis=1)
             weights = None
     del logs  # not held while the chunk waits for its source generation
     source.done.wait()
     prev = source.pool
     if prev is None:  # the iteration stopped
         return
-    gathered = prev.x.take(idx)
-    gathered *= coef
-    target.x[lo:hi] = gathered.sum(axis=1) + tolls
-    if weights is not None:
-        # pool values first: numpy's complex product can round differently
-        # with its operands swapped, so the order is part of the pool's bits
-        gathered = prev.w.take(idx)
-        gathered *= weights
-        target.w[lo:hi] = gathered.sum(axis=1)
+    for rows, out in _row_blocks(lo, *idx.shape):
+        gathered = prev.x.take(idx[rows])
+        gathered *= coef[rows]
+        target.x[out] = gathered.sum(axis=1) + tolls[rows]
+        if weights is not None:
+            # pool values first: numpy's complex product can round differently
+            # with its operands swapped, so the order is part of the pool's bits
+            gathered = prev.w.take(idx[rows])
+            gathered *= weights[rows]
+            target.w[out] = gathered.sum(axis=1)
 
 
 def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
@@ -425,18 +448,23 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
 
     Each generation resamples the previous pool with replacement;
     generation g draws from Philox key (seed, g), in chunks of CELL_ROWS
-    rows: the resampling indices, the coefficient rows, then the fresh
-    normals of the injected normal slot.  Every draw is made on the calling
-    thread in that order.  With ``threads`` > 1 the arithmetic of each
-    chunk runs on a worker thread: its toll and weights at once, its
-    gathers and row sums once the previous generation is finished, while
-    the calling thread draws ahead, at most 2 x ``threads`` chunks (and
-    WINDOW_BYTES of their rows) in flight.  Each element sees the same
-    operations in the same order at any thread count, so pools and traces
-    are bit-identical for a given seed.
+    rows: the resampling indices (32-bit, so ``pool_size`` < 2**31), the
+    coefficient rows, then the fresh normals of the injected normal slot.
+    Every draw is made on the calling thread in that order.  With
+    ``threads`` > 1 the arithmetic of each chunk runs on a worker thread:
+    its toll and weights at once, its gathers and row sums once the
+    previous generation is finished, while the calling thread draws ahead,
+    at most 2 x ``threads`` chunks (and WINDOW_BYTES of their rows) in
+    flight.  Each element sees the same operations in the same order at
+    any thread count, so pools and traces are bit-identical for a given
+    seed.
     """
     if pool_size < 1000:
         raise ValueError("pool_size must be >= 1000")
+    if pool_size >= 2**31:  # the resampling indices are 32-bit
+        raise ValueError(f"pool_size must be < 2**31, got {pool_size}")
+    if generations < 1:
+        raise ValueError(f"generations must be >= 1, got {generations}")
     check_cells(spec.instance)
     factor = contraction_factor(spec)
     if not factor < 1.0:
@@ -490,7 +518,7 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
             finish(target)
         in_flight.popleft()
 
-    window = max(1, min(2 * threads, WINDOW_BYTES // (32 * CELL_ROWS * branches)))
+    window = max(1, min(2 * threads, WINDOW_BYTES // (28 * CELL_ROWS * branches)))
     workers = (ThreadPoolExecutor(max_workers=threads, thread_name_prefix="fixpoint")
                if threads > 1 else None)
     try:
@@ -504,7 +532,7 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
                                      or in_flight[0][0].done()):
                     retire()
                 size = min(CELL_ROWS, pool_size - lo)
-                idx = rng.integers(0, pool_size, (size, branches))
+                idx = rng.integers(0, pool_size, (size, branches), dtype=np.int32)
                 coef = _split_rows(spec, rng, size)
                 fresh = rng.standard_normal((size, branches)) if injected else None
                 chunk = (spec, exponent, source, target, lo, idx, coef, fresh)
@@ -531,27 +559,77 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def _centred_distances(a: np.ndarray) -> np.ndarray:
-    """The doubly centred distance matrix of a sample, built in place: the
-    column, row and grand means of |a_i - a_j| first, then subtracted and
-    added in that order."""
-    D = np.subtract.outer(a, a)
+def _pairwise_sums(piece, lo: int, hi: int):
+    """The sum over flat indices lo:hi of values that ``piece(lo, hi)``
+    makes a range at a time, added in the order of numpy's pairwise
+    summation of one contiguous array: halves cut at len // 2 - (len // 2)
+    % 8 down to ranges of at most WEIGHT_BLOCK elements, which ``piece``
+    hands to ``np.add.reduce`` to go on with the same tree down to its
+    128-element leaves unrolled by 8.  ``piece`` may return an array of
+    sums, one for each series summed side by side."""
+    if hi - lo <= WEIGHT_BLOCK:
+        return piece(lo, hi)
+    half = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
+    return _pairwise_sums(piece, lo, half) + _pairwise_sums(piece, half, hi)
+
+
+def _distances(a: np.ndarray, first: int, stop: int, means: tuple | None = None) -> np.ndarray:
+    """Rows first:stop of the distance matrix |a_i - a_j|, doubly centred
+    when ``means`` (its column, row and grand means) are given: subtracted
+    and added in that order."""
+    D = np.subtract.outer(a[first:stop], a)
     np.abs(D, out=D)
-    col, row, grand = D.mean(axis=0), D.mean(axis=1)[:, None], D.mean()
-    D -= col
-    D -= row
-    D += grand
+    if means is not None:
+        col, row, grand = means
+        D -= col
+        D -= row[first:stop, None]
+        D += grand
     return D
 
 
+def _flat_distances(a: np.ndarray, lo: int, hi: int, means: tuple | None = None) -> np.ndarray:
+    """Elements lo:hi of the (centred) distance matrix of ``a`` flattened by
+    rows, from the rows they touch."""
+    n = a.size
+    first = lo // n
+    D = _distances(a, first, -(-hi // n), means)
+    return D.reshape(-1)[lo - first * n:hi - first * n]
+
+
+def _distance_means(a: np.ndarray) -> tuple:
+    """The column, row and grand means of |a_i - a_j|, summed as numpy sums
+    the whole n x n matrix: columns by adding the rows one after another,
+    each row by its own pairwise sum, the grand sum by the pairwise tree
+    over all n^2 elements."""
+    n = a.size
+    col, row = np.zeros(n), np.empty(n)
+    step = max(1, WEIGHT_BLOCK // n)
+    for first in range(0, n, step):
+        D = _distances(a, first, first + step)
+        np.add.reduce(D, axis=1, out=row[first:first + step])
+        for r in D:
+            col += r
+    grand = _pairwise_sums(lambda lo, hi: np.add.reduce(_flat_distances(a, lo, hi)), 0, n * n)
+    return col / n, row / n, grand / (n * n)
+
+
 def _distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    # at most two n x n matrices live at once: A * A is reduced before B
-    # exists, and A's buffer then takes A * B and B * B in turn
-    A = _centred_distances(a)
-    dvar_a = (A * A).mean()
-    B = _centred_distances(b)
-    dcov2 = np.multiply(A, B, out=A).mean()
-    dvar_b = np.multiply(B, B, out=A).mean()
+    """Distance correlation of two samples (Szekely, Rizzo and Bakirov
+    2007), bit for bit the value of the n x n matrix formulas, streamed
+    through sub-blocks of about WEIGHT_BLOCK elements: no n x n matrix is
+    ever held.  It reproduces numpy's
+    summation orders: per-row pairwise sums (row means), rows added one
+    after another (column means), and the pairwise tree over the n^2 flat
+    elements, with 128-element leaves unrolled by 8 (grand mean, and the
+    means of A * A, A * B and B * B)."""
+    n = a.size
+    means_a, means_b = _distance_means(a), _distance_means(b)
+
+    def products(lo: int, hi: int) -> np.ndarray:
+        A, B = _flat_distances(a, lo, hi, means_a), _flat_distances(b, lo, hi, means_b)
+        return np.array([np.add.reduce(A * A), np.add.reduce(A * B), np.add.reduce(B * B)])
+
+    dvar_a, dcov2, dvar_b = _pairwise_sums(products, 0, n * n) / (n * n)
     if dvar_a <= 0 or dvar_b <= 0:
         return 0.0
     return math.sqrt(max(dcov2, 0.0) / math.sqrt(dvar_a * dvar_b))

@@ -345,6 +345,9 @@ def test_threads_default_is_the_cpus_available():
      "--threads", "-2"],
     ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "1",
      "--threads", "0"],
+    ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "-3"],
+    ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "0"],
+    ["fixpoint", "--map", "uniK", "--param", "3", "--gens", "1", "--pool", "999"],
 ], ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
 def test_out_of_range_inputs_are_usage_errors(argv, tmp_path):
     path = tmp_path / "out.csv"

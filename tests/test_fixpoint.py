@@ -22,6 +22,7 @@ from logtrees.fixpoint import (
     toll,
 )
 from logtrees.roots import solve_spectrum
+from logtrees.treesim import CELL_ROWS
 from oracles import distance_correlation
 
 
@@ -289,19 +290,25 @@ def test_pool_csv_exports(tmp_path):
     assert len(tlines) == 5  # initial pool + 3 generations
 
 
-def test_distance_correlation_centres_in_place_bit_for_bit():
+def test_distance_correlation_streams_bit_for_bit():
+    # n^2 is no power of two at 37, 1000 and 1999, and the pieces of the
+    # pairwise tree cut across rows at 1000 and 1999; 2048 is the
+    # subsample of ``diagnose``
     rng = rng_for(90)
-    a = rng.standard_normal(2048)
-    for b in (0.3 * a + rng.standard_normal(2048), rng.standard_normal(2048) ** 2,
-              np.full(2048, 1.5)):
-        assert _distance_correlation(a, b) == distance_correlation(a, b)
-    assert _distance_correlation(a, np.full(2048, 1.5)) == 0.0
+    for n in (37, 1000, 1999, 2048):
+        for scale in (1e-3, 1.0, 1e6):
+            a = scale * rng.standard_normal(n)
+            for b in (0.3 * a + scale * rng.standard_normal(n),
+                      rng.standard_normal(n) ** 2, rng.exponential(scale, n)):
+                assert _distance_correlation(a, b) == distance_correlation(a, b)
+        assert _distance_correlation(a, np.full(n, 1.5)) == 0.0
 
 
-def test_distance_correlation_holds_two_distance_matrices():
-    # the former version held three n x n matrices at its peak (A, B and a
-    # product), the one-expression oracle four
-    n = 1024
+def test_distance_correlation_holds_no_distance_matrix():
+    # sub-blocks of WEIGHT_BLOCK elements stream both matrices (the former
+    # version held two n x n matrices, 64 MiB at this n; the one-expression
+    # oracle four)
+    n = 2048
     rng = rng_for(91)
     a, b = rng.standard_normal(n), rng.standard_normal(n)
     tracemalloc.start()
@@ -310,7 +317,55 @@ def test_distance_correlation_holds_two_distance_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * n * n * 8
+    assert peak <= 2 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# resampling draws and the memory of the chunks in flight
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("high", [1000, 2 * CELL_ROWS + 17, 100_000, 2**31 - 1])
+def test_int32_resampling_indices_are_the_int64_draws(high):
+    # same values, and the stream left at the same point; 333 x 27 is an
+    # odd count of 32-bit draws, which leaves half a 64-bit Philox word
+    # buffered for the next draw
+    wide, narrow = rng_for(5), rng_for(5)
+    for shape in ((333, 27), (CELL_ROWS, 2), (1, 27)):
+        got = narrow.integers(0, high, shape, dtype=np.int32)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, wide.integers(0, high, shape))
+    assert narrow.random(7).tobytes() == wide.random(7).tobytes()
+
+
+def test_iterate_rejects_generations_and_pools_out_of_range():
+    spec = fixed_point_spec(mary(3), "uniK")
+    for generations in (0, -3):
+        with pytest.raises(ValueError, match="generations"):
+            iterate(spec, 1000, generations, seed=0)
+    with pytest.raises(ValueError, match=r"2\*\*31"):  # checked before any pool is made
+        iterate(spec, 2**31, 5, seed=0)
+
+
+def test_iterate_memory_in_flight_is_28_bytes_a_cell():
+    # two workers, a window of four chunks; the former int64 indices and
+    # whole-chunk gathers peaked at 67-71 MiB here
+    threads, window, pool = 2, 4, 6 * CELL_ROWS
+    spec = fixed_point_spec(mary(27), "TN_periodic")
+    cells = CELL_ROWS * spec.instance.branches
+    bound = (window * cells * (4 + 8 + 16)  # 32-bit indices, coefficients, complex weights
+             # a worker making a chunk's weights also holds its logarithms
+             + threads * cells * 8
+             # the start pool and at most three generations: x and complex w
+             + 4 * pool * (8 + 16)
+             # periodic-weight and gather sub-blocks, 64 bytes an element
+             + threads * fixpoint.WEIGHT_BLOCK * 64)
+    tracemalloc.start()
+    try:
+        iterate(spec, pool, 3, seed=1, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 # ---------------------------------------------------------------------------
