@@ -123,12 +123,18 @@ def cmd_roots(args) -> dict:
             "distribution_phase": regime.distribution_phase.value}
 
 
+def _m_range(args) -> range:
+    if args.m_to < args.m_from:
+        raise ValueError(f"--to {args.m_to} is below --from {args.m_from}")
+    return range(args.m_from, args.m_to + 1)
+
+
 def cmd_table_alpha(args):
     from .families import mary
     from .roots import solve_spectrum
 
     lines = ["m,alpha,beta\n"]
-    for m in range(args.m_from, args.m_to + 1):
+    for m in _m_range(args):
         spec = solve_spectrum(mary(m))
         lines.append(f"{m},{_fmt_float(spec.alpha)},{_fmt_float(spec.beta)}\n")
     return lambda fh: fh.writelines(lines)
@@ -140,7 +146,7 @@ def cmd_table_c2(args):
     from .roots import solve_spectrum
 
     lines = ["m,c2_minus_phi_c1,reference,match\n"]
-    for m in range(args.m_from, args.m_to + 1):
+    for m in _m_range(args):
         val = c2_minus_phi_c1(solve_spectrum(mary(m)))
         ref = REFERENCE_C2C1.get(m)
         if ref is None:
@@ -256,13 +262,13 @@ _THREADS = ("--threads", dict(type=_int_from(1), default=_CPUS,
 # name: (body, help, arguments as (flag, add_argument keywords))
 COMMANDS = {
     "roots": (cmd_roots, "indicial spectrum as JSON",
-              (*_FAMILY, ("--precision", dict(type=int, default=64)))),
+              (*_FAMILY, ("--precision", dict(type=_int_from(64), default=64)))),
     "table-alpha": (cmd_table_alpha, "alpha/beta table as CSV",
-                    (("--from", dict(dest="m_from", type=int, default=3)),
-                     ("--to", dict(dest="m_to", type=int, default=26)))),
+                    (("--from", dict(dest="m_from", type=_int_from(3), default=3)),
+                     ("--to", dict(dest="m_to", type=_int_from(3), default=26)))),
     "table-c2": (cmd_table_c2, "c2 - phi c1 with reference rationals",
-                 (("--from", dict(dest="m_from", type=int, default=3)),
-                  ("--to", dict(dest="m_to", type=int, default=30)))),
+                 (("--from", dict(dest="m_from", type=_int_from(3), default=3)),
+                  ("--to", dict(dest="m_to", type=_int_from(3), default=30)))),
     "constants": (cmd_constants, "closed-form constants as JSON", _FAMILY),
     "moments": (cmd_moments, "moment table as CSV",
                 (*_FAMILY, ("--nmax", dict(type=_int_from(0), required=True)),

@@ -442,6 +442,26 @@ def _combine(spec: FixedPointSpec, exponent, source: _Generation, target: _Gener
             target.w[out] = gathered.sum(axis=1)
 
 
+def _start_generation(spec: FixedPointSpec, pool_size: int, seed: int) -> _Generation:
+    """Generation 0, finished: its pool, whose trace holds its moments.
+    Nothing else keeps it, so it is freed once generation 1 has read it."""
+    rng0 = np.random.Generator(np.random.Philox(key=[seed, 2**32]))
+    x = np.zeros(pool_size)
+    w = None
+    if spec.is_periodic:
+        w = np.full(pool_size, complex(spec.mean_constraint[1]), dtype=complex)
+    elif spec.bivariate:
+        # normalised map: the point-mass start is a fixed point of the
+        # normalisation with zero variance; start from the constraint set
+        x = rng0.standard_normal(pool_size)
+        w = rng0.standard_normal(pool_size)
+    pool = SamplePool(spec=spec, x=x, w=w, generation=0)
+    pool.trace.append(pool.moments())
+    start = _Generation(0, x, w, pool)
+    start.done.set()
+    return start
+
+
 def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
             full_bivariate: bool = False, threads: int = 1) -> SamplePool:
     """Evolve a sample pool through the map.
@@ -470,24 +490,11 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
     if not factor < 1.0:
         raise ContractionError(f"contraction factor {factor:.4f} >= 1 for {spec.map_kind}")
 
-    rng0 = np.random.Generator(np.random.Philox(key=[seed, 2**32]))
-    x = np.zeros(pool_size)
-    w = None
-    if spec.is_periodic:
-        w = np.full(pool_size, complex(spec.mean_constraint[1]), dtype=complex)
-    elif spec.bivariate:
-        # normalised map: the point-mass start is a fixed point of the
-        # normalisation with zero variance; start from the constraint set
-        x = rng0.standard_normal(pool_size)
-        w = rng0.standard_normal(pool_size)
-
-    pool = SamplePool(spec=spec, x=x, w=w, generation=0)
-    pool.trace.append(pool.moments())
+    source = _start_generation(spec, pool_size, seed)
+    trace = source.pool.trace
     branches = spec.instance.branches
     exponent = None if spec.lambda2 is None else spec.lambda2 - 1.0
     injected = spec.bivariate and not spec.is_periodic and not full_bivariate
-    source = _Generation(0, x, w, pool)
-    source.done.set()
 
     def finish(target: _Generation) -> None:
         new_w = target.w
@@ -498,7 +505,7 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
             # project back (re-standardise) after every step
             new_w = (new_w - new_w.mean()) / new_w.std()
         finished = SamplePool(spec=spec, x=target.x, w=new_w, generation=target.gen,
-                              trace=pool.trace)
+                              trace=trace)
         finished.trace.append(finished.moments())
         if target.gen >= 5 and finished.x.var() < 1e-12 * (1.0 + spec.scale_constant):
             raise PoolDegeneracyError(
@@ -525,7 +532,7 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
         for gen in range(1, generations + 1):
             rng = np.random.Generator(np.random.Philox(key=[seed, gen]))
             target = _Generation(gen, np.empty(pool_size),
-                                 None if w is None else np.empty_like(w))
+                                 None if source.w is None else np.empty_like(source.w))
             for lo in range(0, pool_size, CELL_ROWS):
                 # retire the finished chunks, and the oldest while the window is full
                 while in_flight and (len(in_flight) >= window or in_flight[0][0] is None

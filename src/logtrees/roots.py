@@ -14,24 +14,24 @@ With c = m prod (s+1) the roots solve prod (z+s)/(s+1) = m, whose factors
 stay moderate in size however large c is.  Each upper half-plane root is the
 one solution of its own branch equation sum log((z+s)/(s+1)) = log m +
 2 pi i k, k = 1 .. (deg-1)//2; a few damped Newton steps from the circle
-|z + mean shift| = c^(1/deg) solve it to 1e-8.  With the conjugates, z = 2
-and (for even degree) the negative real root, these start Aberth-Ehrlich
-simultaneous iteration in double precision, whose Newton correction takes
-the same ratio form.  It stops at rounding noise, once the largest relative
-step is below 1e-12 and no longer halves: 1-3 sweeps over mary(3..300) and
-fbbst(1..170).  lambda_2 and its conjugate then take one or two Newton
-steps on p evaluated exactly (a double is a Gaussian integer over a power
-of two), which makes lambda_2 the correctly rounded root, whatever path
-the iteration took to it.
+|z + mean shift| = c^(1/deg) solve it to 1e-8, and Newton on the ratio form
+then polishes it on its own to rounding noise (its relative step below
+1e-12 and no longer halving).  The negative real root (even degree) takes
+the same two stages, and z = 2 is exact.  lambda_2 then takes one or two
+Newton steps on p evaluated exactly (a double is a Gaussian integer over a
+power of two), which makes it the correctly rounded root, whatever path the
+iteration took to it.  The returned roots are the upper ones, their exact
+conjugates and the real ones, so conjugate symmetry and realness hold by
+construction.
 
 Each returned root z_k carries an inclusion disk |w - z_k| <= r_k =
 deg |p/p'(z_k)|, which holds at least one zero of p (Bini-Fiorentino,
 Numer. Algorithms 2000); r_k includes a bound on the rounding error of
-evaluating p/p' in log space.  Roots whose disk meets the real axis are
-snapped onto it and the rest are made exact conjugate pairs before the
-radii are taken at the returned points.  When the disks are pairwise
-disjoint each holds exactly one zero, a disk centred on the real axis holds
-a real zero, and the roots are certified.
+evaluating p/p' in log space.  When the disks are pairwise disjoint each
+holds exactly one zero, a disk centred on the real axis holds a real zero
+(the zeros of a real p come in conjugate pairs), and the roots are
+certified.  r_k is the same at z and at conj(z), so an upper disk that met
+the real axis would overlap its mirror and fail the certificate.
 
 Each root lam carries the amplitude A of (1-x)^(-lam) in the generating
 function A(x) of the means a_n of the first measure S (``amplitude``).  With
@@ -94,22 +94,6 @@ def indicial_shifts(instance: FamilyInstance) -> tuple[list[int], int]:
     return list(range(t, k)), m * math.factorial(k) // math.factorial(t)
 
 
-def build_indicial(instance: FamilyInstance) -> list[int]:
-    """Exact integer coefficients of the indicial polynomial, descending
-    powers, monic leading term."""
-    shifts, c = indicial_shifts(instance)
-    coeffs = [1]
-    for s in shifts:
-        # multiply by (z + s)
-        nxt = [0] * (len(coeffs) + 1)
-        for i, a in enumerate(coeffs):
-            nxt[i] += a
-            nxt[i + 1] += a * s
-        coeffs = nxt
-    coeffs[-1] -= c
-    return coeffs
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """All indicial roots of one instance, sorted by decreasing real part
@@ -151,22 +135,29 @@ def _branch_circle(shifts: Sequence[int], m: int) -> np.ndarray:
     return -sh.mean() + radius * np.exp(2j * np.pi * k / deg)
 
 
-def _aberth_starts(shifts: Sequence[int], m: int) -> np.ndarray:
-    """One start point per root of prod (z+s)/(s+1) = m.
+def _branch_roots(shifts: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of prod (z+s)/(s+1) = m in the upper half-plane, one per
+    branch, and the real roots: z = 2 and, for even degree, the negative one.
 
     On the upper half-plane F(z) = sum log((z+s)/(s+1)) is univalent (its
     derivative sum 1/(z+s) has negative imaginary part), so each branch
     F(z) = log m + 2 pi i k, k = 1 .. (deg-1)//2, has exactly one root.
     Newton steps on it from the ``_branch_circle`` point, halved while they
     would leave the half-plane, run until every relative step is below
-    1e-8.  The conjugates, z = 2 and, for even degree, the negative real
-    root follow.  That one solves sum log(-(x+s)/(s+1)) = log m by Newton
-    from x = -(max shift + 1), where the product is 1/C(K, t) < m: the left
-    side is concave and increasing in -x, so the steps climb monotonically
-    onto the root."""
+    1e-8.  The negative real root solves sum log(-(x+s)/(s+1)) = log m by
+    Newton from x = -(max shift + 1), where the product is 1/C(K, t) < m:
+    the left side is concave and increasing in -x, so the steps climb
+    monotonically onto the root.
+
+    Each of these roots is then polished on its own by Newton in the ratio
+    form p/p' = (1 - m/q) / sum 1/(z+s), q = prod (z+s)/(s+1), whose
+    factors stay moderate in size, so no factorial constant or its
+    logarithm enters.  A root stops at rounding noise: once its relative
+    step is below 1e-12 and no longer halves.  z = 2 is exact."""
     sh = np.asarray(shifts, dtype=float)
     deg = len(sh)
-    log_den = np.log(sh + 1.0)
+    den = sh + 1.0
+    log_den = np.log(den)
     target = math.log(m)
     z = _branch_circle(shifts, m)
     branch = 2j * np.pi * np.arange(1, z.size + 1)
@@ -183,7 +174,6 @@ def _aberth_starts(shifts: Sequence[int], m: int) -> np.ndarray:
             new = z[todo] - step
         z[todo] = new
         todo = todo[np.abs(step) > 1e-8 * (1.0 + np.abs(new))]
-    starts = [z, z.conj(), [2.0]]
     if deg % 2 == 0:
         x = -sh.max() - 1.0
         for _ in range(50):
@@ -192,37 +182,21 @@ def _aberth_starts(shifts: Sequence[int], m: int) -> np.ndarray:
             x -= step
             if abs(step) <= 1e-8 * (1.0 + abs(x)):
                 break
-        starts.append([x])
-    return np.concatenate(starts).astype(complex)
-
-
-def _aberth_double(shifts: Sequence[int], m: int, maxiter: int = 400) -> tuple[np.ndarray, int]:
-    """Aberth-Ehrlich in double precision from ``_aberth_starts``; returns
-    the points and the number of sweeps.
-
-    The Newton correction is taken in the ratio form
-    p/p' = (1 - m/q) / sum 1/(z+s) with q = prod (z+s)/(s+1), whose factors
-    stay moderate in size, so no factorial constant or its logarithm enters.
-    The sweeps stop at rounding noise: once the largest relative step is
-    below 1e-12 and no longer halves from one sweep to the next.
-    """
-    sh = np.asarray(shifts, dtype=float)
-    den = sh + 1.0
-    z = _aberth_starts(shifts, m)
-    prev = math.inf
-    for sweep in range(1, maxiter + 1):
-        zs = z[:, None] + sh[None, :]
-        q = (zs / den).prod(axis=1)
-        newton = (1.0 - m / q) / (1.0 / zs).sum(axis=1)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        w = newton / (1.0 - newton * (1.0 / diff).sum(axis=1))
-        z = z - w
-        big = float(np.max(np.abs(w) / (1.0 + np.abs(z))))
-        if big == 0.0 or (big <= 1e-12 and big > 0.5 * prev):
+        z = np.append(z, x)
+    prev = np.full(z.size, math.inf)
+    todo = np.arange(z.size)
+    for _ in range(50):
+        if not todo.size:
             break
-        prev = big
-    return z, sweep
+        zs = z[todo, None] + sh[None, :]
+        step = (1.0 - m / (zs / den).prod(axis=1)) / (1.0 / zs).sum(axis=1)
+        z[todo] -= step
+        rel = np.abs(step) / (1.0 + np.abs(z[todo]))
+        stop = (rel == 0.0) | ((rel <= 1e-12) & (rel > 0.5 * prev[todo]))
+        prev[todo] = rel
+        todo = todo[~stop]
+    upper = z[:(deg - 1) // 2]
+    return upper, np.append(2.0, z[upper.size:])
 
 
 def _newton_exact(shifts: Sequence[int], const: int, z: complex) -> complex:
@@ -283,14 +257,15 @@ def _radii_double(shifts: Sequence[int], log_c: float, points: Sequence[complex]
     return radii
 
 
-def _certify_mp(shifts: Sequence[int], const: int, approx, prec: int):
-    """Newton-polish approximate roots with mpmath at ``prec`` bits and
-    certify them with inclusion disks evaluated at that precision."""
+def _certify_mp(shifts: Sequence[int], const: int, upper, real, prec: int):
+    """Newton-polish the upper half-plane and real roots with mpmath at
+    ``prec`` bits, mirror the upper ones, and certify them with inclusion
+    disks evaluated at that precision."""
     from mpmath import mp, mpc
 
     with mp.workprec(prec):
-        roots = []
-        for z0 in approx:
+        half = []
+        for z0 in [*upper, *real]:
             z = mpc(z0.real, z0.imag)
             for _ in range(6):
                 prod = mpc(1)
@@ -303,8 +278,9 @@ def _certify_mp(shifts: Sequence[int], const: int, approx, prec: int):
                 z -= step
                 if abs(step) <= 2.0 ** (-prec + 8) * (1 + abs(z)):
                     break
-            roots.append(z)
-        return _certify(roots, lambda pts: _radii_mp(shifts, const, pts))
+            half.append(z)
+        points = [*half, *(z.conjugate() for z in half[:len(upper)])]
+        return _certify(points, lambda pts: _radii_mp(shifts, const, pts))
 
 
 def _radii_mp(shifts: Sequence[int], const: int, points) -> list[float]:
@@ -336,17 +312,6 @@ def _radii_mp(shifts: Sequence[int], const: int, points) -> list[float]:
     return radii
 
 
-def _symmetrize(points, radii):
-    """Snap points whose disk meets the real axis onto it and mirror the
-    upper half-plane into the lower one.  None when the halves differ in
-    size, i.e. when the points cannot be the zeros of a real polynomial."""
-    real = [p.real for p, r in zip(points, radii) if abs(p.imag) <= r]
-    upper = [p for p, r in zip(points, radii) if p.imag > r]
-    if 2 * len(upper) + len(real) != len(points):
-        return None
-    return [p + 0j for p in real] + upper + [p.conjugate() for p in upper]
-
-
 def _disjoint(points, radii) -> bool:
     """Pairwise disjointness of the disks, with the rounding of the
     distances charged to each pair."""
@@ -360,15 +325,11 @@ def _disjoint(points, radii) -> bool:
 
 
 def _certify(points, radius_fn: Callable) -> tuple[list, list[float], float] | None:
-    """Symmetrise ``points`` under conjugation and certify them.
-
-    Returns the points, their radii taken at the returned points and
-    max_k r_k / max(1, |z_k|), or None when the disks are not pairwise
-    disjoint (then they need not hold one root each).
-    """
-    points = _symmetrize(points, radius_fn(points))
-    if points is None:
-        return None
+    """The points, their radii and max_k r_k / max(1, |z_k|), or None when
+    the disks are not pairwise disjoint (then they need not hold one root
+    each).  ``points`` are the upper half-plane roots, their exact
+    conjugates and the real roots: r_k is the same at z and at conj(z), so
+    an upper disk that meets the real axis overlaps its mirror."""
     radii = radius_fn(points)
     if not _disjoint(points, radii):
         return None
@@ -379,7 +340,7 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
     """Locate all indicial roots, certify them, extract (alpha, beta).
 
     ``precision`` is the working precision in bits (>= 64).  At 64 the
-    Aberth-Ehrlich roots are certified directly in double precision: every
+    branch roots are certified directly in double precision: every
     root lies within its inclusion disk, the disks are pairwise disjoint,
     and ``certified_error`` = max_k r_k / max(1, |z_k|) must not exceed
     1e-10.  Above 64 bits, or when the double-precision certificate fails,
@@ -394,11 +355,16 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
         raise RootConvergenceError(f"degree {deg} < 2, nothing to solve")
 
     m = instance.split_law[0]
-    points, _ = _aberth_double(shifts, m)
-    approx = [complex(z) for z in points[np.argsort(-points.real, kind="stable")]]
-    # lambda_2 and its conjugate (or the next root) follow the principal root
-    for k in range(1, min(3, deg)):
-        approx[k] = _newton_exact(shifts, const, approx[k])
+    upper, real = _branch_roots(shifts, m)
+    # lambda_2, the root after z = 2, is the upper root of largest real part
+    # (an upper z with Re z <= x, x the negative real root, would have
+    # |z+s| > |x+s| for every s), or the negative real root at degree 2.
+    # It alone is polished on p exactly; its partner is its conjugate.
+    if upper.size:
+        k = int(np.argmax(upper.real))
+        upper[k] = _newton_exact(shifts, const, complex(upper[k]))
+    else:
+        real[1] = _newton_exact(shifts, const, complex(real[1]))
 
     # log c = log m + sum log(s+1), a sum of rounded logs: math.log of the
     # big integer c is off by up to ~1e-13 at degree 150, which the radii
@@ -406,9 +372,10 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
     log_c = math.fsum([math.log(m), *(math.log(s + 1) for s in shifts)])
     found = None
     if precision == 64:
-        found = _certify(approx, lambda pts: _radii_double(shifts, log_c, pts))
+        points = [*upper.tolist(), *upper.conj().tolist(), *real.tolist()]
+        found = _certify(points, lambda pts: _radii_double(shifts, log_c, pts))
     if found is None or found[2] > CERTIFIED_TOLERANCE:
-        found = _certify_mp(shifts, const, approx, 2 * precision)
+        found = _certify_mp(shifts, const, upper.tolist(), real.tolist(), 2 * precision)
     if found is None:
         raise RootConvergenceError(f"inclusion disks overlap for {instance}")
     roots, radii, certified = found

@@ -12,6 +12,7 @@ import numpy as np
 from logtrees.asymptotics import EULER_GAMMA
 from logtrees.families import FamilyInstance, harmonic
 from logtrees.gammafn import digamma, log_gamma
+from logtrees.roots import indicial_shifts
 
 
 def fbbst_split_pmf(n: int, t: int, as_printed: bool = False) -> dict[int, Fraction]:
@@ -88,6 +89,22 @@ def dirichlet_dudv_printed(m: int) -> float:
     h2 = float(harmonic(m, 2))
     phi = 1 / (2 * (h1 - 1))
     return h2 + 4 / phi**2 - 2 / (m + 1) - (m - 1) * math.pi * math.pi / (6 * (m + 1))
+
+
+def build_indicial(instance: FamilyInstance) -> list[int]:
+    """Exact integer coefficients of the indicial polynomial, descending
+    powers, monic leading term."""
+    shifts, c = indicial_shifts(instance)
+    coeffs = [1]
+    for s in shifts:
+        # multiply by (z + s)
+        nxt = [0] * (len(coeffs) + 1)
+        for i, a in enumerate(coeffs):
+            nxt[i] += a
+            nxt[i + 1] += a * s
+        coeffs = nxt
+    coeffs[-1] -= c
+    return coeffs
 
 
 def eval_indicial(instance: FamilyInstance, z: complex) -> complex:
@@ -234,10 +251,10 @@ def amplitude_mp(instance: FamilyInstance, lam):
                                   * mpmath.fsum(1 / (j + lam) for j in range(t, 2 * t + 1)))
 
 
-def root_mp(instance: FamilyInstance, start: complex, prec: int = 192) -> complex:
+def root_mp(instance: FamilyInstance, start: complex, prec: int = 192):
     """The indicial root of an (m,t) instance next to ``start``, Newton-solved
     at ``prec`` bits on (z+t)_(K-t) - m (t+1)_(K-t), K = m(t+1)-1, in rising
-    factorials, and rounded to the nearest double in each part."""
+    factorials; an mpmath number that keeps those bits."""
     m, t = instance.split_law
     n = m * (t + 1) - 1 - t
     with mpmath.workprec(prec):
@@ -249,7 +266,7 @@ def root_mp(instance: FamilyInstance, start: complex, prec: int = 192) -> comple
             z -= step
             if abs(step) <= mpmath.mpf(2) ** (16 - prec) * abs(z):
                 break
-        return complex(z)
+        return z
 
 
 @cache

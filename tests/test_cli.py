@@ -348,6 +348,12 @@ def test_threads_default_is_the_cpus_available():
     ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "-3"],
     ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "0"],
     ["fixpoint", "--map", "uniK", "--param", "3", "--gens", "1", "--pool", "999"],
+    ["roots", "--family", "quadtree", "--param", "2", "--precision", "32"],
+    ["roots", "--family", "mary", "--param", "5", "--precision", "63"],
+    ["table-alpha", "--from", "10", "--to", "5"],
+    ["table-alpha", "--to", "5", "--from", "2"],
+    ["table-c2", "--from", "3", "--to", "2"],
+    ["table-c2", "--from", "7", "--to", "6"],
 ], ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
 def test_out_of_range_inputs_are_usage_errors(argv, tmp_path):
     path = tmp_path / "out.csv"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -355,8 +356,8 @@ def test_iterate_memory_in_flight_is_28_bytes_a_cell():
     bound = (window * cells * (4 + 8 + 16)  # 32-bit indices, coefficients, complex weights
              # a worker making a chunk's weights also holds its logarithms
              + threads * cells * 8
-             # the start pool and at most three generations: x and complex w
-             + 4 * pool * (8 + 16)
+             # at most three generations: x and complex w
+             + 3 * pool * (8 + 16)
              # periodic-weight and gather sub-blocks, 64 bytes an element
              + threads * fixpoint.WEIGHT_BLOCK * 64)
     tracemalloc.start()
@@ -366,6 +367,26 @@ def test_iterate_memory_in_flight_is_28_bytes_a_cell():
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_iterate_frees_the_start_pool(monkeypatch, threads):
+    # once generation 2 is finished no chunk reads generation 0, so its pool
+    # must be gone: weak references to every pool, read as generation 3 begins
+    made, alive = [], []
+
+    def recording_pool(**fields):
+        if fields["generation"] == 3:
+            alive.extend(ref() is not None for ref in made)
+        pool = fixpoint_pool(**fields)
+        made.append(weakref.ref(pool))
+        return pool
+
+    fixpoint_pool = fixpoint.SamplePool
+    monkeypatch.setattr(fixpoint, "SamplePool", recording_pool)
+    iterate(fixed_point_spec(mary(27), "TN_periodic"), 2 * CELL_ROWS, 3, seed=1,
+            threads=threads)
+    assert alive[0] is False and len(alive) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_at_most_two_chunks_per_thread_in_flight(monkeypatch, threads, budget_ch
     monkeypatch.setattr(fixpoint, "_split_rows", counting_split_rows)
     monkeypatch.setattr(fixpoint, "_combine", counting_combine)
     if budget_chunks:
-        monkeypatch.setattr(fixpoint, "WINDOW_BYTES", budget_chunks * 32 * CELL_ROWS * 27)
+        monkeypatch.setattr(fixpoint, "WINDOW_BYTES", budget_chunks * 28 * CELL_ROWS * 27)
     spec = fixed_point_spec(mary(27), "TN_periodic")
     iterate(spec, POOL, 4, seed=31, threads=threads)
     assert drawn[0] == 4 * 3

@@ -59,6 +59,16 @@ variance factor, whose s(x) = 1 - m E[V^x] became a finite product (c0 of
 fbbst(59) by 2.0e-11 relative, its former error against a 50-digit
 evaluation, now 5.8e-13), and with the covariance factor, rearranged
 against cancellation (by 2.5e-14 relative at fbbst(59)).
+
+``roots-mary-27`` and ``roots-fbbst-59`` were recorded again when each
+root began to be polished on its own branch (Newton in the ratio form)
+and mirrored, in place of Aberth-Ehrlich sweeps and a snapping pass.
+lambda_2 kept every bit.  4 of the 26 roots of mary(27) moved, by at most
+9.0e-17 relative, and 11 of the 60 of fbbst(59), by at most 1.3e-15; their
+worst error against the 192-bit roots went from 9.9e-17 to 7.9e-17 and
+from 1.3e-15 to 1.8e-16.  certified_error kept every bit at mary(27) and
+moved by 1.3e-15 relative at fbbst(59).  ``constants-mary-27``, whose
+c2 - phi c1 sums over every root, and every other digest kept their bytes.
 """
 import contextlib
 import hashlib
@@ -128,8 +138,8 @@ DIGESTS = {
     "constants-fbbst-59": "002c8ef85e3b5860b207551b9d91073ebd0361728dc13dab09a641ffbd29d8f3",
     "constants-quadtree-2": "166a2c133ddac8488068db9b3ea4e82b90c6749998ac6990da972867e07f1ce1",
     "constants-quadtree-9": "a6e8423cd1e54f28a60bebf724ff666a07b12976e1cd7c6a27c55dbc5721c895",
-    "roots-mary-27": "802d02cc9587544a7def9b510be66e31cd73f9970ffa081d809153600dfc5698",
-    "roots-fbbst-59": "56fdf12a6091ec1a42f81076fae0e6d6696905209164c7c21ad7da41ff17e516",
+    "roots-mary-27": "4da47d6c5828499d5f637255733cd8bd0cba9e8ce0e5246c534a05759f654a64",
+    "roots-fbbst-59": "42f594ad76a76416c3aed172824835d28179ed4e4efb0b9bca1b6ba0ce3d1e5a",
     "corr-profile-mary-3": "8d2b6a7f29065379824d850b45c50c6c8b0f6a6133cda92b04d2881b7beb1784",
     "corr-profile-mary-27": "8e86670fb63fb61e3da067e0119cd03ddac75aec854d828e0d28be5bc371a26b",
     "corr-profile-fbbst-1": "3e6d7b67065173923d500ffc5bf501fb08f8b7917ed5278a9325a14573770d56",

@@ -22,14 +22,20 @@ from logtrees.roots import (
     NoPolynomialError,
     QuadtreeExponents,
     amplitude,
-    build_indicial,
     classify_regime,
     indicial_shifts,
     quadtree_exponents,
     solve_spectrum,
     theta,
 )
-from oracles import amplitude_fbbst, amplitude_mary, amplitude_mp, eval_indicial, root_mp
+from oracles import (
+    amplitude_fbbst,
+    amplitude_mary,
+    amplitude_mp,
+    build_indicial,
+    eval_indicial,
+    root_mp,
+)
 
 # Approximate alpha values as printed (truncated to 3 decimals) in the
 # reference table, m = 3..26.
@@ -347,8 +353,12 @@ def test_polish_fallback_when_double_certificate_fails(monkeypatch):
     assert spec.alpha == pytest.approx(1.516970121848, abs=1e-12)
 
 
-def test_cli_import_does_not_load_mpmath():
-    code = "import sys, logtrees.cli; print('mpmath' in sys.modules)"
+@pytest.mark.parametrize("module", ["moments", "treesim", "fixpoint"])
+def test_cli_import_does_not_load_mpmath(module):
+    # mpmath and scipy load only on demand, so they stay out of each
+    # command's start-up time
+    code = (f"import sys, logtrees.cli, logtrees.{module}; "
+            "print('mpmath' in sys.modules or 'scipy' in sys.modules)")
     src = str(Path(logtrees.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
@@ -363,12 +373,13 @@ SWEEP_SCAN = ([mary(m) for m in sorted({*range(3, 301, 7), 27, 270})]
 
 @pytest.mark.parametrize("inst", SWEEP_SCAN, ids=str)
 def test_aberth_converges_in_few_sweeps(inst):
-    # from the per-root starts Aberth stops at rounding noise after 1-3
-    # sweeps; a fixed step target once kept fbbst(59) at the 400-sweep cap
-    # and the start circle cost mary(270) 124 sweeps
+    # (named for the Aberth-Ehrlich sweeps the branch roots replaced) one
+    # upper root per branch and the real roots, certified in double
     shifts, _ = indicial_shifts(inst)
-    _, sweeps = roots_module._aberth_double(shifts, inst.split_law[0])
-    assert sweeps <= 10
+    deg = len(shifts)
+    upper, real = roots_module._branch_roots(shifts, inst.split_law[0])
+    assert upper.size == (deg - 1) // 2 and (upper.imag > 0).all()
+    assert real.size == 2 - deg % 2 and real[0] == 2.0 and (real.imag == 0.0).all()
     if inst.split_law[1] >= 156:
         return  # fbbst(160..170) take the mpmath polish, as they did before
     spec = solve_spectrum(inst)
@@ -385,8 +396,21 @@ def _ulps(got: float, want: float) -> float:
 def test_lambda2_is_the_correctly_rounded_root(inst):
     # against a 192-bit Newton solution rounded to double: 0 ulps measured
     lam = solve_spectrum(inst).lambda2
-    want = root_mp(inst, lam)
+    want = complex(root_mp(inst, lam))
     assert _ulps(lam.real, want.real) <= 1 and _ulps(lam.imag, want.imag) <= 1, (lam, want)
+
+
+@pytest.mark.parametrize("inst,measured", [
+    pytest.param(inst, measured, id=str(inst)) for inst, measured in
+    [(mary(27), 7.9e-17), (mary(270), 2.3e-16), (fbbst(59), 1.8e-16), (fbbst(120), 3.3e-16)]])
+def test_roots_match_the_192_bit_roots(inst, measured):
+    # every root against a 192-bit Newton solution, relative: at most
+    # 1.02e-15 over mary(3..300) and fbbst(1..155).  The bound is 1.5 x the
+    # error measured here; the branch roots without the ratio-form polish
+    # are 2-3 times as far off
+    for z in solve_spectrum(inst).roots:
+        want = root_mp(inst, z)
+        assert abs(mpmath.mpc(z) - want) <= 1.5 * measured * abs(want), z
 
 
 @pytest.mark.parametrize("inst", [mary(27), fbbst(59)], ids=str)
@@ -396,17 +420,17 @@ def test_lambda2_matches_the_192_bit_spectrum(inst):
 
 @pytest.mark.parametrize("inst", [mary(27), mary(100), fbbst(59), fbbst(120)], ids=str)
 def test_lambda2_does_not_depend_on_the_starts(inst, monkeypatch):
-    # turning the Newton starts by 0.01 rad moves the Aberth points in
-    # their last bits, but lambda_2 is the correctly rounded root either way
+    # turning the Newton starts by 0.01 rad moves the branch roots in their
+    # last bits, but lambda_2 is the correctly rounded root either way
     shifts, _ = indicial_shifts(inst)
     m = inst.split_law[0]
-    before, _ = roots_module._aberth_double(shifts, m)
+    before, _ = roots_module._branch_roots(shifts, m)
     want = solve_spectrum(inst).lambda2
     circle = roots_module._branch_circle
     monkeypatch.setattr(roots_module, "_branch_circle",
                         lambda sh, m: circle(sh, m) * cmath.exp(0.01j))
-    after, _ = roots_module._aberth_double(shifts, m)
-    assert sorted(before.tolist(), key=abs) != sorted(after.tolist(), key=abs)
+    after, _ = roots_module._branch_roots(shifts, m)
+    assert before.tolist() != after.tolist()
     assert solve_spectrum(inst).lambda2 == want
 
 
