@@ -68,7 +68,7 @@ import numpy as np
 from .families import (FIXED_POINT_MAPS, FamilyInstance, RegimeMismatchError,
                        dirichlet_moment, occupancy_constant)
 from .roots import Spectrum, quadtree_exponents, solve_spectrum, theta as spectrum_theta
-from .treesim import CELL_ROWS, check_cells, sample_volumes
+from .treesim import CELL_ROWS, check_cells, sample_volumes, sorted_gaps
 
 
 class PoolDegeneracyError(RuntimeError):
@@ -143,25 +143,15 @@ def fixed_point_spec(instance: FamilyInstance, map_kind: str,
 # split samplers
 # ---------------------------------------------------------------------------
 
-def _spacings(u: np.ndarray) -> np.ndarray:
-    """Spacings of the uniforms of each row of u, which is sorted in place."""
-    u.sort(axis=1)
-    out = np.empty((u.shape[0], u.shape[1] + 1))
-    out[:, 0] = u[:, 0]
-    np.subtract(u[:, 1:], u[:, :-1], out=out[:, 1:-1])
-    np.subtract(1.0, u[:, -1], out=out[:, -1])
-    return out
-
-
 def sample_spacings(m: int, rng, size: int) -> np.ndarray:
     """Spacings of m-1 iid uniforms: (size, m) rows summing to 1."""
     for _ in range(8):
-        out = _spacings(rng.random((size, m - 1)))
+        out = sorted_gaps(rng.random((size, m - 1)), 0.0, 1.0)
         if out.min() > 0.0:
             return out
         # resample rows hit by floating ties (probability-zero event)
         bad = (out <= 0.0).any(axis=1)
-        out[bad] = _spacings(rng.random((int(bad.sum()), m - 1)))
+        out[bad] = sorted_gaps(rng.random((int(bad.sum()), m - 1)), 0.0, 1.0)
         if out.min() > 0.0:
             return out
     raise RuntimeError("persistent zero spacing; broken RNG stream?")

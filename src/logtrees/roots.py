@@ -30,8 +30,9 @@ Numer. Algorithms 2000); r_k includes a bound on the rounding error of
 evaluating p/p' in log space.  When the disks are pairwise disjoint each
 holds exactly one zero, a disk centred on the real axis holds a real zero
 (the zeros of a real p come in conjugate pairs), and the roots are
-certified.  r_k is the same at z and at conj(z), so an upper disk that met
-the real axis would overlap its mirror and fail the certificate.
+certified.  r_k is the same at z and at conj(z), so it is taken at the
+upper and real roots only, and an upper disk that met the real axis would
+overlap its mirror and fail the certificate.
 
 Each root lam carries the amplitude A of (1-x)^(-lam) in the generating
 function A(x) of the means a_n of the first measure S (``amplitude``).  With
@@ -279,8 +280,8 @@ def _certify_mp(shifts: Sequence[int], const: int, upper, real, prec: int):
                 if abs(step) <= 2.0 ** (-prec + 8) * (1 + abs(z)):
                     break
             half.append(z)
-        points = [*half, *(z.conjugate() for z in half[:len(upper)])]
-        return _certify(points, lambda pts: _radii_mp(shifts, const, pts))
+        return _certify(half[:len(upper)], half[len(upper):],
+                        lambda pts: _radii_mp(shifts, const, pts))
 
 
 def _radii_mp(shifts: Sequence[int], const: int, points) -> list[float]:
@@ -324,13 +325,16 @@ def _disjoint(points, radii) -> bool:
     return bool((gap > 0.0).all())
 
 
-def _certify(points, radius_fn: Callable) -> tuple[list, list[float], float] | None:
-    """The points, their radii and max_k r_k / max(1, |z_k|), or None when
+def _certify(upper, real, radius_fn: Callable) -> tuple[list, list[float], float] | None:
+    """The points (the upper half-plane roots, their exact conjugates and
+    the real roots), their radii and max_k r_k / max(1, |z_k|), or None when
     the disks are not pairwise disjoint (then they need not hold one root
-    each).  ``points`` are the upper half-plane roots, their exact
-    conjugates and the real roots: r_k is the same at z and at conj(z), so
-    an upper disk that meets the real axis overlaps its mirror."""
-    radii = radius_fn(points)
+    each).  r_k is the same at z and at conj(z), so ``radius_fn`` runs on the
+    upper and real points only and the conjugates take the radii of their
+    partners; an upper disk that meets the real axis overlaps its mirror."""
+    radii = radius_fn([*upper, *real])
+    radii = [*radii[:len(upper)], *radii[:len(upper)], *radii[len(upper):]]
+    points = [*upper, *(z.conjugate() for z in upper), *real]
     if not _disjoint(points, radii):
         return None
     return points, radii, max(r / max(1.0, abs(complex(p))) for p, r in zip(points, radii))
@@ -372,8 +376,8 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
     log_c = math.fsum([math.log(m), *(math.log(s + 1) for s in shifts)])
     found = None
     if precision == 64:
-        points = [*upper.tolist(), *upper.conj().tolist(), *real.tolist()]
-        found = _certify(points, lambda pts: _radii_double(shifts, log_c, pts))
+        found = _certify(upper.tolist(), real.tolist(),
+                         lambda pts: _radii_double(shifts, log_c, pts))
     if found is None or found[2] > CERTIFIED_TOLERANCE:
         found = _certify_mp(shifts, const, upper.tolist(), real.tolist(), 2 * precision)
     if found is None:

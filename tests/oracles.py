@@ -254,7 +254,9 @@ def amplitude_mp(instance: FamilyInstance, lam):
 def root_mp(instance: FamilyInstance, start: complex, prec: int = 192):
     """The indicial root of an (m,t) instance next to ``start``, Newton-solved
     at ``prec`` bits on (z+t)_(K-t) - m (t+1)_(K-t), K = m(t+1)-1, in rising
-    factorials; an mpmath number that keeps those bits."""
+    factorials; an mpmath number that keeps those bits.  Newton stops after
+    a step below 2^((16 - prec)/2) |z|: the error left is about the square of
+    that step."""
     m, t = instance.split_law
     n = m * (t + 1) - 1 - t
     with mpmath.workprec(prec):
@@ -264,7 +266,7 @@ def root_mp(instance: FamilyInstance, start: complex, prec: int = 192):
             step = (prod - m * mpmath.rf(t + 1, n)) / (prod * mpmath.fsum(1 / (z + t + j)
                                                                          for j in range(n)))
             z -= step
-            if abs(step) <= mpmath.mpf(2) ** (16 - prec) * abs(z):
+            if abs(step) <= mpmath.mpf(2) ** ((16 - prec) / 2) * abs(z):
                 break
         return z
 
@@ -382,6 +384,26 @@ def sample_volumes_hstack(d: int, rng, size: int) -> np.ndarray:
         xl = x[:, l : l + 1]
         vol = np.hstack([vol * xl, vol * (1.0 - xl)])
     return vol
+
+
+def cell_splits_every_call(rng, d: int, sizes: np.ndarray) -> np.ndarray:
+    """``treesim._cell_splits`` with ``Generator.integers`` ranks and one
+    hypergeometric call for every cell, empty or not: the reference for
+    its raw-word ranks and its skipped calls."""
+    cells = np.empty((2 ** d, sizes.shape[0]), dtype=np.int64)
+    cells[0] = sizes - 1
+    for l in range(d):
+        width = 2 ** l
+        left, rest = rng.integers(0, sizes), sizes - 1
+        for count, above in zip(cells[:width - 1], cells[width:]):
+            low = rng.hypergeometric(count, rest - count, left)
+            np.subtract(count, low, out=above)
+            rest -= count
+            left -= low
+            count[...] = low
+        np.subtract(cells[width - 1], left, out=cells[2 * width - 1])
+        cells[width - 1] = left
+    return cells.T
 
 
 def multinomial_rows(rng, counts: np.ndarray, probs: np.ndarray) -> np.ndarray:

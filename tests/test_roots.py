@@ -21,6 +21,7 @@ from logtrees.roots import (
     IndeterminateRegimeError,
     NoPolynomialError,
     QuadtreeExponents,
+    RootConvergenceError,
     amplitude,
     classify_regime,
     indicial_shifts,
@@ -336,6 +337,53 @@ def test_roots_exactly_conjugate_symmetric(inst, precision):
     assert Counter(rs) == Counter(r.conjugate() for r in rs)
     assert rs[1].imag > 0 and rs[2] == rs[1].conjugate()
     assert spec.lambda2 == rs[1]
+
+
+def _spy_certify(monkeypatch) -> list:
+    """Record each certificate with the radius function it took."""
+    seen = []
+    certify = roots_module._certify
+
+    def spy(upper, real, radius_fn):
+        found = certify(upper, real, radius_fn)
+        seen.append((found, radius_fn))
+        return found
+    monkeypatch.setattr(roots_module, "_certify", spy)
+    return seen
+
+
+def _assert_all_points_pass(seen) -> None:
+    # the radii of the upper and real roots, mirrored to the conjugates, and
+    # certified_error are what a radius pass over every root gives, bit for bit
+    for (points, radii, certified), radius_fn in seen:
+        full = radius_fn(points)
+        assert radii == full
+        assert certified == max(r / max(1.0, abs(complex(p))) for p, r in zip(points, full))
+
+
+@pytest.mark.parametrize("insts", [[mary(m) for m in range(3, 301)],
+                                   [fbbst(t) for t in range(1, 171)]],
+                         ids=["mary(3..300)", "fbbst(1..170)"])
+def test_mirrored_radii_equal_the_all_points_pass(insts, monkeypatch):
+    # the double pass only: fbbst(160..170) then miss the tolerance and raise
+    seen = _spy_certify(monkeypatch)
+    monkeypatch.setattr(roots_module, "_certify_mp", lambda *args: None)
+    for inst in insts:
+        try:
+            solve_spectrum(inst)
+        except RootConvergenceError:
+            assert inst.split_law[1] >= 160, inst
+    assert len(seen) == len(insts)
+    _assert_all_points_pass(seen)
+
+
+@pytest.mark.parametrize("inst", [mary(3), mary(4), mary(27), fbbst(1), fbbst(8)], ids=str)
+def test_mirrored_mp_radii_equal_the_all_points_pass(inst, monkeypatch):
+    seen = _spy_certify(monkeypatch)
+    with mpmath.workprec(256):  # the working precision of _radii_mp
+        solve_spectrum(inst, precision=128)
+        assert len(seen) == 1
+        _assert_all_points_pass(seen)
 
 
 def test_m270_certified_in_double_precision():
