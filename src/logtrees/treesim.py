@@ -19,9 +19,6 @@ only; it is built once per process and holds no randomness.
 Replicates are simulated level-synchronously in fixed blocks of 1024, each
 block on its own counter-based Philox stream keyed by (seed, block index),
 so results are bit-identical for a given seed regardless of thread count.
-Split and coordinate ranks are numpy's Lemire draws taken from raw Philox
-words (``bounded_integers``): the same draws as ``Generator.integers``, with
-the stream left at the same point, but without holding the GIL throughout.
 Statistics accumulate as exact integer power sums and merge associatively.
 """
 from __future__ import annotations
@@ -111,76 +108,6 @@ def build_mary_tree(permutation, m: int) -> TreeMeasures:
 # split sampling
 # ---------------------------------------------------------------------------
 
-def _next_uint32(bitgen, count: int) -> np.ndarray:
-    """The next ``count`` words next_uint32 hands out: the half word buffered
-    in the state first, then the low and the high half of each raw word; a
-    high half left over is buffered for the next 32-bit draw, as next_uint32
-    leaves it."""
-    state = bitgen.state
-    buffered = min(state["has_uint32"], count)
-    words = np.empty(count, dtype=np.uint32)
-    words[:buffered] = state["uinteger"]
-    halves = bitgen.random_raw((count - buffered + 1) // 2).astype("<u8", copy=False).view("<u4")
-    if buffered or halves.size:
-        state = bitgen.state  # the counter and buffer after random_raw
-        state["has_uint32"] = int(halves.size > count - buffered)
-        if halves.size:  # kept once taken, as next_uint32 keeps it
-            state["uinteger"] = int(halves[-1])
-        bitgen.state = state
-    words[buffered:] = halves[:count - buffered]
-    return words
-
-
-def bounded_integers(rng, low, high) -> np.ndarray:
-    """``rng.integers(low, high)`` for int64 bounds: the same values, and the
-    stream left at the same point.
-
-    For every span high - low below 2^32 numpy runs Lemire's rule ("Fast
-    random integer generation in an interval", ACM TOMACS 29(1), 2019)
-    element by element: a 32-bit word u gives the value floor(u span / 2^32)
-    unless the low half of u span falls below 2^32 mod span, and then the
-    element takes the next word; a span of 1 takes no word.  Here the words
-    come from ``_next_uint32`` and the rule runs on whole arrays; each
-    rejected element (probability below span / 2^32) takes the next word in
-    turn, which shifts the words of the elements after it by one.  numpy
-    holds the GIL for the whole of its broadcast loop; raw words and array
-    operations release it.  Other spans go to ``rng.integers`` itself, and
-    so do arrays whose spans add up past 2^36, where up to sum span / 2^32
-    > 16 rejections are expected, each a pass over the elements after it."""
-    span = np.subtract(high, low, dtype=np.int64)
-    least, top = (int(span.min()), int(span.max())) if span.size else (0, 0)
-    if least < 1 or top >= 2**32 or int(span.sum()) > 2**36:
-        return rng.integers(low, high)
-    shape, span = span.shape, span.reshape(-1).view(np.uint64)
-    at = np.flatnonzero(span > 1) if least == 1 else None
-    if at is not None:
-        span = span.take(at)
-    words = _next_uint32(rng.bit_generator, span.size)
-    values = np.empty(span.size, dtype=np.uint64)
-    done = 0
-    while True:
-        # values <- u span; words <- u span mod 2^32, which is below span for
-        # a candidate rejection (u = (u span) // span is kept in values)
-        tail = span[done:]
-        np.multiply(words, tail, out=values[done:])
-        np.multiply(words, tail, out=words, dtype=np.uint32, casting="unsafe")
-        near = np.flatnonzero(words < top)
-        near = near[words.take(near) < np.uint64(2**32) % tail.take(near)]
-        if not near.size:
-            break
-        stop = done + near[0] + 1
-        words = np.append((values[stop:] // span[stop:]).astype(np.uint32),
-                          _next_uint32(rng.bit_generator, 1))
-        done = stop - 1
-    values >>= np.uint64(32)
-    if at is not None:  # the elements of span 1 are low itself
-        values, drawn = np.zeros(shape, dtype=np.uint64), values
-        values.reshape(-1)[at] = drawn
-    values = values.view(np.int64).reshape(shape)
-    values += low
-    return values
-
-
 def _floyd_distinct(rng, n_arr: np.ndarray, k: int) -> np.ndarray:
     """Floyd's algorithm, vectorised across rows: k distinct uniform values
     from {1..n_arr[i]} per row (unsorted)."""
@@ -188,7 +115,7 @@ def _floyd_distinct(rng, n_arr: np.ndarray, k: int) -> np.ndarray:
     chosen = np.zeros((rows, k), dtype=np.int64)
     for i in range(k):
         j = n_arr - k + 1 + i
-        t = bounded_integers(rng, 1, j + 1)
+        t = rng.integers(1, j + 1)
         if i:
             dup = (chosen[:, :i] == t[:, None]).any(axis=1)
             chosen[:, i] = np.where(dup, j, t)
@@ -200,18 +127,20 @@ def _floyd_distinct(rng, n_arr: np.ndarray, k: int) -> np.ndarray:
 # Rows of at most SMALL_ROW values are sorted by compare-exchanges of whole
 # columns (np.minimum and np.maximum give the values np.sort gives, ties
 # included), longer ones by np.sort(axis=1), which costs 30-60 ns a row at
-# any length.  On 16,384 rows (2-core x86-64, numpy 2.4.6) the k(k-1)/2
-# compare-exchanges of k = 2, 3, 5, 8 columns took 0.03, 0.06, 0.17, 0.49 ms
-# against 0.5-0.9 ms for np.sort; the two met near k = 10 (0.8 ms), and at
-# k = 26 np.sort took 1.5 ms, the network 5.4 ms.
-SMALL_ROW = 8
+# any length.  On 16,384 rows (2-core x86-64, numpy 2.4.6) the network took
+# 0.07 ms for 2 columns and 0.10-0.18 ms for 3, np.sort 0.5-1.3 ms; at 26
+# columns np.sort took 1.5 ms and the network 5.4 ms.  Rows of 2 and 3 values
+# (mary(3), fbbst(1)) and of 26 (mary(27)) are the ones a benchmark workload
+# runs, so the crossover between 4 and 25 values is not measured, and the
+# network is kept to the rows measured.
+SMALL_ROW = 3
 
 
-def sorted_small_rows(a: np.ndarray) -> list[np.ndarray]:
-    """The columns of np.sort(a, axis=1), as contiguous arrays, for a of at
-    most SMALL_ROW columns."""
-    cols = [a[:, i].copy() for i in range(a.shape[1])]
-    for end in reversed(range(len(cols))):
+def sorted_small_rows(a: np.ndarray) -> np.ndarray:
+    """np.sort(a, axis=1).T as a contiguous array, for a of at most
+    SMALL_ROW columns."""
+    cols = a.T.copy()
+    for end in reversed(range(cols.shape[0])):
         for i in range(end):
             low = np.minimum(cols[i], cols[i + 1])
             np.maximum(cols[i], cols[i + 1], out=cols[i + 1])
@@ -224,18 +153,15 @@ def sorted_gaps(a: np.ndarray, low, high, step: int = 1) -> np.ndarray:
     and ``high`` after them: the keys are columns step-1, 2 step-1, ... of
     the row sorted.  Returns (rows, a.shape[1] // step + 1) of a's dtype;
     rows longer than SMALL_ROW are sorted in a itself."""
-    out = np.empty((a.shape[0], a.shape[1] // step + 1), dtype=a.dtype)
     if a.shape[1] > SMALL_ROW:
         a.sort(axis=1)
-        keys = a[:, step - 1 :: step]
-        np.subtract(keys[:, 0], low, out=out[:, 0])
-        np.subtract(keys[:, 1:], keys[:, :-1], out=out[:, 1:-1])
-        np.subtract(high, keys[:, -1], out=out[:, -1])
-        return out
-    keys = sorted_small_rows(a)[step - 1 :: step]
+        cols = a.T
+    else:
+        cols = sorted_small_rows(a)
+    keys = cols[step - 1 :: step]
+    out = np.empty((a.shape[0], keys.shape[0] + 1), dtype=a.dtype)
     np.subtract(keys[0], low, out=out[:, 0])
-    for i in range(1, len(keys)):
-        np.subtract(keys[i], keys[i - 1], out=out[:, i])
+    np.subtract(keys[1:], keys[:-1], out=out[:, 1:-1].T)
     np.subtract(high, keys[-1], out=out[:, -1])
     return out
 
@@ -294,20 +220,9 @@ def _cell_splits(rng, d: int, sizes: np.ndarray) -> np.ndarray:
     cells[0] = sizes - 1
     for l in range(d):
         width = 2 ** l
-        left, rest = bounded_integers(rng, 0, sizes), sizes - 1
+        left, rest = rng.integers(0, sizes), sizes - 1
         for count, above in zip(cells[:width - 1], cells[width:]):
-            bad = rest - count
-            # numpy's hypergeometric takes no draw where no point is left to
-            # place, nor, outside its ratio-of-uniforms range 10 <= left <=
-            # rest - 10, where the cell holds none or all of the rest
-            drawn = (left > 0) & (((count > 0) & (bad > 0))
-                                  | ((left >= 10) & (rest - left >= 10)))
-            if drawn.all():
-                low = rng.hypergeometric(count, bad, left)
-            else:
-                low = np.where(bad, 0, left)
-                at = np.flatnonzero(drawn)
-                low[at] = rng.hypergeometric(count.take(at), bad.take(at), left.take(at))
+            low = rng.hypergeometric(count, rest - count, left)
             np.subtract(count, low, out=above)
             rest -= count
             left -= low

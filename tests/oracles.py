@@ -386,26 +386,6 @@ def sample_volumes_hstack(d: int, rng, size: int) -> np.ndarray:
     return vol
 
 
-def cell_splits_every_call(rng, d: int, sizes: np.ndarray) -> np.ndarray:
-    """``treesim._cell_splits`` with ``Generator.integers`` ranks and one
-    hypergeometric call for every cell, empty or not: the reference for
-    its raw-word ranks and its skipped calls."""
-    cells = np.empty((2 ** d, sizes.shape[0]), dtype=np.int64)
-    cells[0] = sizes - 1
-    for l in range(d):
-        width = 2 ** l
-        left, rest = rng.integers(0, sizes), sizes - 1
-        for count, above in zip(cells[:width - 1], cells[width:]):
-            low = rng.hypergeometric(count, rest - count, left)
-            np.subtract(count, low, out=above)
-            rest -= count
-            left -= low
-            count[...] = low
-        np.subtract(cells[width - 1], left, out=cells[2 * width - 1])
-        cells[width - 1] = left
-    return cells.T
-
-
 def multinomial_rows(rng, counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Multinomial per row via a chain of binomials: the quadtree cell counts
     given the cell volumes of ``treesim.sample_volumes`` rows, the reference

@@ -19,7 +19,6 @@ from logtrees.treesim import (
     _cell_splits,
     _simulate_block,
     _splits,
-    bounded_integers,
     build_mary_tree,
     monte_carlo,
     sample_volumes,
@@ -28,7 +27,6 @@ from logtrees.treesim import (
     sorted_small_rows,
 )
 from oracles import (
-    cell_splits_every_call,
     fbbst_split_pmf,
     median_quicksort,
     multinomial_rows,
@@ -611,66 +609,13 @@ def test_guide_table_equals_searchsorted(instance, span, data):
     assert np.array_equal(laws.search(x), np.searchsorted(laws.cdf, x, side="right"))
 
 
-def _philox_state(rng) -> dict:
-    state = rng.bit_generator.state
-    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
-            "buffer": state["buffer"].tolist()}
-
-
-_SPANS = st.one_of(st.integers(1, 2**32 - 1), st.integers(3 * 2**30 - 64, 3 * 2**30 + 64),
-                   st.integers(1, 3), st.integers(2**32 - 3, 2**32 - 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(key=st.integers(0, 2**63 - 1), spans=st.lists(_SPANS, max_size=15),
-       small=st.lists(st.integers(1, 2**16), max_size=64),
-       low=st.one_of(st.integers(-2**40, 2**40), st.none()), halves=st.integers(0, 3),
-       raw=st.booleans())
-def test_bounded_integers_equal_generator_integers(key, spans, small, low, halves, raw):
-    # same values and dtype, the same stream position (a half word left
-    # buffered or not, as numpy leaves it), and the same draws after it;
-    # spans near 3 2^30 reject about a quarter of their words.  The spans add
-    # up to less than 2^36, so all of them take the array route; low None
-    # stands for an array of lows
-    spans = np.random.default_rng(key).permutation(np.array(spans + small, dtype=np.int64))
-    lows = (np.arange(spans.size, dtype=np.int64) * 7919 - 2**33) if low is None else low
-    want_rng, got_rng = (np.random.Generator(np.random.Philox(key=[key, 1])) for _ in range(2))
-    for rng in (want_rng, got_rng):
-        rng.integers(0, 2**32, halves, dtype=np.uint32)  # an odd count buffers a half
-        if raw:
-            rng.random(3)  # 64-bit draws leave a buffered half where it is
-    want = want_rng.integers(lows, lows + spans)
-    got = bounded_integers(got_rng, lows, lows + spans)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert _philox_state(got_rng) == _philox_state(want_rng)
-    for a, b in zip(_next_draws(want_rng), _next_draws(got_rng)):
-        assert np.array_equal(a, b)
-
-
-def _next_draws(rng):
-    return (rng.random(3), rng.integers(0, 1000, 5, dtype=np.int32),
-            rng.hypergeometric([5, 40, 0], [7, 60, 30], [3, 50, 15]))
-
-
-def test_bounded_integers_hand_other_spans_to_numpy():
-    # spans of 2^32 and more, spans adding up past 2^36, empty arrays and
-    # empty ranges go to numpy
-    for low, high in [(0, np.array([2**32, 5])), (0, np.array([], dtype=np.int64)),
-                      (np.array([-2**62]), np.array([2**62])), (0, np.full(17, 2**32 - 1))]:
-        want_rng, got_rng = (np.random.Generator(np.random.Philox(key=[9, 9])) for _ in range(2))
-        assert np.array_equal(bounded_integers(got_rng, low, high), want_rng.integers(low, high))
-        assert _philox_state(got_rng) == _philox_state(want_rng)
-    with pytest.raises(ValueError):
-        bounded_integers(np.random.Generator(np.random.Philox(key=[9, 9])), 3, np.array([3, 4]))
-
-
 @pytest.mark.parametrize("k", range(1, SMALL_ROW + 1))
 def test_sorted_small_rows_equal_np_sort(k):
     # ties included: few distinct values a row, and floats of both signs
     rng = np.random.default_rng(k)
     for a in (rng.integers(0, 3, (4000, k)), rng.integers(-2**40, 2**40, (4000, k)),
               rng.integers(-2, 3, (4000, k)) / 4.0, rng.random((4000, k))):
-        got = np.stack(sorted_small_rows(a), axis=1)
+        got = sorted_small_rows(a).T
         assert got.dtype == a.dtype and np.array_equal(got, np.sort(a, axis=1))
         assert np.array_equal(np.signbit(got), np.signbit(np.sort(a, axis=1)))
 
@@ -686,13 +631,3 @@ def test_sorted_gaps_equal_sort_and_diff(k, step):
         bounds = np.hstack([np.full((3000, 1), low), keys, np.broadcast_to(high, 3000)[:, None]])
         want = np.diff(bounds.astype(a.dtype), axis=1)
         assert np.array_equal(sorted_gaps(a.copy(), low, high, step), want)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
-def test_cell_splits_skip_only_calls_without_draws(d):
-    # small and mid-sized nodes put empty and full cells on both sides of
-    # numpy's ratio-of-uniforms range 10 <= sample <= total - 10
-    sizes = np.random.default_rng(d).integers(1, 120, 4000)
-    want_rng, got_rng = (np.random.Generator(np.random.Philox(key=[29, d])) for _ in range(2))
-    assert np.array_equal(_cell_splits(got_rng, d, sizes), cell_splits_every_call(want_rng, d, sizes))
-    assert _philox_state(got_rng) == _philox_state(want_rng)
