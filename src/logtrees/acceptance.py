@@ -104,7 +104,7 @@ def criterion_3(quick: bool) -> tuple[bool, str]:
 
 def criterion_4(quick: bool) -> tuple[bool, str]:
     from .families import fbbst, mary, quadtree
-    from .roots import classify_regime, quadtree_exponents, solve_spectrum
+    from .roots import classify_regime, solve_spectrum
 
     cov, dist = "covariance_phase", "distribution_phase"
     rows = ((mary(13), cov, "linear"), (mary(14), cov, "periodic"),
@@ -113,11 +113,8 @@ def criterion_4(quick: bool) -> tuple[bool, str]:
             (fbbst(58), dist, "gaussian"), (fbbst(59), dist, "periodic"),
             (quadtree(5), cov, "linear"), (quadtree(6), cov, "periodic"),
             (quadtree(8), dist, "gaussian"), (quadtree(9), dist, "periodic"))
-    checks = []
-    for inst, phase, want in rows:
-        spectrum = (quadtree_exponents(inst.parameter) if inst.split_law is None
-                    else solve_spectrum(inst))
-        checks.append(getattr(classify_regime(spectrum), phase).value == want)
+    checks = [getattr(classify_regime(solve_spectrum(inst)), phase).value == want
+              for inst, phase, want in rows]
     ok = all(checks)
     return ok, "flips at m=13/14, m=26/27, t=28/29, t=58/59, d=5/6, d=8/9" if ok \
         else f"flip pattern wrong: {checks}"

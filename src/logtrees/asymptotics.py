@@ -59,14 +59,7 @@ from .families import (  # RegimeMismatchError and the variance constants are re
     quadtree_ipl_variance_constant,
 )
 from .gammafn import digamma, gamma, log_gamma
-from .roots import (
-    Spectrum,
-    amplitude,
-    classify_regime,
-    quadtree_exponents,
-    solve_spectrum,
-    theta,
-)
+from .roots import Spectrum, amplitude, amplitude_law, classify_regime, solve_spectrum, theta
 
 EULER_GAMMA = 0.57721566490153286061
 PI = 3.14159265358979323846
@@ -88,8 +81,9 @@ def c1_constant(m: int) -> float:
 def c2_minus_phi_c1(spectrum: Spectrum) -> float:
     """c2 - phi c1 = 2 phi (phi - 1/(m-1) + sum_l A_l/(2 - lambda_l)) from
     high-precision roots; a rational number in disguise.  A t = 0 constant
-    (``c1_constant``): a spectrum with t >= 1 raises ValueError."""
-    m, t = spectrum.instance.split_law
+    (``c1_constant``): a spectrum with t >= 1 raises ValueError, a quadtree
+    spectrum AmplitudeError."""
+    m, t = amplitude_law(spectrum)
     if t != 0:
         raise ValueError("c2 - phi c1 is defined for the t = 0 (m-ary) split law only")
     phi = float(occupancy_constant(spectrum.instance))
@@ -227,19 +221,21 @@ def dirichlet_dudv(m: int) -> float:
 # periodic functions
 # ---------------------------------------------------------------------------
 
-def _variance_factor(m: int, t: int, lam: complex, amp2: complex) -> tuple[float, complex]:
+def _s(instance: FamilyInstance, x):
+    """s(x) = 1 - branches E[V^x], the denominator of every periodic factor.
+    It is small near the phase change (5.2e-3 at fbbst(59)), so E[V^x] is the
+    finite product ``coefficient_moment``, not a gamma ratio in log space,
+    where logarithms up to ~500 would leave ~1e-13 of it."""
+    return 1 - instance.branches * instance.coefficient_moment(x)
+
+
+def _variance_factor(instance: FamilyInstance, lam: complex, amp2: complex):
     """(c0, c2) of the Var(S) factor (module docstring): both come from
-    -1 + m(m-1) E[V_1^(lam-1) V_2^(mu-1)] / s(lam+mu-2), at mu = conj(lam) and mu = lam.
-
-    s(x) = 1 - m E[V^x] is small near the phase change (5.2e-3 at fbbst(59)),
-    so E[V^x] is not taken in log space, where gamma logarithms up to ~500
-    leave ~1e-13 of it, but as the finite product of j / (j+x) over
-    t < j < M that the gamma ratio is, M - t - 1 being an integer."""
-    def s(x):
-        return 1 - m * math.prod(j / (j + x) for j in range(t + 1, m * (t + 1)))
-
+    -1 + m(m-1) E[V_1^(lam-1) V_2^(mu-1)] / s(lam+mu-2), at mu = conj(lam) and mu = lam."""
+    m, t = instance.split_law
     q = amp2 * cmath.exp(-log_gamma(lam))
-    b0, b2 = (-1 + m * (m - 1) * dirichlet_moment(m, t, lam - 1, mu - 1) / s(lam + mu - 2)
+    b0, b2 = (-1 + m * (m - 1) * dirichlet_moment(m, t, lam - 1, mu - 1)
+              / _s(instance, lam + mu - 2)
               for mu in (lam.conjugate(), lam))
     return 2 * abs(q) ** 2 * b0.real, q * q * b2
 
@@ -356,28 +352,23 @@ def periodic(kind: str, instance: FamilyInstance,
         raise RegimeMismatchError(f"{kind} is not a periodic factor of {instance}")
     if p < need:
         raise RegimeMismatchError(f"{kind} needs parameter >= {need}, got {instance}")
-    law = instance.split_law
-    if law is not None and spectrum is None:
+    if spectrum is None:
         spectrum = solve_spectrum(instance)
     if kind == instance.correlation_factor:
         return CorrelationFactor(kind, instance, spectrum)
-    if law is not None:
-        lam, amp2 = spectrum.lambda2, amplitude(spectrum, 2)
+    lam = spectrum.lambda2
+    if instance.split_law is not None:
+        amp2 = amplitude(spectrum, 2)
         if kind == var_kind:
-            return PeriodicFunction(kind, instance, *_variance_factor(*law, lam, amp2), 2)
-        q = _covariance_factor(*law, lam, amp2, float(occupancy_constant(instance)))
+            return PeriodicFunction(kind, instance, *_variance_factor(instance, lam, amp2), 2)
+        q = _covariance_factor(*instance.split_law, lam, amp2, float(occupancy_constant(instance)))
         return PeriodicFunction(kind, instance, 0.0, q, 1)
-    qe, d = quadtree_exponents(p), p
-    u = complex(qe.alpha_hat, qe.beta_hat)
+    u = lam - 1
     if kind == var_kind:
-        mult_r = (2 * qe.alpha_hat + 1) ** d / ((2 * qe.alpha_hat + 1) ** d - 2.0 ** d)
-        c0 = 2 * mult_r * abs(cplus) ** 2 * _quadtree_cl(u, u.conjugate(), d).real
-        zmult = (2 * u + 1) ** d / ((2 * u + 1) ** d - 2.0 ** d)
-        c2 = zmult * cplus * cplus * _quadtree_cl(u, u, d)
+        c0 = 2 * abs(cplus) ** 2 * _quadtree_cl(u, u.conjugate(), p).real / _s(instance, 2 * u.real)
+        c2 = cplus * cplus * _quadtree_cl(u, u, p) / _s(instance, 2 * u)
         return PeriodicFunction(kind, instance, c0, c2, 2)
-    zmult = (u + 2) ** d / ((u + 2) ** d - 2.0 ** d)
-    q = zmult * cplus * _quadtree_ck(u, d)
-    return PeriodicFunction(kind, instance, 0.0, q, 1)
+    return PeriodicFunction(kind, instance, 0.0, cplus * _quadtree_ck(u, p) / _s(instance, lam), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +381,7 @@ def profile_rows(instance: FamilyInstance, n: int, stats) -> list[dict]:
     p = instance.parameter
     law = instance.split_law
     count = stats.count
-    spectrum = quadtree_exponents(p) if law is None else solve_spectrum(instance)
+    spectrum = solve_spectrum(instance)
     regime = classify_regime(spectrum)
     tag = f"cov={regime.covariance_phase.value},dist={regime.distribution_phase.value}"
     periodic_law = p >= instance.periodic_from[1]

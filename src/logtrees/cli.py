@@ -104,11 +104,11 @@ def _instance(args) -> FamilyInstance:
 def cmd_roots(args) -> dict:
     from .roots import classify_regime, quadtree_exponents, solve_spectrum
 
-    if _instance(args).split_law is None:
-        spec = quadtree_exponents(args.param)
-        fields = {"alpha_hat": spec.alpha_hat, "beta_hat": spec.beta_hat}
+    spec = solve_spectrum(_instance(args), precision=args.precision)
+    if spec.instance.split_law is None:
+        qe = quadtree_exponents(args.param)
+        fields = {"alpha_hat": qe.alpha_hat, "beta_hat": qe.beta_hat}
     else:
-        spec = solve_spectrum(_instance(args), precision=args.precision)
         fields = {
             "degree": spec.degree,
             "roots": [complex(r) for r in spec.roots],

@@ -13,7 +13,10 @@ Three families of random log-trees are supported:
 m-ary trees and fringe-balanced BSTs are the cases t = 0 and m = 2 of one
 (m,t) split law: a node of size n >= m(t+1)-1 samples m(t+1)-1 keys and
 splits at every (t+1)-th of them, so one subtree size I has
-P(I = j) = C(j,t) C(n-1-j, (m-1)(t+1)-1) / C(n, m(t+1)-1).
+P(I = j) = C(j,t) C(n-1-j, (m-1)(t+1)-1) / C(n, m(t+1)-1).  Every family
+has one Mellin signature ``shifts``: a coefficient V (a subtree's share, a
+cell's volume) has E[V^x] = prod_s (s+1)/(s+1+x), which the indicial
+equation branches E[V^(z-1)] = 1 of ``roots`` and the periodic factors read.
 """
 from __future__ import annotations
 
@@ -73,6 +76,22 @@ class FamilyInstance:
         """Number of subtrees below a splitting node: m, or 2^d cells."""
         law = self.split_law
         return 2 ** self.parameter if law is None else law[0]
+
+    @property
+    def shifts(self) -> tuple[int, ...]:
+        """Mellin signature of one coefficient V, E[V^x] = prod_s (s+1)/(s+1+x):
+        t .. m(t+1)-2 for the (m,t) law (V ~ Beta(t+1, (m-1)(t+1))), d zeros for
+        a quadtree (V a product of d uniforms)."""
+        law = self.split_law
+        if law is None:
+            return (0,) * self.parameter
+        m, t = law
+        return tuple(range(t, m * (t + 1) - 1))
+
+    def coefficient_moment(self, x):
+        """E[V^x] of one coefficient V (x real or complex) as the finite
+        product over ``shifts``."""
+        return math.prod((s + 1) / (s + 1 + x) for s in self.shifts)
 
     @property
     def split_threshold(self) -> int:

@@ -65,9 +65,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import (FIXED_POINT_MAPS, FamilyInstance, RegimeMismatchError,
-                       dirichlet_moment, occupancy_constant)
-from .roots import Spectrum, quadtree_exponents, solve_spectrum, theta as spectrum_theta
+from .families import FIXED_POINT_MAPS, FamilyInstance, RegimeMismatchError, occupancy_constant
+from .roots import Spectrum, solve_spectrum, theta as spectrum_theta
 from .treesim import CELL_ROWS, check_cells, sample_volumes, sorted_gaps
 
 
@@ -105,9 +104,9 @@ def fixed_point_spec(instance: FamilyInstance, map_kind: str,
                      theta: complex | None = None) -> FixedPointSpec:
     """Build a FixedPointSpec, enforcing regime consistency.
 
-    For the quadtree periodic map the mean constraint depends on an
-    amplitude the theory leaves to external work; supply ``theta`` (default
-    1) in that case.
+    The periodic maps take lambda_2 from the spectrum.  For the quadtree
+    periodic map the mean constraint depends on an amplitude the theory
+    leaves to external work; supply ``theta`` (default 1) in that case.
     """
     if map_kind not in FIXED_POINT_MAPS:
         raise ValueError(f"unknown map kind {map_kind!r}")
@@ -125,15 +124,13 @@ def fixed_point_spec(instance: FamilyInstance, map_kind: str,
     phi = None if instance.split_law is None else float(occupancy_constant(instance))
     if map_kind != periodic_map:
         mean = (0.0, 0.0) if map_kind == normal_map else (0.0,)
-    elif instance.split_law is None:
-        qe = quadtree_exponents(p)
-        lam2 = complex(qe.alpha_hat + 1.0, qe.beta_hat)  # exponent + 1
-        mean = (0.0, 1.0 + 0.0j if theta is None else complex(theta))
     else:
         if spectrum is None:
             spectrum = solve_spectrum(instance)
         lam2 = spectrum.lambda2
-        mean = (0.0, spectrum_theta(spectrum))
+        if instance.split_law is not None:
+            theta = spectrum_theta(spectrum)
+        mean = (0.0, 1.0 + 0.0j if theta is None else complex(theta))
     return FixedPointSpec(
         instance=instance, map_kind=map_kind, mean_constraint=mean,
         lambda2=lam2, phi=phi, scale_constant=instance.variance_constant)
@@ -195,13 +192,6 @@ def toll(spec: FixedPointSpec, split_sample: np.ndarray,
 # contraction factors
 # ---------------------------------------------------------------------------
 
-def _coefficient_moment(instance: FamilyInstance, s: float) -> float:
-    """E[V^s] of one coefficient V: the Beta(t+1, (m-1)(t+1)) Mellin moment
-    for the (m,t) law, (1/(s+1))^d for a volume of d uniform factors."""
-    law = instance.split_law
-    return (1.0 / (s + 1.0)) ** instance.parameter if law is None else dirichlet_moment(*law, s)
-
-
 def contraction_factor(spec: FixedPointSpec) -> float:
     """L2 contraction factor branches * E[V^s] = branches * E[|V^e|^2] of the
     slot ``iterate`` contracts, asserted < 1 before iterating: for the
@@ -211,7 +201,7 @@ def contraction_factor(spec: FixedPointSpec) -> float:
     has factor branches * E[V] = 1, does not contract and is re-standardised
     after every step instead."""
     s = 2 * spec.lambda2.real - 2 if spec.is_periodic else 2.0
-    return spec.instance.branches * _coefficient_moment(spec.instance, s)
+    return spec.instance.branches * spec.instance.coefficient_moment(s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,25 @@
 """Indicial equations of the tree families and their spectra.
 
-The growth exponents of the moment recurrences are driven by the zeros of
+The growth exponents of the moment recurrences are the zeros of
+branches E[V^(z-1)] = 1, V one coefficient (a subtree's share or a cell's
+volume).  With the Mellin signature E[V^x] = prod_s (s+1)/(s+1+x) of
+``FamilyInstance.shifts`` that is P(z) = prod (z+s) - c, c = branches prod (s+1):
 
     (m,t) law:  (z+t) (z+t+1) ... (z+m(t+1)-2) - m (m(t+1)-1)!/t!
     mary:       z (z+1) ... (z+m-2) - m!                      (t = 0)
     fbbst:      (z+t) (z+t+1) ... (z+2t) - 2 (2t+1)!/t!       (m = 2)
+    quadtree:   z^d - 2^d                                     (d zero shifts)
 
 z = 2 is always a zero (the principal one); the real part alpha of the
-second-largest zero decides the phase of second-order moments.  Quadtrees
-need no polynomial: their exponents are 2 e^(2 pi i / d) in closed form.
+second-largest zero decides the phase of second-order moments.  The
+quadtree zeros 2 e^(2 pi i k / d) are solved and certified like the others;
+quadtree(1), the binary search tree, has the one root z = 2 (its formal
+lambda_2).
 
-With c = m prod (s+1) the roots solve prod (z+s)/(s+1) = m, whose factors
-stay moderate in size however large c is.  Each upper half-plane root is the
-one solution of its own branch equation sum log((z+s)/(s+1)) = log m +
-2 pi i k, k = 1 .. (deg-1)//2; a few damped Newton steps from the circle
+The roots solve prod (z+s)/(s+1) = branches, whose factors stay moderate in
+size however large c is.  Each upper half-plane root is the one solution of
+its own branch equation sum log((z+s)/(s+1)) = log branches + 2 pi i k,
+k = 1 .. (deg-1)//2; a few damped Newton steps from the circle
 |z + mean shift| = c^(1/deg) solve it to 1e-8, and Newton on the ratio form
 then polishes it on its own to rounding noise (its relative step below
 1e-12 and no longer halving).  The negative real root (even degree) takes
@@ -34,8 +40,9 @@ certified.  r_k is the same at z and at conj(z), so it is taken at the
 upper and real roots only, and an upper disk that met the real axis would
 overlap its mirror and fail the certificate.
 
-Each root lam carries the amplitude A of (1-x)^(-lam) in the generating
-function A(x) of the means a_n of the first measure S (``amplitude``).  With
+Each root lam of an (m,t) law carries the amplitude A of (1-x)^(-lam) in
+the generating function A(x) of the means a_n of the first measure S
+(``amplitude``); the quadtree amplitude is caller-supplied.  With
 K = m(t+1)-1 and theta = (1-x) d/dx = d/du under x = 1 - e^(-u), the sum of
 (1-x)^K x^n C(n,K) times the recurrence is (theta)_t P(theta) A = c K!/(1-x),
 c the toll of S; its Laplace residue at e^(lam u) = (1-x)^(-lam) is
@@ -56,12 +63,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .families import FamilyInstance, RegimeMismatchError
+from .families import FamilyInstance, RegimeMismatchError, quadtree
 from .gammafn import reciprocal_gamma
-
-
-class NoPolynomialError(ValueError):
-    """Quadtrees have closed-form exponents, not an indicial polynomial."""
 
 
 class RootConvergenceError(RuntimeError):
@@ -85,14 +88,11 @@ _EPS = 2.0 ** -52
 
 
 def indicial_shifts(instance: FamilyInstance) -> tuple[list[int], int]:
-    """Factored form of the indicial polynomial of the (m,t) split law:
-    shifts t .. m(t+1)-2 and c = m (m(t+1)-1)! / t!, so that
-    P(z) = prod_i (z + s_i) - c."""
-    if instance.split_law is None:
-        raise NoPolynomialError("no polynomial for quadtree; use quadtree_exponents")
-    m, t = instance.split_law
-    k = m * (t + 1) - 1
-    return list(range(t, k)), m * math.factorial(k) // math.factorial(t)
+    """Factored form P(z) = prod_i (z + s_i) - c of the indicial polynomial:
+    the instance's ``shifts`` and c = branches prod (s+1), which is
+    m (m(t+1)-1)! / t! for the (m,t) law and 2^d for a quadtree."""
+    shifts = list(instance.shifts)
+    return shifts, instance.branches * math.prod(s + 1 for s in shifts)
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,9 @@ def _branch_circle(shifts: Sequence[int], m: int) -> np.ndarray:
 
 
 def _branch_roots(shifts: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of prod (z+s)/(s+1) = m in the upper half-plane, one per
-    branch, and the real roots: z = 2 and, for even degree, the negative one.
+    """The roots of prod (z+s)/(s+1) = m (m the number of branches) in the
+    upper half-plane, one per branch, and the real roots: z = 2 and, for even
+    degree, the negative one.
 
     On the upper half-plane F(z) = sum log((z+s)/(s+1)) is univalent (its
     derivative sum 1/(z+s) has negative imaginary part), so each branch
@@ -146,7 +147,7 @@ def _branch_roots(shifts: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray
     Newton steps on it from the ``_branch_circle`` point, halved while they
     would leave the half-plane, run until every relative step is below
     1e-8.  The negative real root solves sum log(-(x+s)/(s+1)) = log m by
-    Newton from x = -(max shift + 1), where the product is 1/C(K, t) < m:
+    Newton from x = -(max shift + 1), where the product is at most 1 < m:
     the left side is concave and increasing in -x, so the steps climb
     monotonically onto the root.
 
@@ -355,10 +356,9 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
         raise ValueError("precision must be >= 64 bits")
     shifts, const = indicial_shifts(instance)
     deg = len(shifts)
-    if deg < 2:
-        raise RootConvergenceError(f"degree {deg} < 2, nothing to solve")
-
-    m = instance.split_law[0]
+    m = instance.branches
+    if m >= 2 ** 1024:  # the ratio form reaches prod (z+s)/(s+1) = m in doubles
+        raise ValueError(f"{instance}: {m} branches exceed the double range of the solver")
     upper, real = _branch_roots(shifts, m)
     # lambda_2, the root after z = 2, is the upper root of largest real part
     # (an upper z with Re z <= x, x the negative real root, would have
@@ -367,7 +367,7 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
     if upper.size:
         k = int(np.argmax(upper.real))
         upper[k] = _newton_exact(shifts, const, complex(upper[k]))
-    else:
+    elif deg == 2:
         real[1] = _newton_exact(shifts, const, complex(real[1]))
 
     # log c = log m + sum log(s+1), a sum of rounded logs: math.log of the
@@ -395,7 +395,8 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
         raise RootConvergenceError(
             f"principal root {principal} is not 2 for {instance}")
 
-    lam2 = complex(roots[1])
+    # degree 1 (quadtree(1)) has no second root; its formal lambda_2 is z = 2
+    lam2 = complex(roots[1]) if deg > 1 else principal
     imag_tol = 1e-12 * max(1.0, abs(lam2.real))
     beta = abs(lam2.imag) if abs(lam2.imag) > imag_tol else 0.0
     alpha = lam2.real
@@ -424,8 +425,7 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
 
 @dataclass(frozen=True)
 class QuadtreeExponents:
-    """Closed-form secondary exponent data for d-dimensional quadtrees:
-    2 e^(2 pi i / d) = alpha_hat + 1 + i beta_hat."""
+    """lambda_2 = 2 e^(2 pi i / d) = alpha_hat + 1 + i beta_hat of quadtree(d)."""
 
     d: int
     alpha_hat: float
@@ -433,18 +433,9 @@ class QuadtreeExponents:
 
 
 def quadtree_exponents(d: int) -> QuadtreeExponents:
-    if d < 1:
-        raise ValueError("quadtree dimension must be >= 1")
-
-    def snap(x: float) -> float:
-        # trig at rational multiples of pi: clean up representable exact values
-        return round(x) if abs(x - round(x)) < 1e-12 else x
-
-    return QuadtreeExponents(
-        d=d,
-        alpha_hat=snap(2.0 * math.cos(2.0 * math.pi / d) - 1.0),
-        beta_hat=snap(2.0 * math.sin(2.0 * math.pi / d)),
-    )
+    """The quadtree view of the certified spectrum of z^d - 2^d."""
+    spectrum = solve_spectrum(quadtree(d))
+    return QuadtreeExponents(d=d, alpha_hat=spectrum.alpha - 1.0, beta_hat=spectrum.beta)
 
 
 class CovariancePhase(str, Enum):
@@ -470,34 +461,36 @@ def _threshold(value: float, cut: float, what: str) -> bool:
     return value > cut
 
 
-def classify_regime(spectrum_or_exponents) -> Regime:
-    """Phase classification.
-
-    mary / fbbst: covariance turns periodic for alpha > 1, the distribution
-    for alpha > 3/2.  Quadtrees: covariance periodic for alpha_hat >= 0
-    (d = 6 sits exactly on the boundary and belongs to the periodic branch),
-    variance/distribution periodic for alpha_hat > 1/2.  d = 1 is the
-    degenerate binary-search-tree case: both phases are in the convergent
-    branch even though the formal exponent collides with the principal one.
+def classify_regime(spectrum: Spectrum) -> Regime:
+    """Phase classification: the covariance turns periodic for alpha > 1,
+    the distribution for alpha > 3/2; an alpha within REGIME_GUARD_BAND of a
+    cut raises IndeterminateRegimeError.  Two stated rules: degree 1
+    (quadtree(1), the BST) is linear and Gaussian, its formal lambda_2 = 2
+    being the principal root; quadtrees put the covariance cut at
+    alpha >= 1 - REGIME_GUARD_BAND, since Re lambda_2 = 1 exactly at d = 6.
     """
-    if isinstance(spectrum_or_exponents, QuadtreeExponents):
-        qe = spectrum_or_exponents
-        if qe.d == 1:
-            return Regime(CovariancePhase.LINEAR, DistributionPhase.GAUSSIAN)
-        cov_periodic = qe.alpha_hat >= -REGIME_GUARD_BAND
-        dist_periodic = _threshold(qe.alpha_hat, 0.5, f"quadtree d={qe.d}")
-        return Regime(
-            CovariancePhase.PERIODIC if cov_periodic else CovariancePhase.LINEAR,
-            DistributionPhase.PERIODIC if dist_periodic else DistributionPhase.GAUSSIAN,
-        )
-    spectrum = spectrum_or_exponents
+    if spectrum.degree == 1:
+        return Regime(CovariancePhase.LINEAR, DistributionPhase.GAUSSIAN)
     label = str(spectrum.instance)
-    cov = _threshold(spectrum.alpha, 1.0, label)
+    if spectrum.instance.split_law is None:
+        cov = spectrum.alpha >= 1.0 - REGIME_GUARD_BAND
+    else:
+        cov = _threshold(spectrum.alpha, 1.0, label)
     dist = _threshold(spectrum.alpha, 1.5, label)
     return Regime(
         CovariancePhase.PERIODIC if cov else CovariancePhase.LINEAR,
         DistributionPhase.PERIODIC if dist else DistributionPhase.GAUSSIAN,
     )
+
+
+def amplitude_law(spectrum: Spectrum) -> tuple[int, int]:
+    """(m, t) of the split law the amplitude formulas need; AmplitudeError
+    for a quadtree, whose amplitude is caller-supplied (cplus, theta)."""
+    law = spectrum.instance.split_law
+    if law is None:
+        raise AmplitudeError(f"no amplitude formula for {spectrum.instance}: "
+                             "the quadtree amplitude is caller-supplied (cplus, theta)")
+    return law
 
 
 def amplitude(spectrum: Spectrum, k: int = 2) -> complex:
@@ -509,10 +502,10 @@ def amplitude(spectrum: Spectrum, k: int = 2) -> complex:
 
     with a_0 = 0, a_j = S.initial and c the toll of S.  Over 1 - lam, a real
     root's zero imaginary part has the sign the per-family forms gave it."""
+    m, t = amplitude_law(spectrum)
     if k < 2 or k > spectrum.degree:
         raise AmplitudeError(f"k must index a non-principal root (2..{spectrum.degree})")
     lam = complex(spectrum.roots[k - 1])
-    m, t = spectrum.instance.split_law
     size = m * (t + 1) - 1
     first = spectrum.instance.measures[0]
     acc = 0.0

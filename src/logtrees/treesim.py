@@ -678,8 +678,12 @@ def corr_profile(instance: FamilyInstance, n_grid, reps: int, seed: int,
     """
     from . import asymptotics  # deferred: avoid import cycle at module load
 
+    sizes = [int(n) for n in n_grid]
+    small = [n for n in sizes if n < 2]
+    if small:  # the predictions divide by n (n log n for quadtrees): check before any run
+        raise ValueError(f"corr-profile sizes must be >= 2, got {small[0]}")
     rows = []
-    for n in n_grid:
-        stats = monte_carlo(instance, int(n), reps, seed, threads)
-        rows.extend(asymptotics.profile_rows(instance, int(n), stats))
+    for n in sizes:
+        stats = monte_carlo(instance, n, reps, seed, threads)
+        rows.extend(asymptotics.profile_rows(instance, n, stats))
     return rows

@@ -108,17 +108,24 @@ def build_indicial(instance: FamilyInstance) -> list[int]:
 
 
 def eval_indicial(instance: FamilyInstance, z: complex) -> complex:
-    """m E[V^(z-1)] - 1 for a coefficient V ~ Beta(t+1, (m-1)(t+1)) of the
-    (m,t) split law, zero exactly at the indicial roots.  Written from the
-    Beta Mellin moment E[V^s] = B(a+s, b) / B(a, b), not from the shifts of
-    the polynomial the routes solve; at a root z + t in {0, -1, ...} the
-    poles of Gamma(a+s) and Gamma(a+b+s) cancel, and gammaprod takes the
-    limit.  Since the moment is m Gamma(z+t) K! / (Gamma(z+K) t!) with
-    K = m(t+1)-1, this is -P(z) / prod(z + shifts): a relative residual."""
-    m, t = instance.split_law
-    a, b = t + 1, (m - 1) * (t + 1)
+    """branches E[V^(z-1)] - 1 for one coefficient V, zero exactly at the
+    indicial roots, written from the law of V and not from the shifts of the
+    polynomial the routes solve.
+
+    (m,t) law: V ~ Beta(t+1, (m-1)(t+1)) with the Mellin moment
+    E[V^s] = B(a+s, b) / B(a, b); at a root z + t in {0, -1, ...} the poles
+    of Gamma(a+s) and Gamma(a+b+s) cancel, and gammaprod takes the limit.
+    Since the moment is m Gamma(z+t) K! / (Gamma(z+K) t!) with K = m(t+1)-1,
+    this is -P(z) / prod(z + shifts): a relative residual.  Quadtree: a cell
+    volume is a product of d uniforms, E[V^(z-1)] = z^(-d), so the residual
+    is 2^d z^(-d) - 1."""
     with mpmath.workdps(30):
         s = mpmath.mpc(z) - 1
+        if instance.split_law is None:
+            d = instance.parameter
+            return complex(2 ** d * (s + 1) ** (-d) - 1)
+        m, t = instance.split_law
+        a, b = t + 1, (m - 1) * (t + 1)
         return complex(m * mpmath.gammaprod([a + s, a + b], [a + b + s, a]) - 1)
 
 
@@ -402,3 +409,35 @@ def multinomial_rows(rng, counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
         remp -= probs[:, h]
     out[:, cells - 1] = rem
     return out
+
+
+def quadtree_periodic_mp(d: int, cplus: complex, dps: int = 50):
+    """(c0, c2, cov) of the quadtree variance factor P1 = c0 + 2 Re(c2 e^(2iz))
+    and covariance factor P2 = 2 Re(cov e^(iz)) at ``dps`` digits, evaluated
+    at the exact root lambda_2 = 2 e^(2 pi i / d), u = lambda_2 - 1:
+
+        c0  = 2 |cplus|^2 Re CL(u, conj(u)) / s(2 Re u),
+        c2  = cplus^2 CL(u, u) / s(2u),
+        cov = cplus CK(u) / s(u + 1),
+
+    with s(x) = 1 - 2^d (1+x)^(-d), eta(u, v) = (1/(u+v+1) + B(u+1, v+1))^d,
+    CL(u, v) = 1 - eta(0, u) - eta(0, v) + 2^d eta(u, v) and
+    CK(u) = eta(0, u) + 2^(d+1)/d d/dv eta(u, v) at v = 1, the derivative
+    taken by mpmath.diff."""
+    with mpmath.workdps(dps):
+        lam = 2 * mpmath.expjpi(mpmath.mpf(2) / d)
+        u, cp = lam - 1, mpmath.mpc(cplus)
+
+        def eta(a, b):
+            return (1 / (a + b + 1) + mpmath.beta(a + 1, b + 1)) ** d
+
+        def s(x):
+            return 1 - mpmath.mpf(2) ** d * (1 + x) ** (-d)
+
+        def cl(a, b):
+            return 1 - eta(0, a) - eta(0, b) + 2 ** d * eta(a, b)
+
+        ck = eta(0, u) + mpmath.mpf(2) ** (d + 1) / d * mpmath.diff(lambda v: eta(u, v), 1)
+        c0 = 2 * abs(cp) ** 2 * mpmath.re(cl(u, mpmath.conj(u))) / s(2 * mpmath.re(u))
+        c2 = cp * cp * cl(u, u) / s(2 * u)
+        return float(c0), complex(c2), complex(cp * ck / s(u + 1))

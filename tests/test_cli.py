@@ -143,6 +143,21 @@ def test_corr_profile_csv():
     assert {"mean_S_over_n", "var_K_over_n2", "rho_SK", "rho_KN"} <= stats
 
 
+@pytest.mark.parametrize("family,param,grid,bad", [
+    ("quadtree", 2, "1", "1"), ("mary", 3, "0", "0"), ("mary", 3, "5,-3", "-3"),
+    ("fbbst", 1, "40,1,60", "1")])
+def test_corr_profile_rejects_sizes_below_two_before_simulating(family, param, grid, bad,
+                                                               monkeypatch):
+    from logtrees import treesim
+
+    calls = []
+    monkeypatch.setattr(treesim, "monte_carlo", lambda *args: calls.append(args))
+    code, out, err = run_cli(["corr-profile", "--family", family, "--param", str(param),
+                              "--grid", grid, "--reps", "4"])
+    assert code == 2 and out == "" and not calls
+    assert f"got {bad}" in err and "division" not in err
+
+
 def test_regime_mismatch_exit_code():
     code, _, err = run_cli(["periodic", "--kind", "F1", "--param", "26"])
     assert code == 3
@@ -349,6 +364,7 @@ def test_threads_default_is_the_cpus_available():
     ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "0"],
     ["fixpoint", "--map", "uniK", "--param", "3", "--gens", "1", "--pool", "999"],
     ["roots", "--family", "quadtree", "--param", "2", "--precision", "32"],
+    ["roots", "--family", "quadtree", "--param", "1024"],
     ["roots", "--family", "mary", "--param", "5", "--precision", "63"],
     ["table-alpha", "--from", "10", "--to", "5"],
     ["table-alpha", "--to", "5", "--from", "2"],

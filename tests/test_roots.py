@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import os
 import subprocess
@@ -19,8 +20,6 @@ from logtrees.roots import (
     CovariancePhase,
     DistributionPhase,
     IndeterminateRegimeError,
-    NoPolynomialError,
-    QuadtreeExponents,
     RootConvergenceError,
     amplitude,
     classify_regime,
@@ -72,9 +71,12 @@ def test_two_is_always_a_root(inst):
     assert eval_indicial(inst, 2.0) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_no_polynomial_for_quadtree():
-    with pytest.raises(NoPolynomialError):
-        build_indicial(quadtree(2))
+def test_build_indicial_quadtree():
+    # z^d - 2^d: d zero shifts and c = 2^d, from the cell-volume moment
+    # 2^d E[V^(z-1)] = 2^d z^(-d) = 1
+    for d in (1, 2, 3, 9, 40):
+        assert build_indicial(quadtree(d)) == [1] + [0] * (d - 1) + [-2 ** d]
+        assert indicial_shifts(quadtree(d)) == ([0] * d, 2 ** d)
 
 
 def test_alpha_table_reproduced():
@@ -183,19 +185,66 @@ def test_classify_fbbst_thresholds():
 
 
 def test_classify_quadtree_thresholds():
-    assert classify_regime(quadtree_exponents(5)).covariance_phase is CovariancePhase.LINEAR
-    assert classify_regime(quadtree_exponents(6)).covariance_phase is CovariancePhase.PERIODIC
-    assert classify_regime(quadtree_exponents(8)).distribution_phase is DistributionPhase.GAUSSIAN
-    assert classify_regime(quadtree_exponents(9)).distribution_phase is DistributionPhase.PERIODIC
-    # d=1 is the degenerate BST case
-    r1 = classify_regime(quadtree_exponents(1))
-    assert (r1.covariance_phase, r1.distribution_phase) == (
-        CovariancePhase.LINEAR, DistributionPhase.GAUSSIAN)
+    # d = 1 is the degenerate BST case (degree 1, formal lambda_2 = 2); at
+    # d = 6 Re lambda_2 = 1 exactly, which the quadtree cut puts on the
+    # periodic side
+    want = {1: ("linear", "gaussian"), 2: ("linear", "gaussian"), 5: ("linear", "gaussian"),
+            6: ("periodic", "gaussian"), 8: ("periodic", "gaussian"),
+            9: ("periodic", "periodic")}
+    for d, phases in want.items():
+        regime = classify_regime(solve_spectrum(quadtree(d)))
+        assert (regime.covariance_phase.value, regime.distribution_phase.value) == phases, d
+    assert solve_spectrum(quadtree(6)).alpha == 1.0
 
 
 def test_guard_band_raises():
+    spec = solve_spectrum(mary(27))
+    for cut in (1.0, 1.5):
+        with pytest.raises(IndeterminateRegimeError):
+            classify_regime(dataclasses.replace(spec, alpha=cut + 1e-9))
+    # the quadtree covariance cut has no guard band, the distribution cut has
+    quad = solve_spectrum(quadtree(9))
+    assert classify_regime(dataclasses.replace(quad, alpha=1.0 - 1e-9)).covariance_phase \
+        is CovariancePhase.PERIODIC
     with pytest.raises(IndeterminateRegimeError):
-        classify_regime(QuadtreeExponents(d=99, alpha_hat=0.5 + 1e-9, beta_hat=1.0))
+        classify_regime(dataclasses.replace(quad, alpha=1.5 + 1e-9))
+
+
+def _exact_quadtree_roots(d: int) -> list:
+    with mpmath.workprec(200):
+        return [2 * mpmath.expjpi(mpmath.mpf(2 * k) / d) for k in range(d)]
+
+
+@pytest.mark.parametrize("d", [*range(1, 41), 300])
+def test_quadtree_spectrum_is_certified_around_the_exact_roots(d):
+    # every root within its certified disk of a 200-bit 2 e^(2 pi i k / d),
+    # and lambda_2 that root rounded to double
+    spec = solve_spectrum(quadtree(d))
+    assert spec.degree == d and spec.certified_error <= CERTIFIED_TOLERANCE
+    exact = _exact_quadtree_roots(d)
+    with mpmath.workprec(200):
+        for z, r in zip(spec.roots, spec.radii):
+            assert sum(abs(w - mpmath.mpc(z)) <= r for w in exact) == 1, (z, r)
+    assert spec.principal_root == 2.0
+    if d == 1:
+        assert spec.lambda2 == 2.0  # the formal lambda_2 of the BST
+        return
+    want = complex(exact[1])
+    assert spec.lambda2 == complex(want.real, want.imag if d > 2 else 0.0)
+    if d == 4:
+        assert spec.lambda2 == 2j
+    for z in spec.roots:
+        assert abs(eval_indicial(quadtree(d), complex(z))) <= 1e-12
+
+
+def test_amplitude_is_caller_supplied_for_quadtrees():
+    from logtrees.asymptotics import c2_minus_phi_c1, constants
+
+    spec = solve_spectrum(quadtree(9))
+    for fn in (amplitude, theta, c2_minus_phi_c1):
+        with pytest.raises(AmplitudeError, match="caller-supplied"):
+            fn(spec)
+    assert constants(quadtree(9)).theta is None
 
 
 def test_amplitude_m3():
