@@ -6,7 +6,8 @@ stderr so repeated runs with the same seed are byte-identical.  Each
 subcommand is one entry of ``COMMANDS``; ``_write_run`` alone writes the
 header, and ``main`` alone opens the output and maps exceptions to exit
 codes: 0 success, 1 internal error, 2 usage, 3 regime mismatch,
-4 acceptance failure.
+4 acceptance failure.  A reader that closes stdout early ends the run
+with exit 0 and nothing on stderr.
 """
 from __future__ import annotations
 
@@ -106,7 +107,7 @@ def cmd_roots(args) -> dict:
 
     spec = solve_spectrum(_instance(args), precision=args.precision)
     if spec.instance.split_law is None:
-        qe = quadtree_exponents(args.param)
+        qe = quadtree_exponents(spec)
         fields = {"alpha_hat": qe.alpha_hat, "beta_hat": qe.beta_hat}
     else:
         fields = {
@@ -360,6 +361,14 @@ def main(argv: list[str] | None = None) -> int:
         body = COMMANDS[args.command][0](args)
         with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
             _write_run(fh, args, body)
+            fh.flush()  # a reader that stopped shows here, not at exit
+    except BrokenPipeError:
+        # the reader stopped (``| head``): no error.  Point stdout at the null
+        # device so the interpreter's last flush stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except AcceptanceFailure:
         code = _EXIT_ACCEPTANCE
     except RegimeMismatchError as exc:

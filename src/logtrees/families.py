@@ -130,7 +130,8 @@ class FamilyInstance:
     def covariance_rows(self) -> tuple[tuple[str, str, str], ...]:
         """(row, measure, measure) of each second-order moment table row; a
         row comes after the rows its ``plus`` terms read.  Quadtrees have
-        none: their pairwise cell-count law has no scalar recurrence."""
+        none: their pairwise cell-count law is not implemented (ROADMAP item
+        3)."""
         if self.family is Family.MARY:
             return (("VS", "S", "S"), ("VSK", "S", "K"), ("VK", "K", "K"),
                     ("VSN", "S", "N"), ("VN", "N", "N"), ("VKN", "K", "N"))

@@ -31,9 +31,9 @@ pi2_{n}(j,k) = C(j,t) C(k,t) C(n-2-j-k, D2-1) / C(n, K), D2 = (m-2)(t+1),
 turns the double sum into a self-convolution of the C(j,t)-weighted rows
 pushed through a pair cascade of depth D2.  Depth 0 is fbbst, whose two
 subtree sizes determine each other: the pair sum is the convolution at
-n-1.  Quadtree second moments would need the pairwise cell-count law (a
-genuine d-dimensional integral with no scalar recurrence) and are
-deliberately not provided; use Monte Carlo.
+n-1.  Quadtree second moments need the pairwise cell-count law, whose
+pair sums an exact O(d n^2) identity gives (ROADMAP item 3); that route is
+not implemented, so they are refused here; use Monte Carlo.
 """
 from __future__ import annotations
 
@@ -342,7 +342,7 @@ def second_moment_tables(instance: FamilyInstance, n_max: int, mode: str = "exac
     if instance.split_law is None:
         raise UnsupportedTableError(
             "quadtree second moments need the pairwise cell-count law, which "
-            "has no scalar dynamic program; use treesim.monte_carlo")
+            "is not implemented (ROADMAP item 3); use treesim.monte_carlo")
     law = _law(instance, n_max, mode == "exact")
     means = _mean_rows(instance, law, n_max)
     columns = {meas.row: means[meas.name] for meas in instance.measures}

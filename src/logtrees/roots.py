@@ -63,7 +63,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .families import FamilyInstance, RegimeMismatchError, quadtree
+from .families import FamilyInstance, RegimeMismatchError
 from .gammafn import reciprocal_gamma
 
 
@@ -432,10 +432,10 @@ class QuadtreeExponents:
     beta_hat: float
 
 
-def quadtree_exponents(d: int) -> QuadtreeExponents:
-    """The quadtree view of the certified spectrum of z^d - 2^d."""
-    spectrum = solve_spectrum(quadtree(d))
-    return QuadtreeExponents(d=d, alpha_hat=spectrum.alpha - 1.0, beta_hat=spectrum.beta)
+def quadtree_exponents(spectrum: Spectrum) -> QuadtreeExponents:
+    """The quadtree view of a solved spectrum of z^d - 2^d."""
+    return QuadtreeExponents(d=spectrum.instance.parameter, alpha_hat=spectrum.alpha - 1.0,
+                             beta_hat=spectrum.beta)
 
 
 class CovariancePhase(str, Enum):

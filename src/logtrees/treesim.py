@@ -20,6 +20,14 @@ Replicates are simulated level-synchronously in fixed blocks of 1024, each
 block on its own counter-based Philox stream keyed by (seed, block index),
 so results are bit-identical for a given seed regardless of thread count.
 Statistics accumulate as exact integer power sums and merge associatively.
+
+A level of a block is held in flat arrays that grow with n.  Replicate
+indices are int32 (a block holds 1024 replicates); subtree sizes, and the
+key ranks and cell counts drawn from them, are int32 when n + 1 < 2^31 and
+int64 otherwise, a choice made from n alone.  The dtype moves no draw: the
+generator is always asked for int64 values.  The leaves of a level draw
+and sum their measures LEAF_SLICE at a time, so those temporaries stop
+growing with the level.
 """
 from __future__ import annotations
 
@@ -40,8 +48,9 @@ from .families import FamilyInstance
 BLOCK = 1024  # replicates per RNG stream; fixed so --threads cannot change draws
 
 # The sampling routes draw the cells of many splits at once, as (rows, 2^d)
-# arrays of 8-byte volumes or counts with at most CELL_ROWS rows: a fixed-point
-# chunk, or a chunk of a Monte Carlo level.  One must fit MAX_CELL_BYTES.
+# arrays of 8-byte volumes, or of counts of at most 8 bytes, with at most
+# CELL_ROWS rows: a fixed-point chunk, or a chunk of a Monte Carlo level.  One
+# must fit MAX_CELL_BYTES.
 CELL_ROWS = 16_384
 MAX_CELL_BYTES = 64 * 2**20
 
@@ -110,9 +119,9 @@ def build_mary_tree(permutation, m: int) -> TreeMeasures:
 
 def _floyd_distinct(rng, n_arr: np.ndarray, k: int) -> np.ndarray:
     """Floyd's algorithm, vectorised across rows: k distinct uniform values
-    from {1..n_arr[i]} per row (unsorted)."""
+    from {1..n_arr[i]} per row (unsorted), of n_arr's dtype."""
     rows = n_arr.shape[0]
-    chosen = np.zeros((rows, k), dtype=np.int64)
+    chosen = np.zeros((rows, k), dtype=n_arr.dtype)
     for i in range(k):
         j = n_arr - k + 1 + i
         t = rng.integers(1, j + 1)
@@ -169,7 +178,7 @@ def sorted_gaps(a: np.ndarray, low, high, step: int = 1) -> np.ndarray:
 def _law_splits(rng, m: int, t: int, sizes: np.ndarray) -> np.ndarray:
     """Subtree sizes below splitting nodes of the (m,t) law: gaps between
     the split keys, which are columns t, 2t+1, ... of m(t+1)-1 sorted
-    distinct key ranks.  Returns (rows, m) array."""
+    distinct key ranks.  Returns (rows, m) array of sizes' dtype."""
     gaps = sorted_gaps(_floyd_distinct(rng, sizes, m * (t + 1) - 1), 0, sizes + 1, t + 1)
     gaps -= 1
     return gaps
@@ -204,8 +213,8 @@ def check_cells(instance: FamilyInstance) -> None:
 
 def _cell_splits(rng, d: int, sizes: np.ndarray) -> np.ndarray:
     """Cell counts of the size - 1 other points around a d-dimensional
-    quadtree node, from coordinate ranks: a (rows, 2^d) int64 view, columns
-    laid out as ``sample_volumes`` lays out the volumes.
+    quadtree node, from coordinate ranks: a (rows, 2^d) view of sizes' dtype,
+    columns laid out as ``sample_volumes`` lays out the volumes.
 
     In coordinate l the node's point has a uniform rank, so a_l ~ U{0..size-1}
     of the other points lie below it, and they form a uniform a_l-subset,
@@ -216,7 +225,7 @@ def _cell_splits(rng, d: int, sizes: np.ndarray) -> np.ndarray:
     points of the cells not yet split); the last cell takes what is left.
     Cells are filled as contiguous rows of a (2^d, rows) array.  numpy's
     hypergeometric takes counts below 10^9, so sizes may reach 10^9."""
-    cells = np.empty((2 ** d, sizes.shape[0]), dtype=np.int64)
+    cells = np.empty((2 ** d, sizes.shape[0]), dtype=sizes.dtype)
     cells[0] = sizes - 1
     for l in range(d):
         width = 2 ** l
@@ -371,6 +380,11 @@ def _cell_counts(d: int, laws: list, lift, point, work: _Work):
 # CDF returns.
 GUIDE_BITS = 12
 
+# SmallLaws.sums draws and sums the leaves of a level this many at a time.
+# Generator.random continues one stream across calls and the per-replicate
+# totals are exact integer sums, so the slice moves no draw and no bit.
+LEAF_SLICE = 2**16
+
 
 def _size_plus_uniform(rng, k: np.ndarray) -> np.ndarray:
     """k + u, u ~ U[0,1), as float64 below k + 1: the sum rounds up to k + 1
@@ -417,13 +431,18 @@ class SmallLaws(NamedTuple):
         """Draw the measures of subtrees of the given sizes (< cutoff) and
         add them up per replicate: (measures, reps) int64.  Sizes below the
         split threshold have point-mass laws and take no draw."""
-        # each size k below the threshold holds one entry, the k-th
-        entry = sizes.astype(np.intp)
-        drawn = np.flatnonzero(sizes >= self.threshold)
-        if drawn.size:
-            entry[drawn] = self.search(_size_plus_uniform(rng, sizes.take(drawn)))
-        return np.array([np.bincount(rep, weights=col.take(entry), minlength=reps)
-                         for col in self.columns], dtype=np.int64)
+        total = np.zeros((len(self.columns), reps))
+        for lo in range(0, sizes.size, LEAF_SLICE):
+            part = sizes[lo:lo + LEAF_SLICE]
+            # each size k below the threshold holds one entry, the k-th
+            entry = part.astype(np.intp)
+            drawn = np.flatnonzero(part >= self.threshold)
+            if drawn.size:
+                entry[drawn] = self.search(_size_plus_uniform(rng, part.take(drawn)))
+            for out, col in zip(total, self.columns):
+                out += np.bincount(rep[lo:lo + LEAF_SLICE], weights=col.take(entry),
+                                   minlength=reps)
+        return total.astype(np.int64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -527,8 +546,8 @@ def _simulate_block(instance: FamilyInstance, n: int, reps: int, rng):
     if n == 0:
         return tuple(cols)
 
-    sizes = np.full(reps, n, dtype=np.int64)
-    rep = np.arange(reps, dtype=np.int64)
+    sizes = np.full(reps, n, dtype=np.int32 if n + 1 < 2**31 else np.int64)
+    rep = np.arange(reps, dtype=np.int32)
     depth = 0
     while True:
         if depth > cap:

@@ -42,6 +42,25 @@ def test_roots_quadtree_variant():
     assert doc["alpha_hat"] == pytest.approx(0.532089, abs=1e-5)
 
 
+def test_roots_quadtree_solves_its_spectrum_once(monkeypatch):
+    # the alpha_hat/beta_hat view reads the spectrum the command solved; the
+    # bytes are those of the former second solve at 64 bits
+    import hashlib
+
+    from logtrees import roots
+    calls = []
+    real = roots.solve_spectrum
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(roots, "solve_spectrum", spy)
+    code, out, _ = run_cli(["roots", "--family", "quadtree", "--param", "9"])
+    assert code == 0 and len(calls) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e6b12dd63685f3f7cf0ac9c65e00115acb1190c7232ed41366d85c95d0efcfea")
+
+
 def test_table_alpha_row_m10():
     code, out, _ = run_cli(["table-alpha", "--from", "3", "--to", "12"])
     assert code == 0
@@ -377,3 +396,26 @@ def test_out_of_range_inputs_are_usage_errors(argv, tmp_path):
     assert (code, out) == (2, "")
     assert "error" in err
     assert not path.exists()
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    # `logtrees moments ... | head -1`: the reader stops after one line of a
+    # body far larger than a pipe buffer
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import logtrees
+    path = [str(Path(logtrees.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "logtrees.cli", "moments", "--family", "mary", "--param", "3",
+         "--nmax", "20000", "--mode", "float"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# logtrees")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert b"internal error" not in err and b"Exception ignored" not in err, err

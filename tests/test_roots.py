@@ -147,13 +147,15 @@ def test_fbbst_t1_roots():
 
 
 def test_quadtree_exponents_values():
-    qe = quadtree_exponents(1)
-    assert (qe.alpha_hat, qe.beta_hat) == pytest.approx((1.0, 0.0), abs=1e-12)
-    qe = quadtree_exponents(4)
+    def view(d):
+        return quadtree_exponents(solve_spectrum(quadtree(d)))
+    qe = view(1)
+    assert qe.d == 1 and (qe.alpha_hat, qe.beta_hat) == pytest.approx((1.0, 0.0), abs=1e-12)
+    qe = view(4)
     assert (qe.alpha_hat, qe.beta_hat) == pytest.approx((-1.0, 2.0), abs=1e-12)
-    assert quadtree_exponents(9).alpha_hat > 0.5
-    assert quadtree_exponents(8).alpha_hat < 0.5
-    assert quadtree_exponents(9).alpha_hat == pytest.approx(0.5321, abs=5e-5)
+    assert view(9).alpha_hat > 0.5
+    assert view(8).alpha_hat < 0.5
+    assert view(9).alpha_hat == pytest.approx(0.5321, abs=5e-5)
 
 
 def test_classify_mary_thresholds():

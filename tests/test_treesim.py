@@ -17,6 +17,7 @@ from logtrees.treesim import (
     SimStats,
     TreeMeasures,
     _cell_splits,
+    _law_splits,
     _simulate_block,
     _splits,
     build_mary_tree,
@@ -494,6 +495,92 @@ def test_quadtree_levels_drawn_in_chunks(monkeypatch):
     stats = monte_carlo(quadtree(9), 5000, 64, seed=3)
     assert stats.count == 64
     assert max(rows) == treesim.CELL_ROWS
+
+
+def _block(instance, n):
+    return _simulate_block(instance, n, 1024, np.random.Generator(np.random.Philox(key=[7, 0])))
+
+
+@pytest.mark.parametrize("instance,bound_mb", [(quadtree(2), 14), (mary(3), 10)], ids=str)
+def test_block_peak_memory(instance, bound_mb):
+    # one block at n = 10^4 holds its levels in 32-bit arrays and sums its
+    # leaves in slices (10.0 and 8.3 MB on x86-64, numpy 2.4.6); int64 levels
+    # summed whole peaked at 26.7 MB (quadtree(2)) and 14.0 MB (mary(3))
+    import tracemalloc
+    small_laws(instance)
+    tracemalloc.start()
+    try:
+        _block(instance, 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
+
+
+@pytest.mark.parametrize("width,n", [(7, 1000), (2**20, 10**4)])
+@pytest.mark.parametrize("instance", [mary(3), fbbst(1), quadtree(2)], ids=str)
+def test_leaf_slices_move_no_draw(instance, width, n, monkeypatch):
+    # the leaves of a level draw one stream whatever the slice: at n = 10^4
+    # the widest levels span several default slices
+    from logtrees import treesim
+    want = _block(instance, n)
+    monkeypatch.setattr(treesim, "LEAF_SLICE", width)
+    got = _block(instance, n)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _split_with(split, sizes):
+    rng = np.random.Generator(np.random.Philox(key=[11, 0]))
+    return split(rng, sizes), rng.random()
+
+
+@pytest.mark.parametrize("law", [(3, 0), (2, 1), (27, 0)], ids=str)
+def test_law_split_dtype_moves_no_draw(law):
+    # int32 and int64 sizes give the same gaps and leave the generator at
+    # the same point; sizes past 2^31 keep int64
+    m, t = law
+    rng = np.random.default_rng(m + t)
+    sizes = np.concatenate([rng.integers(m * (t + 1) - 1, 60, 500),
+                            rng.integers(2**31 - 2**20, 2**31 - 1, 500)])
+    def split(r, s):
+        return _law_splits(r, m, t, s)
+    (g32, u32), (g64, u64) = (_split_with(split, sizes.astype(dtype))
+                              for dtype in (np.int32, np.int64))
+    assert (g32.dtype, g64.dtype) == (np.int32, np.int64)
+    assert np.array_equal(g32, g64) and u32 == u64
+    big = np.full(500, 3 * 10**9, dtype=np.int64)
+    gaps, _ = _split_with(split, big)
+    assert gaps.dtype == np.int64 and gaps.min() >= 0
+    assert np.array_equal(gaps.sum(axis=1), big - m + 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_cell_split_dtype_moves_no_draw(d):
+    # numpy's hypergeometric takes counts below 10^9, the largest sizes here
+    rng = np.random.default_rng(d)
+    sizes = np.concatenate([rng.integers(1, 60, 500), rng.integers(10**9 - 2**20, 10**9, 500)])
+    (c32, u32), (c64, u64) = (_split_with(lambda r, s: _cell_splits(r, d, s), sizes.astype(dtype))
+                              for dtype in (np.int32, np.int64))
+    assert (c32.dtype, c64.dtype) == (np.int32, np.int64)
+    assert np.array_equal(c32, c64) and u32 == u64
+
+
+@pytest.mark.parametrize("n,dtype", [(2**31 - 2, np.int32), (2**31 - 1, np.int64)])
+def test_level_dtype_follows_n(n, dtype, monkeypatch):
+    # sizes are int32 while n + 1 < 2^31, replicate indices always
+    from logtrees import treesim
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def spy(instance, rng, sizes, rep):
+        seen.append((sizes.dtype, rep.dtype))
+        raise Stop
+    monkeypatch.setattr(treesim, "_children", spy)
+    with pytest.raises(Stop):
+        _simulate_block(mary(3), n, 4, np.random.Generator(np.random.Philox(key=[7, 0])))
+    assert seen == [(dtype, np.int32)]
 
 
 def test_treesim_import_builds_no_tables():
