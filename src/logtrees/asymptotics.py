@@ -59,7 +59,8 @@ from .families import (  # RegimeMismatchError and the variance constants are re
     quadtree_ipl_variance_constant,
 )
 from .gammafn import digamma, gamma, log_gamma
-from .roots import Spectrum, amplitude, amplitude_law, classify_regime, solve_spectrum, theta
+from .roots import (CovariancePhase, DistributionPhase, Spectrum, amplitude, amplitude_law,
+                    classify_regime, require_phase, solve_spectrum, theta)
 
 EULER_GAMMA = 0.57721566490153286061
 PI = 3.14159265358979323846
@@ -336,7 +337,8 @@ class CorrelationFactor(PeriodicFunction):
 def periodic(kind: str, instance: FamilyInstance,
              spectrum: Spectrum | None = None,
              cplus: complex = 1.0 + 0.0j) -> PeriodicFunction:
-    """Construct one of the periodic factors, enforcing its regime.
+    """Construct one of the periodic factors, enforcing its regime: the
+    spectrum (solved unless given) must put its phase in the periodic one.
 
     P1/P2 depend on an amplitude the theory leaves to external work; it is
     caller-supplied (default 1) and only the shape of P1/P2 is meaningful.
@@ -345,15 +347,12 @@ def periodic(kind: str, instance: FamilyInstance,
         raise ValueError(f"unknown periodic kind {kind!r}")
     p = instance.parameter
     var_kind, cov_kind = instance.periodic_factors
-    cov_from, dist_from = instance.periodic_from
-    need = {var_kind: dist_from, cov_kind: cov_from,
-            instance.correlation_factor: dist_from}.get(kind)
-    if need is None:
+    if kind not in (var_kind, cov_kind, instance.correlation_factor):
         raise RegimeMismatchError(f"{kind} is not a periodic factor of {instance}")
-    if p < need:
-        raise RegimeMismatchError(f"{kind} needs parameter >= {need}, got {instance}")
     if spectrum is None:
         spectrum = solve_spectrum(instance)
+    require_phase(spectrum, CovariancePhase.PERIODIC if kind == cov_kind
+                  else DistributionPhase.PERIODIC, kind)
     if kind == instance.correlation_factor:
         return CorrelationFactor(kind, instance, spectrum)
     lam = spectrum.lambda2
@@ -384,7 +383,7 @@ def profile_rows(instance: FamilyInstance, n: int, stats) -> list[dict]:
     spectrum = solve_spectrum(instance)
     regime = classify_regime(spectrum)
     tag = f"cov={regime.covariance_phase.value},dist={regime.distribution_phase.value}"
-    periodic_law = p >= instance.periodic_from[1]
+    periodic_law = regime.distribution_phase is DistributionPhase.PERIODIC
     first, path, *others = (meas.name for meas in instance.measures)
     rows = []
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -95,6 +96,13 @@ def _write_run(fh, args, body) -> None:
 
 def _instance(args) -> FamilyInstance:
     return FamilyInstance(Family(args.family), args.param)
+
+
+def _create(path: str):  # open(path, "w"); a path it cannot write is a usage error
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +218,10 @@ def cmd_fixpoint(args) -> dict:
         "map_kind": spec.map_kind, "generation": pool.generation,
         "pool": len(pool.x), **pool.moments()}
     if args.trace_out:
-        with open(args.trace_out, "w") as fh:
+        with _create(args.trace_out) as fh:
             _write_run(fh, args, pool.write_trace_csv)
     if args.pool_out:
-        with open(args.pool_out, "w") as fh:
+        with _create(args.pool_out) as fh:
             pool.write_pool_csv(fh)
     return {"diagnostics": diag}
 
@@ -249,6 +257,12 @@ def _int_from(lo: int):  # argparse type: an int >= lo; a smaller one is a usage
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
         return int(text)
     return parse
+
+
+def _finite(text: str) -> float:  # argparse type: a float that is neither nan nor infinite
+    if not math.isfinite(float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return float(text)
 
 
 _FAMILIES = [f.value for f in Family]
@@ -292,8 +306,8 @@ COMMANDS = {
                  (("--kind", dict(required=True, choices=PERIODIC_KINDS)),
                   _PARAM,
                   ("--points", dict(type=_int_from(1), default=1024)),
-                  ("--cplus-re", dict(type=float, help="default 1")),
-                  ("--cplus-im", dict(type=float, help="default 0")))),
+                  ("--cplus-re", dict(type=_finite, help="default 1")),
+                  ("--cplus-im", dict(type=_finite, help="default 0")))),
     "verify": (cmd_verify, "run the acceptance suite",
                (("--quick", dict(action="store_true",
                                  help="reduced sizes; smoke mode, not the binding gate")),)),
@@ -317,20 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(argv: list[str], ap: argparse.ArgumentParser) -> list[str]:
     """Config precedence: flags > key=value config file > defaults.  The file
     contributes flags that are absent from the command line; a flag counts
-    as present in both the ``--flag value`` and ``--flag=value`` forms.  A
-    key set to true becomes a bare switch and one set to false is dropped.
-    The file itself is named by ``--config path`` or ``--config=path``."""
-    idx = next((i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"), None)
-    if idx is None:
+    as present in both the ``--flag value`` and ``--flag=value`` forms, and
+    ``-o`` as ``--output``.  A key set to true becomes a bare switch and one
+    set to false is dropped.  ``output``, an option of the main parser, goes
+    before the subcommand.  The file is named by ``--config``."""
+    pre = argparse.ArgumentParser(prog=ap.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    if "=" in argv[idx]:
-        path = argv[idx].partition("=")[2]
-    elif idx + 1 == len(argv):
-        ap.error("argument --config: expected one argument")
-    else:
-        path = argv[idx + 1]
-    present = {a.partition("=")[0] for a in argv if a.startswith("--")}
-    extra = []
+    present = {a.partition("=")[0] if a.startswith("--") else "--output"
+               for a in argv if a.startswith(("--", "-o"))}
+    head, extra = [], []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -341,8 +353,9 @@ def _apply_config_file(argv: list[str], ap: argparse.ArgumentParser) -> list[str
             value = value.strip()
             if flag in present or value.lower() == "false":
                 continue
-            extra.extend([flag] if value.lower() == "true" else [flag, value])
-    return argv + extra
+            (head if flag == "--output" else extra).extend(
+                [flag] if value.lower() == "true" else [flag, value])
+    return head + argv + extra
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -359,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     code = 0
     try:
         body = COMMANDS[args.command][0](args)
-        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        with _create(args.output) if args.output else contextlib.nullcontext(sys.stdout) as fh:
             _write_run(fh, args, body)
             fh.flush()  # a reader that stopped shows here, not at exit
     except BrokenPipeError:

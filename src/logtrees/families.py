@@ -57,7 +57,8 @@ class Measure:
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """A concrete tree family: the family tag plus its integer parameter."""
+    """A concrete tree family: the family tag plus its integer parameter.  Its
+    phases are not stated here: ``roots.classify_regime`` reads them from its spectrum."""
 
     family: Family
     parameter: int
@@ -150,12 +151,6 @@ class FamilyInstance:
         distinct measures."""
         var = {a: row for row, a, b in self.covariance_rows if a == b}
         return tuple((row, var[a], var[b]) for row, a, b in self.covariance_rows if a != b)
-
-    @property
-    def periodic_from(self) -> tuple[int, int]:
-        """Smallest parameters from which Cov(S, path length) and then the
-        distribution (Var(S) and the limit law) turn periodic."""
-        return _DATA[self.family].periodic_from
 
     @property
     def periodic_factors(self) -> tuple[str, str]:
@@ -271,7 +266,6 @@ class _FamilyData(NamedTuple):
     """What a family knows beyond its split law and measures."""
 
     min_param: int
-    periodic_from: tuple[int, int]
     periodic_factors: tuple[str, str]
     fixed_point_maps: tuple[str, str]
     variance_constant: Callable[[int], float]
@@ -280,14 +274,14 @@ class _FamilyData(NamedTuple):
 
 
 _DATA = {
-    Family.MARY: _FamilyData(3, (14, 27), ("F1", "F2"), ("TN_periodic", "TNprime_normal"),
+    Family.MARY: _FamilyData(3, ("F1", "F2"), ("TN_periodic", "TNprime_normal"),
                              kpl_variance_constant, lambda m: (harmonic(m), harmonic(m, 2)),
                              "Frho"),
-    Family.FBBST: _FamilyData(1, (29, 59), ("G1", "G2"), ("Tmed_periodic", "Tmed_normal"),
+    Family.FBBST: _FamilyData(1, ("G1", "G2"), ("Tmed_periodic", "Tmed_normal"),
                               fbbst_tpl_variance_constant,
                               lambda t: (harmonic(2 * t + 2) - harmonic(t + 1),
                                          harmonic(2 * t + 2, 2))),
-    Family.QUADTREE: _FamilyData(1, (6, 9), ("P1", "P2"), ("Tquad_periodic", "Tquad_normal"),
+    Family.QUADTREE: _FamilyData(1, ("P1", "P2"), ("Tquad_periodic", "Tquad_normal"),
                                  quadtree_ipl_variance_constant,
                                  lambda d: (harmonic(d), harmonic(d, 2))),
 }

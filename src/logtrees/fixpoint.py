@@ -66,7 +66,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import FIXED_POINT_MAPS, FamilyInstance, RegimeMismatchError, occupancy_constant
-from .roots import Spectrum, solve_spectrum, theta as spectrum_theta
+from .roots import DistributionPhase, Spectrum, require_phase, solve_spectrum
+from .roots import theta as spectrum_theta
 from .treesim import CELL_ROWS, check_cells, sample_volumes, sorted_gaps
 
 
@@ -102,7 +103,8 @@ class FixedPointSpec:
 def fixed_point_spec(instance: FamilyInstance, map_kind: str,
                      spectrum: Spectrum | None = None,
                      theta: complex | None = None) -> FixedPointSpec:
-    """Build a FixedPointSpec, enforcing regime consistency.
+    """Build a FixedPointSpec, enforcing regime consistency: a bivariate map
+    needs its distribution phase in the spectrum (solved unless given).
 
     The periodic maps take lambda_2 from the spectrum.  For the quadtree
     periodic map the mean constraint depends on an amplitude the theory
@@ -110,23 +112,20 @@ def fixed_point_spec(instance: FamilyInstance, map_kind: str,
     """
     if map_kind not in FIXED_POINT_MAPS:
         raise ValueError(f"unknown map kind {map_kind!r}")
-    p = instance.parameter
     periodic_map, normal_map = instance.fixed_point_maps
     if map_kind not in ("uniK", periodic_map, normal_map):
         raise RegimeMismatchError(f"{map_kind} is not a map of {instance}")
-    dist_from = instance.periodic_from[1]
-    if map_kind == periodic_map and p < dist_from:
-        raise RegimeMismatchError(f"{map_kind} needs parameter >= {dist_from}, got {instance}")
-    if map_kind == normal_map and p >= dist_from:
-        raise RegimeMismatchError(f"{map_kind} needs parameter < {dist_from}, got {instance}")
 
     lam2 = None
     phi = None if instance.split_law is None else float(occupancy_constant(instance))
+    if map_kind != "uniK":
+        if spectrum is None:
+            spectrum = solve_spectrum(instance)
+        require_phase(spectrum, DistributionPhase.PERIODIC if map_kind == periodic_map
+                      else DistributionPhase.GAUSSIAN, map_kind)
     if map_kind != periodic_map:
         mean = (0.0, 0.0) if map_kind == normal_map else (0.0,)
     else:
-        if spectrum is None:
-            spectrum = solve_spectrum(instance)
         lam2 = spectrum.lambda2
         if instance.split_law is not None:
             theta = spectrum_theta(spectrum)

@@ -6,16 +6,17 @@ Every tracked quantity solves a recurrence of the shape
 
 where pi is the law of one subtree size, and ``_recurrence`` is the one
 loop that solves it.  The law enters only as a marginal operator:
-push the next value of a, then read sum_j pi_{n,j} a_j.  It has two
-implementations.
+push the next value of a, then read sum_j pi_{n,j} a_j.
 
-m-ary trees (t = 0) and fringe-balanced BSTs (m = 2) share the (m,t)
-split law pi_{n,j} = C(j,t) C(n-1-j, D-1) / C(n, K), D = (m-1)(t+1),
-K = m(t+1)-1.  C(., D-1) is a binomial difference kernel, so the sum over
-g_j = C(j,t) a_j is a cascade of D running sums, O(D) work per step; the
-same cascade fed C(j,t) must reproduce C(n, K), which is the float-mode
-drift check.  Quadtree cell counts are a d-fold iterated uniform thinning
-of n-1, so the operator is d nested prefix averages.
+Every family runs on the (m,t) split law pi_{n,j} = C(j,t)
+C(n-1-j, D-1) / C(n, K), D = (m-1)(t+1), K = m(t+1)-1: m-ary trees are
+t = 0, fringe-balanced BSTs m = 2.  C(., D-1) is a binomial difference
+kernel, so the sum over g_j = C(j,t) a_j is a cascade of D running sums,
+O(D) work per step; the same cascade fed C(j,t) must reproduce C(n, K),
+which is the float-mode drift check.  A quadtree(d) cell count is the
+binary search tree's (2,0) split (a uniform size 0..n-1) applied once
+per coordinate, so its operator is that cascade chained d times, each
+cascade pushing its value into the next: d nested prefix averages.
 
 Mean rows are recurrence runs with each measure's toll and initial
 segment (``FamilyInstance.measures``); a measure that also collects a
@@ -74,64 +75,25 @@ class UnsupportedTableError(NotImplementedError):
 # split laws as online marginal operators
 # ---------------------------------------------------------------------------
 
-class _Cascade:
-    """After pushing a_0..a_F in order, level k-1 holds
-    sum_j C(F-j+k-1, k-1) a_j; ``push`` returns the top level, which at
-    depth 0 is the value just pushed."""
+class _SplitLaw:
+    """The (m,t) split law of a size-n node, n >= K = m(t+1)-1, applied
+    ``chain`` times in a row: a quadtree(d) cell count is the (2,0) law
+    once per coordinate, with 2^d branches."""
 
-    __slots__ = ("levels",)
-
-    def __init__(self, depth: int, zero):
-        self.levels = [zero] * depth
-
-    def push(self, value):
-        acc = value
-        levels = self.levels
-        for i in range(len(levels)):
-            levels[i] += acc
-            acc = levels[i]
-        return acc
-
-
-def _check_caps(n_max: int, mode: str, cap: int | None):
-    if mode not in ("exact", "float"):
-        raise TableModeError(f"mode must be 'exact' or 'float', got {mode!r}")
-    limit = cap if cap is not None else (
-        EXACT_CAP_DEFAULT if mode == "exact" else FLOAT_CAP_DEFAULT)
-    if n_max > limit:
-        raise TableModeError(
-            f"n_max = {n_max} exceeds the {mode}-mode cap {limit}; "
-            "pass cap explicitly to override")
-
-
-class _Law:
-    """What both split laws share: the number field and the row type."""
-
-    def __init__(self, exact: bool):
-        self.exact = exact
-        self.zero = Fraction(0) if exact else 0.0
-
-    def row(self, values) -> Sequence:
-        """A table row: a list in exact mode, packed doubles in float mode
-        (a quarter of the memory of a list of floats)."""
-        return list(values) if self.exact else array("d", values)
-
-
-class _SplitLaw(_Law):
-    """The (m,t) split law of a size-n node, n >= K = m(t+1)-1."""
-
-    def __init__(self, m: int, t: int, n_max: int, exact: bool):
-        super().__init__(exact)
-        self.branches = m
-        self.start = m * (t + 1) - 1
-        self.depth = (m - 1) * (t + 1)
-        self.pair_depth = (m - 2) * (t + 1)
-        if not exact and math.comb(n_max, self.start) > sys.float_info.max:
-            sizes = range(self.start, n_max + 1)
+    def __init__(self, m: int, t: int, n_max: int, exact: bool, chain: int = 1):
+        self.exact, self.zero = exact, Fraction(0) if exact else 0.0
+        self.chain, self.branches = chain, m ** chain
+        # the operators are fed from n = K, the recurrence starts there too
+        # but at 2 at the least: a size-1 node is a leaf with its initial value
+        self.size = m * (t + 1) - 1
+        self.start = max(self.size, 2)
+        self.depth, self.pair_depth = (m - 1) * (t + 1), (m - 2) * (t + 1)
+        if not exact and math.comb(n_max, self.size) > sys.float_info.max:
+            sizes = range(self.size, n_max + 1)
             n = sizes[bisect_left(sizes, True, key=lambda n: math.comb(
-                n, self.start) > sys.float_info.max)]
+                n, self.size) > sys.float_info.max)]
             raise FloatDriftError(
-                f"normaliser C(n, {self.start}) overflows a double from n = {n}; "
+                f"normaliser C(n, {self.size}) overflows a double from n = {n}; "
                 "use exact mode")
         # C(j,t) for every size a subtree can take below n_max; zero beyond,
         # where each term of both laws vanishes anyway, so the weights stay
@@ -139,31 +101,47 @@ class _SplitLaw(_Law):
         last = n_max - self.depth
         self.weight = self.row(math.comb(j, t) if j <= last else 0 for j in range(n_max + 1))
         self.ones = self.row([1] * (n_max + 1))
-        self.denoms = self.row(math.comb(n, self.start) for n in range(n_max + 1))
+        self.denoms = self.row(math.comb(n, self.size) for n in range(n_max + 1))
         if not exact:
             op = self.marginal()
-            for n in range(self.start, n_max + 1):
+            for n in range(self.size, n_max + 1):
                 rel = abs(op(self.ones, n) - 1.0)
                 if rel > FLOAT_DRIFT_TOL:
                     raise FloatDriftError(f"weight normalisation drift {rel:.2e} at n = {n}")
 
-    def _operator(self, depth: int, lag: int, weight: list):
-        casc, denoms = _Cascade(depth, self.zero), self.denoms
+    def row(self, values) -> Sequence:
+        """A table row: a list in exact mode, packed doubles in float mode
+        (a quarter of the memory of a list of floats)."""
+        return list(values) if self.exact else array("d", values)
+
+    def _operator(self, depth: int, lag: int, weight: Sequence, chain: int):
+        """Operator called with (row, n) for n = K, K+1, ...: pushes
+        weight[n-lag] row[n-lag] into a cascade of ``depth`` running sums and
+        returns the top level over C(n, K), which a chained law pushes into
+        its next cascade.  Cascade invariant: after pushing a_0..a_F, level
+        k-1 holds sum_j C(F-j+k-1, k-1) a_j (depth 0: the value pushed)."""
+        stages, denoms = [[self.zero] * depth for _ in range(chain)], self.denoms
 
         def op(row, n):
             s = n - lag
-            return casc.push(weight[s] * row[s]) / denoms[n]
+            acc = row[s]
+            for levels in stages:
+                acc = weight[s] * acc
+                for i in range(depth):
+                    levels[i] += acc
+                    acc = levels[i]
+                acc = acc / denoms[n]
+            return acc
         return op
 
     def marginal(self):
-        """Operator called with (row, n) for n = start, start+1, ...: pushes
-        row[n-D] and returns sum_j pi_{n,j} row[j]."""
-        return self._operator(self.depth, self.depth, self.weight)
+        """Operator returning sum_j pi_{n,j} row[j], the law chained."""
+        return self._operator(self.depth, self.depth, self.weight, self.chain)
 
     def pair_marginal(self):
         """Operator over ``convolve``'s output: returns the pair sum
-        sum_{j,k} pi2_{n}(j,k) f(j) g(k)."""
-        return self._operator(self.pair_depth, self.pair_depth + 1, self.ones)
+        sum_{j,k} pi2_{n}(j,k) f(j) g(k) of one (m,t) split."""
+        return self._operator(self.pair_depth, self.pair_depth + 1, self.ones, 1)
 
     def convolve(self, f: list, g: list) -> list:
         """c_s = sum_j C(j,t) f_j C(s-j,t) g_{s-j} for every s the pair
@@ -190,47 +168,28 @@ class _SplitLaw(_Law):
         return out
 
 
-class _QuadtreeLaw(_Law):
-    """Law of one cell count of a d-dimensional quadtree node: a d-fold
-    iterated uniform thinning of n-1, so sum_j P(J=j) a_j = (T^d a)(n-1)
-    with T the prefix-average operator; each T is one running sum."""
-
-    start = 2
-
-    def __init__(self, d: int, exact: bool):
-        super().__init__(exact)
-        self.d = d
-        self.branches = 2 ** d
-
-    def marginal(self):
-        """Operator called with (row, n) for n = 2, 3, ...: pushes row[n-1]
-        (and row[0] first) and returns (T^d row)(n-1)."""
-        sums = [self.zero] * self.d
-        pushed = 0
-
-        def op(row, n):
-            nonlocal pushed
-            while pushed < n:
-                acc = row[pushed]
-                pushed += 1
-                for i in range(len(sums)):
-                    sums[i] += acc
-                    acc = sums[i] / pushed
-            return acc
-        return op
-
-
-def _law(instance: FamilyInstance, n_max: int, exact: bool):
+def _law(instance: FamilyInstance, n_max: int, mode: str, cap: int | None = None) -> _SplitLaw:
+    """The split law of ``instance`` in ``mode`` up to n_max within the mode's cap."""
+    if mode not in ("exact", "float"):
+        raise TableModeError(f"mode must be 'exact' or 'float', got {mode!r}")
+    limit = cap if cap is not None else (
+        EXACT_CAP_DEFAULT if mode == "exact" else FLOAT_CAP_DEFAULT)
+    if n_max > limit:
+        raise TableModeError(
+            f"n_max = {n_max} exceeds the {mode}-mode cap {limit}; "
+            "pass cap explicitly to override")
     law = instance.split_law
-    if law is None:
-        return _QuadtreeLaw(instance.parameter, exact)
-    return _SplitLaw(*law, n_max, exact)
+    if law is None:  # quadtree(d)
+        return _SplitLaw(2, 0, n_max, mode == "exact", chain=instance.parameter)
+    return _SplitLaw(*law, n_max, mode == "exact")
 
 
 def _recurrence(law, toll: Sequence, initial: Sequence, n_max: int) -> list:
     """a_n = branches * sum_j pi_{n,j} a_j + toll[n] for n >= law.start."""
     a = law.row(initial[n] if n < law.start else law.zero for n in range(n_max + 1))
     op, m = law.marginal(), law.branches
+    for n in range(law.size, law.start):  # initial values the operator still reads
+        op(a, n)
     for n in range(law.start, n_max + 1):
         a[n] = m * op(a, n) + toll[n]
     return a
@@ -331,19 +290,17 @@ def mean_tables(instance: FamilyInstance, n_max: int, mode: str = "exact",
                 cap: int | None = None):
     """Family mean rows: (mu, kappa, nu) for mary, (s_mean, x_mean) for
     fbbst, (l_mean, xi_mean) for quadtree."""
-    _check_caps(n_max, mode, cap)
-    return tuple(_mean_rows(instance, _law(instance, n_max, mode == "exact"), n_max).values())
+    return tuple(_mean_rows(instance, _law(instance, n_max, mode, cap), n_max).values())
 
 
 def second_moment_tables(instance: FamilyInstance, n_max: int, mode: str = "exact",
                          cap: int | None = None) -> MomentTable:
     """Full moment table (means plus all second-order rows)."""
-    _check_caps(n_max, mode, cap)
     if instance.split_law is None:
         raise UnsupportedTableError(
             "quadtree second moments need the pairwise cell-count law, which "
             "is not implemented (ROADMAP item 3); use treesim.monte_carlo")
-    law = _law(instance, n_max, mode == "exact")
+    law = _law(instance, n_max, mode, cap)
     means = _mean_rows(instance, law, n_max)
     columns = {meas.row: means[meas.name] for meas in instance.measures}
     columns.update(_covariance_rows(instance, law, means, n_max))

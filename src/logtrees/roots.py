@@ -483,6 +483,14 @@ def classify_regime(spectrum: Spectrum) -> Regime:
     )
 
 
+def require_phase(spectrum: Spectrum, phase: CovariancePhase | DistributionPhase, what: str):
+    """RegimeMismatchError, naming both phases and alpha, unless the spectrum is in ``phase``."""
+    name = "covariance" if isinstance(phase, CovariancePhase) else "distribution"
+    if (got := getattr(classify_regime(spectrum), f"{name}_phase")) is not phase:
+        raise RegimeMismatchError(f"{what} needs the {phase.value} {name} phase; {spectrum.instance}"
+                                  f" is {got.value} (alpha = {spectrum.alpha:.6g})")
+
+
 def amplitude_law(spectrum: Spectrum) -> tuple[int, int]:
     """(m, t) of the split law the amplitude formulas need; AmplitudeError
     for a quadtree, whose amplitude is caller-supplied (cplus, theta)."""

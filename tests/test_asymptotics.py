@@ -25,6 +25,8 @@ from logtrees.asymptotics import (
     quadtree_ipl_variance_constant,
 )
 from logtrees.families import (
+    Family,
+    FamilyInstance,
     dirichlet_moment,
     fbbst,
     harmonic,
@@ -32,6 +34,7 @@ from logtrees.families import (
     occupancy_constant,
     quadtree,
 )
+from logtrees.fixpoint import fixed_point_spec
 from logtrees.moments import mean_tables, second_moment_tables
 from logtrees.roots import amplitude, solve_spectrum
 from oracles import (
@@ -283,6 +286,45 @@ def test_regime_mismatch_errors():
         periodic("P1", quadtree(8))
     with pytest.raises(RegimeMismatchError):
         periodic("P2", quadtree(5))
+
+
+# the paper's phase changes: first parameter with a periodic covariance, and
+# first with a periodic distribution (Var(S), the correlation, the limit law)
+PHASE_CUTS = {"mary": (14, 27), "fbbst": (29, 59), "quadtree": (6, 9)}
+PHASE_SCAN = {"mary": range(3, 41), "fbbst": range(1, 71), "quadtree": range(1, 13)}
+
+
+def _accepted(build) -> bool:
+    try:
+        build()
+    except RegimeMismatchError as exc:
+        assert "phase" in str(exc) and "alpha = " in str(exc), exc
+        return False
+    return True
+
+
+@pytest.mark.parametrize("family", PHASE_CUTS)
+def test_phase_gates_accept_exactly_the_instances_past_the_cuts(family):
+    # every periodic factor and bivariate fixed-point map of each scanned
+    # instance; the gates read the phase from the spectrum, not from a table
+    cov_from, dist_from = PHASE_CUTS[family]
+    # no alpha near a guard-banded cut (nearest: mary(26), 8.6e-4 below 3/2);
+    # quadtree(6) has Re lambda_2 = 1 exactly, a stated rule of classify_regime
+    cuts = (1.5,) if family == "quadtree" else (1.0, 1.5)
+    for p in PHASE_SCAN[family]:
+        inst = FamilyInstance(Family(family), p)
+        spec = solve_spectrum(inst)
+        assert spec.degree == 1 or min(abs(spec.alpha - c) for c in cuts) > 5e-4, inst
+        var_kind, cov_kind = inst.periodic_factors
+        periodic_map, normal_map = inst.fixed_point_maps
+        want = {var_kind: p >= dist_from, cov_kind: p >= cov_from}
+        if inst.correlation_factor:
+            want[inst.correlation_factor] = p >= dist_from
+        got = {kind: _accepted(lambda: periodic(kind, inst, spec)) for kind in want}
+        got[periodic_map] = _accepted(lambda: fixed_point_spec(inst, periodic_map, spec))
+        got[normal_map] = _accepted(lambda: fixed_point_spec(inst, normal_map, spec))
+        want.update({periodic_map: p >= dist_from, normal_map: p < dist_from})
+        assert got == want, inst
 
 
 def test_g_functions_real_and_periodic():

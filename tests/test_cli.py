@@ -220,6 +220,31 @@ def test_output_file_option(tmp_path):
     assert doc["c2_minus_phi_c1_exact"] == "12/125"
 
 
+@pytest.mark.parametrize("flag", ["-o", "--trace-out", "--pool-out"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, flag):
+    bad = str(tmp_path / "missing" / "out.csv")
+    out_path = tmp_path / "out.json"
+    argv = ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "1"]
+    argv = ["-o", bad, *argv] if flag == "-o" else ["-o", str(out_path), *argv, flag, bad]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {bad}: No such file or directory\n"
+    assert not out_path.exists()  # a failed run creates no -o file
+
+
+def test_config_file_output_key(tmp_path):
+    cfg, path, explicit = tmp_path / "run.cfg", tmp_path / "cfg.json", tmp_path / "flag.json"
+    cfg.write_text(f"output={path}\n")
+    argv = ["constants", "--family", "mary", "--param", "3"]
+    code, out, _ = run_cli(["--config", str(cfg), *argv])
+    assert (code, out) == (0, "") and json.loads(path.read_text())["meta"]["config"]["param"] == 3
+    path.unlink()
+    for flag in (["-o", str(explicit)], [f"-o{explicit}"], [f"--output={explicit}"]):
+        code, out, _ = run_cli(["--config", str(cfg), *flag, *argv])  # explicit flags win
+        assert (code, out) == (0, "") and explicit.exists() and not path.exists(), flag
+        explicit.unlink()
+
+
 def test_wall_time_on_stderr_not_stdout():
     code, out, err = run_cli(["table-alpha", "--from", "3", "--to", "4"])
     assert code == 0
@@ -371,6 +396,8 @@ def test_threads_default_is_the_cpus_available():
     ["periodic", "--kind", "G2", "--param", "29", "--cplus-im", "0.5"],
     ["periodic", "--kind", "Frho", "--param", "27", "--cplus-re", "1", "--cplus-im", "0"],
     ["periodic", "--kind", "P1", "--param", "9", "--points", "0"],
+    ["periodic", "--kind", "P1", "--param", "9", "--cplus-re", "nan"],
+    ["periodic", "--kind", "P2", "--param", "6", "--cplus-im", "inf"],
     ["periodic", "--kind", "F2", "--param", "14", "--points", "-3"],
     ["moments", "--family", "mary", "--param", "3", "--nmax", "-1"],
     ["simulate", "--family", "mary", "--param", "3", "--n", "30", "--reps", "4",

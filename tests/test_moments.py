@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import math
@@ -79,16 +80,17 @@ def _random_row(rnd, length):
     return [Fraction(rnd.randint(-50, 50), rnd.randint(1, 20)) for _ in range(length)]
 
 
-def _check_cascade(inst, n_max, marginal, pair):
+def _check_cascade(inst, n_max, marginal, pair=None):
     """Run the exact operators of ``inst`` for n = K..n_max on random
-    rows against the explicit sums: marginal(n) = {j: pi_{n,j}} and
-    pair(n) = {(j, k): pi2_n(j, k)}."""
+    rows against the explicit sums: marginal(n) = {j: pi_{n,j}} and, unless
+    ``pair`` is None, pair(n) = {(j, k): pi2_n(j, k)}."""
     rnd = random.Random(inst.parameter)
-    law = moments._law(inst, n_max, exact=True)
+    law = moments._law(inst, n_max, "exact")
     f, g = _random_row(rnd, n_max + 1), _random_row(rnd, n_max + 1)
     op = law.marginal()
-    pair_ops = [(law.pair_marginal(), law.convolve(a, b), a, b) for a, b in ((f, g), (f, f))]
-    for n in range(law.start, n_max + 1):
+    pair_ops = [] if pair is None else [
+        (law.pair_marginal(), law.convolve(a, b), a, b) for a, b in ((f, g), (f, f))]
+    for n in range(law.size, n_max + 1):
         assert op(f, n) == sum(p * f[j] for j, p in marginal(n).items()), n
         for pair_op, conv, a, b in pair_ops:
             want = sum(p * a[j] * b[k] for (j, k), p in pair(n).items())
@@ -106,6 +108,35 @@ def test_fbbst_cascade_operators_match_explicit_sums(t):
     # the two subtree sizes of a fbbst node determine each other
     _check_cascade(fbbst(t), 30, lambda n: fbbst_split_pmf(n, t),
                    lambda n: {(j, n - 1 - j): p for j, p in fbbst_split_pmf(n, t).items()})
+
+
+@functools.lru_cache(maxsize=None)
+def _thinned(d, points, j):
+    """P(a quadtree(d) cell holds j of ``points`` points): each coordinate
+    keeps a uniform share, p_1(N, j) = 1/(N+1) and
+    p_d(N, j) = sum_{k=j..N} p_{d-1}(k, j) / (N+1)."""
+    if d == 1:
+        return Fraction(1, points + 1)
+    return sum((_thinned(d - 1, k, j) for k in range(j, points + 1)), Fraction(0)) / (points + 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadtree_cascade_operator_matches_explicit_sums(d):
+    # a size-n node spreads its other n-1 points over the cells
+    _check_cascade(quadtree(d), 30, lambda n: {j: _thinned(d, n - 1, j) for j in range(n)})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadtree_recurrence_reads_every_initial_value(d):
+    # a_n = 2^d sum_j P(J = j) a_j + toll_n from n = 2, with a_0 and a_1 given:
+    # a_0 != 0 here, so the chain must have been fed a_0 at n = 1
+    n_max, rnd = 25, random.Random(d)
+    toll, initial = _random_row(rnd, n_max + 1), _random_row(rnd, 2)
+    want = list(initial)
+    for n in range(2, n_max + 1):
+        want.append(2 ** d * sum(_thinned(d, n - 1, j) * want[j] for j in range(n)) + toll[n])
+    assert moments._recurrence(moments._law(quadtree(d), n_max, "exact"), toll, initial,
+                               n_max) == want
 
 
 # ----------------------------- oracle equality ----------------------------
@@ -367,7 +398,7 @@ def test_quadtree_mean_growth_d2():
 def test_generic_recurrence_reproduces_means():
     m, n_max = 4, 120
     inst = mary(m)
-    law = moments._law(inst, n_max, True)
+    law = moments._law(inst, n_max, "exact")
     zeros = [Fraction(0)] * (m - 1)
     mu, kappa, nu = mean_tables(inst, n_max, "exact", cap=n_max)
     one_toll = [Fraction(0)] * (m - 1) + [Fraction(1)] * (n_max - m + 2)
@@ -391,7 +422,7 @@ def test_generic_recurrence_linear_toll_form():
     _, kappa, _ = mean_tables(inst, n_max, "float", cap=n_max)
     t_seq = [-(n + 1.0) if n < m - 1 else -float(m) for n in range(n_max + 1)]
     toll = [1.0 * (n + 1) + t_seq[n] for n in range(n_max + 1)]
-    got = moments._recurrence(moments._law(inst, n_max, False), toll, [0.0] * (m - 1), n_max)
+    got = moments._recurrence(moments._law(inst, n_max, "float"), toll, [0.0] * (m - 1), n_max)
     assert max(abs(a - b) for a, b in zip(got, kappa)) < 1e-9
 
 
@@ -399,11 +430,11 @@ def test_generic_recurrence_fbbst_and_quadtree():
     # constant toll 1 above the threshold reproduces the stage/leaf means
     eS, _ = mean_tables(fbbst(1), 60, "exact", cap=60)
     toll = [Fraction(0)] * 3 + [Fraction(1)] * 58
-    got = moments._recurrence(moments._law(fbbst(1), 60, True), toll, [Fraction(0)] * 3, 60)
+    got = moments._recurrence(moments._law(fbbst(1), 60, "exact"), toll, [Fraction(0)] * 3, 60)
     assert got == eS
     l_mean, _ = mean_tables(quadtree(2), 40, "exact", cap=40)
     toll = [Fraction(0)] * 41
-    got = moments._recurrence(moments._law(quadtree(2), 40, True), toll,
+    got = moments._recurrence(moments._law(quadtree(2), 40, "exact"), toll,
                               [Fraction(0), Fraction(1)], 40)
     assert got == l_mean
 
