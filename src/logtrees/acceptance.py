@@ -129,7 +129,7 @@ def criterion_5(quick: bool) -> tuple[bool, str]:
     # 12-point geometric grid: the m=20 row oscillates (periodic regime), so
     # sparse grids make the log-log slope phase-sensitive
     grid = sorted(set(int(round(v)) for v in np.geomspace(256, n_max, 12)))
-    t3 = second_moment_tables(mary(3), n_max, "float", cap=n_max)
+    t3 = second_moment_tables(mary(3), n_max, "float")
     s_vk = growth_exponent(t3.column("VK"), grid).slope
     if abs(s_vk - 2.0) > 0.05:
         return False, f"VK slope {s_vk:.4f} not within 0.05 of 2"
@@ -141,7 +141,7 @@ def criterion_5(quick: bool) -> tuple[bool, str]:
     drift = abs(q_hi - q_lo) / q_hi
     if not (q_hi > 0 and drift < 0.10):
         return False, f"VSN/(n log n) drift {drift:.3f} over the top octave"
-    t20 = second_moment_tables(mary(20), n_max, "float", cap=n_max)
+    t20 = second_moment_tables(mary(20), n_max, "float")
     alpha20 = solve_spectrum(mary(20)).alpha
     abs_vsk = {n: abs(v) for n, v in enumerate(t20.column("VSK"))}
     s20 = growth_exponent(abs_vsk, grid).slope
@@ -161,7 +161,7 @@ def criterion_6(quick: bool) -> tuple[bool, str]:
     n = 2 ** 13
     inst = mary(27)
     spec = solve_spectrum(inst)
-    table = second_moment_tables(inst, n, "float", cap=n)
+    table = second_moment_tables(inst, n, "float")
     z = spec.beta * math.log(n)
     f1 = periodic("F1", inst, spec)(z)
     f2 = periodic("F2", inst, spec)(z)
@@ -365,7 +365,7 @@ CRITERIA = (
 )
 
 
-def run_acceptance(quick: bool = False, stream=None) -> list[CriterionResult]:
+def run_acceptance(quick: bool, stream) -> list[CriterionResult]:
     results = []
     for number, name, fn in CRITERIA:
         started = time.perf_counter()
@@ -376,10 +376,8 @@ def run_acceptance(quick: bool = False, stream=None) -> list[CriterionResult]:
         res = CriterionResult(number, name, passed, detail,
                               time.perf_counter() - started)
         results.append(res)
-        if stream is not None:
-            stream.write(res.line() + "\n")
-            stream.flush()
-    if stream is not None:
-        n_pass = sum(r.passed for r in results)
-        stream.write(f"{n_pass}/{len(results)} criteria passed\n")
+        stream.write(res.line() + "\n")
+        stream.flush()
+    n_pass = sum(r.passed for r in results)
+    stream.write(f"{n_pass}/{len(results)} criteria passed\n")
     return results

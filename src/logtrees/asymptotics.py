@@ -163,12 +163,11 @@ class FamilyConstants:
         }
 
 
-def constants(instance: FamilyInstance, spectrum: Spectrum | None = None) -> FamilyConstants:
-    """All closed-form constants of one instance (solving the spectrum on
-    demand for the root-dependent ones)."""
+def constants(instance: FamilyInstance) -> FamilyConstants:
+    """All closed-form constants of one instance (solving the spectrum for
+    the root-dependent ones)."""
     law = instance.split_law
-    if law is not None and spectrum is None:
-        spectrum = solve_spectrum(instance)
+    spectrum = None if law is None else solve_spectrum(instance)
     uniform = law is not None and law[1] == 0
     return FamilyConstants(
         instance, None if law is None else occupancy_constant(instance), *instance.harmonics,
@@ -288,17 +287,11 @@ class PeriodicFunction:
     """Pointwise-evaluable periodic factor const + 2 Re(osc e^(i frequency z));
     real-valued, period pi or 2 pi."""
 
-    def __init__(self, kind: str, instance: FamilyInstance, const: float,
-                 osc: complex, frequency: int):
+    def __init__(self, kind: str, const: float, osc: complex, frequency: int):
         self.kind = kind
-        self.instance = instance
         self.const = const          # non-oscillating part
         self.osc = osc              # coefficient of e^(i * frequency * z)
         self.frequency = frequency  # 1 or 2
-
-    @property
-    def period(self) -> float:
-        return 2 * math.pi / self.frequency
 
     def __call__(self, z: float) -> float:
         return self.const + 2 * (self.osc * cmath.exp(1j * self.frequency * z)).real
@@ -321,7 +314,7 @@ class CorrelationFactor(PeriodicFunction):
     for m-ary trees)."""
 
     def __init__(self, kind: str, instance: FamilyInstance, spectrum: Spectrum):
-        super().__init__(kind, instance, 0.0, 0.0, 1)  # f_cov has period 2 pi
+        super().__init__(kind, 0.0, 0.0, 1)  # f_cov has period 2 pi
         var_kind, cov_kind = instance.periodic_factors
         self.f_var = periodic(var_kind, instance, spectrum)
         self.f_cov = periodic(cov_kind, instance, spectrum)
@@ -336,7 +329,7 @@ class CorrelationFactor(PeriodicFunction):
 
 def periodic(kind: str, instance: FamilyInstance,
              spectrum: Spectrum | None = None,
-             cplus: complex = 1.0 + 0.0j) -> PeriodicFunction:
+             cplus: complex | None = None) -> PeriodicFunction:
     """Construct one of the periodic factors, enforcing its regime: the
     spectrum (solved unless given) must put its phase in the periodic one.
 
@@ -349,6 +342,8 @@ def periodic(kind: str, instance: FamilyInstance,
     var_kind, cov_kind = instance.periodic_factors
     if kind not in (var_kind, cov_kind, instance.correlation_factor):
         raise RegimeMismatchError(f"{kind} is not a periodic factor of {instance}")
+    if cplus is not None and instance.split_law is not None:
+        raise ValueError(f"{kind} of {instance} takes no cplus; only the quadtree factors do")
     if spectrum is None:
         spectrum = solve_spectrum(instance)
     require_phase(spectrum, CovariancePhase.PERIODIC if kind == cov_kind
@@ -359,15 +354,15 @@ def periodic(kind: str, instance: FamilyInstance,
     if instance.split_law is not None:
         amp2 = amplitude(spectrum, 2)
         if kind == var_kind:
-            return PeriodicFunction(kind, instance, *_variance_factor(instance, lam, amp2), 2)
+            return PeriodicFunction(kind, *_variance_factor(instance, lam, amp2), 2)
         q = _covariance_factor(*instance.split_law, lam, amp2, float(occupancy_constant(instance)))
-        return PeriodicFunction(kind, instance, 0.0, q, 1)
-    u = lam - 1
+        return PeriodicFunction(kind, 0.0, q, 1)
+    u, cplus = lam - 1, 1.0 + 0.0j if cplus is None else cplus
     if kind == var_kind:
         c0 = 2 * abs(cplus) ** 2 * _quadtree_cl(u, u.conjugate(), p).real / _s(instance, 2 * u.real)
         c2 = cplus * cplus * _quadtree_cl(u, u, p) / _s(instance, 2 * u)
-        return PeriodicFunction(kind, instance, c0, c2, 2)
-    return PeriodicFunction(kind, instance, 0.0, cplus * _quadtree_ck(u, p) / _s(instance, lam), 1)
+        return PeriodicFunction(kind, c0, c2, 2)
+    return PeriodicFunction(kind, 0.0, cplus * _quadtree_ck(u, p) / _s(instance, lam), 1)
 
 
 # ---------------------------------------------------------------------------

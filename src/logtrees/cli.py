@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import math
 import os
 import sys
@@ -103,6 +104,21 @@ def _create(path: str):  # open(path, "w"); a path it cannot write is a usage er
         return open(path, "w")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Refuse, before a run and without creating it, a path ``_create``
+    could not open: it must be a writable file, or new in a writable
+    directory."""
+    target = path if os.path.exists(path) else os.path.join(os.path.dirname(path), ".")
+    try:
+        os.stat(target)  # a missing directory, or a file where one should be
+        code = (errno.EISDIR if os.path.isdir(path)
+                else 0 if os.access(target, os.W_OK) else errno.EACCES)
+    except OSError as exc:
+        code = exc.errno
+    if code:
+        raise ValueError(f"cannot write {path}: {os.strerror(code)}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +227,11 @@ def cmd_corr_profile(args):
 def cmd_fixpoint(args) -> dict:
     from .fixpoint import diagnose, fixed_point_spec, iterate
 
+    for path in (args.trace_out, args.pool_out):
+        if path:
+            _check_writable(path)
     spec = fixed_point_spec(_instance(args), args.map)
-    pool = iterate(spec, args.pool, args.gens, args.seed,
-                   full_bivariate=bool(args.full_bivariate), threads=args.threads)
+    pool = iterate(spec, args.pool, args.gens, args.seed, threads=args.threads)
     diag = diagnose(pool) if spec.bivariate else {
         "map_kind": spec.map_kind, "generation": pool.generation,
         "pool": len(pool.x), **pool.moments()}
@@ -230,10 +248,9 @@ def cmd_periodic(args):
     from .asymptotics import periodic
 
     inst = FamilyInstance(PERIODIC_KINDS[args.kind], args.param)
-    if inst.split_law is not None and (args.cplus_re, args.cplus_im) != (None, None):
-        raise ValueError(f"--cplus-re/--cplus-im set the quadtree amplitude, not {args.kind}'s")
-    cplus = complex(1.0 if args.cplus_re is None else args.cplus_re,
-                    0.0 if args.cplus_im is None else args.cplus_im)
+    cplus = None if (args.cplus_re, args.cplus_im) == (None, None) else complex(
+        1.0 if args.cplus_re is None else args.cplus_re,
+        0.0 if args.cplus_im is None else args.cplus_im)
     pf = periodic(args.kind, inst, cplus=cplus)
     return lambda fh: pf.write_csv(fh, points=args.points)
 
@@ -299,7 +316,6 @@ COMMANDS = {
                   ("--family", dict(choices=_FAMILIES, default="mary")), _PARAM,
                   ("--pool", dict(type=_int_from(1000), default=100_000)),
                   ("--gens", dict(type=_int_from(1), default=30)), _SEED, _THREADS,
-                  ("--full-bivariate", dict(action="store_true", default=None)),
                   ("--trace-out", dict(help="write the moment-trace CSV here")),
                   ("--pool-out", dict(help="write the final pool CSV here")))),
     "periodic": (cmd_periodic, "periodic-factor samples as CSV",

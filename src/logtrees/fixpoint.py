@@ -11,8 +11,7 @@ and for the bivariate maps a second slot
     periodic:  w' = sum_r V_r^(lambda_2 - 1) w^(r)      (complex)
     normal:    w' = sum_r V_r^(1/2) N_r                 (fresh standard
                normals; the normal law is closed under this combination,
-               so the slot can be injected exactly instead of iterated --
-               a fully iterated variant stays available behind a flag).
+               so the slot is injected exactly instead of iterated).
 
 One entropy toll serves every map (natural logarithm throughout):
 
@@ -66,9 +65,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import FIXED_POINT_MAPS, FamilyInstance, RegimeMismatchError, occupancy_constant
-from .roots import DistributionPhase, Spectrum, require_phase, solve_spectrum
+from .roots import DistributionPhase, require_phase, solve_spectrum
 from .roots import theta as spectrum_theta
-from .treesim import CELL_ROWS, check_cells, sample_volumes, sorted_gaps
+from .treesim import CELL_ROWS, check_draws, sample_volumes, sorted_gaps
 
 
 class PoolDegeneracyError(RuntimeError):
@@ -81,12 +80,12 @@ class ContractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class FixedPointSpec:
-    """A fixed-point map bound to an instance, with its mean constraint and
-    the data needed to evaluate coefficients."""
+    """A fixed-point map bound to an instance, with the mean theta of its
+    periodic slot and the data needed to evaluate coefficients."""
 
     instance: FamilyInstance
     map_kind: str
-    mean_constraint: tuple
+    theta: complex | None
     lambda2: complex | None
     phi: float | None
     scale_constant: float  # C_K / D_X / E_X of the family
@@ -101,37 +100,35 @@ class FixedPointSpec:
 
 
 def fixed_point_spec(instance: FamilyInstance, map_kind: str,
-                     spectrum: Spectrum | None = None,
                      theta: complex | None = None) -> FixedPointSpec:
     """Build a FixedPointSpec, enforcing regime consistency: a bivariate map
-    needs its distribution phase in the spectrum (solved unless given).
+    needs its distribution phase in the spectrum of the instance.
 
-    The periodic maps take lambda_2 from the spectrum.  For the quadtree
-    periodic map the mean constraint depends on an amplitude the theory
-    leaves to external work; supply ``theta`` (default 1) in that case.
+    The periodic maps take lambda_2, and for the (m,t) law theta, from the
+    spectrum.  For the quadtree periodic map theta depends on an amplitude
+    the theory leaves to external work; supply ``theta`` (default 1) there.
     """
     if map_kind not in FIXED_POINT_MAPS:
         raise ValueError(f"unknown map kind {map_kind!r}")
     periodic_map, normal_map = instance.fixed_point_maps
     if map_kind not in ("uniK", periodic_map, normal_map):
         raise RegimeMismatchError(f"{map_kind} is not a map of {instance}")
+    if theta is not None and (map_kind != periodic_map or instance.split_law is not None):
+        raise ValueError(f"{map_kind} of {instance} takes no theta; only Tquad_periodic does")
 
     lam2 = None
     phi = None if instance.split_law is None else float(occupancy_constant(instance))
     if map_kind != "uniK":
-        if spectrum is None:
-            spectrum = solve_spectrum(instance)
+        spectrum = solve_spectrum(instance)
         require_phase(spectrum, DistributionPhase.PERIODIC if map_kind == periodic_map
                       else DistributionPhase.GAUSSIAN, map_kind)
-    if map_kind != periodic_map:
-        mean = (0.0, 0.0) if map_kind == normal_map else (0.0,)
-    else:
+    if map_kind == periodic_map:
         lam2 = spectrum.lambda2
         if instance.split_law is not None:
             theta = spectrum_theta(spectrum)
-        mean = (0.0, 1.0 + 0.0j if theta is None else complex(theta))
+        theta = complex(1.0 if theta is None else theta)
     return FixedPointSpec(
-        instance=instance, map_kind=map_kind, mean_constraint=mean,
+        instance=instance, map_kind=map_kind, theta=theta,
         lambda2=lam2, phi=phi, scale_constant=instance.variance_constant)
 
 
@@ -196,9 +193,7 @@ def contraction_factor(spec: FixedPointSpec) -> float:
     slot ``iterate`` contracts, asserted < 1 before iterating: for the
     periodic maps their second slot w' = sum_r V_r^(lambda_2 - 1) w_r
     (s = 2 alpha - 2), for every other map x' = sum_r V_r x_r (s = 2).  The
-    normal maps' injected w slot needs no gate; their full-bivariate w slot
-    has factor branches * E[V] = 1, does not contract and is re-standardised
-    after every step instead."""
+    normal maps' w slot is injected exactly, so it needs no gate."""
     s = 2 * spec.lambda2.real - 2 if spec.is_periodic else 2.0
     return spec.instance.branches * spec.instance.coefficient_moment(s)
 
@@ -394,16 +389,11 @@ def _combine(spec: FixedPointSpec, exponent, source: _Generation, target: _Gener
     of it, and no gathered array of a whole chunk is held."""
     logs = np.log(coef)
     tolls = toll(spec, coef, logs)
-    weights = None
-    if target.w is not None:
-        if spec.is_periodic:
-            weights = _periodic_weights(exponent, logs)
-        else:
-            weights = np.sqrt(coef)
-        if fresh is not None:
-            for rows, out in _row_blocks(lo, *idx.shape):
-                target.w[out] = (weights[rows] * fresh[rows]).sum(axis=1)
-            weights = None
+    weights = _periodic_weights(exponent, logs) if spec.is_periodic else None
+    if fresh is not None:  # the injected normal slot: the normals scaled in place
+        fresh *= np.sqrt(coef)
+        for rows, out in _row_blocks(lo, *idx.shape):
+            target.w[out] = fresh[rows].sum(axis=1)
     del logs  # not held while the chunk waits for its source generation
     source.done.wait()
     prev = source.pool
@@ -428,7 +418,7 @@ def _start_generation(spec: FixedPointSpec, pool_size: int, seed: int) -> _Gener
     x = np.zeros(pool_size)
     w = None
     if spec.is_periodic:
-        w = np.full(pool_size, complex(spec.mean_constraint[1]), dtype=complex)
+        w = np.full(pool_size, spec.theta, dtype=complex)
     elif spec.bivariate:
         # normalised map: the point-mass start is a fixed point of the
         # normalisation with zero variance; start from the constraint set
@@ -442,7 +432,7 @@ def _start_generation(spec: FixedPointSpec, pool_size: int, seed: int) -> _Gener
 
 
 def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
-            full_bivariate: bool = False, threads: int = 1) -> SamplePool:
+            threads: int = 1) -> SamplePool:
     """Evolve a sample pool through the map.
 
     Each generation resamples the previous pool with replacement;
@@ -464,7 +454,7 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
         raise ValueError(f"pool_size must be < 2**31, got {pool_size}")
     if generations < 1:
         raise ValueError(f"generations must be >= 1, got {generations}")
-    check_cells(spec.instance)
+    check_draws(spec.instance, seed)
     factor = contraction_factor(spec)
     if not factor < 1.0:
         raise ContractionError(f"contraction factor {factor:.4f} >= 1 for {spec.map_kind}")
@@ -473,17 +463,10 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
     trace = source.pool.trace
     branches = spec.instance.branches
     exponent = None if spec.lambda2 is None else spec.lambda2 - 1.0
-    injected = spec.bivariate and not spec.is_periodic and not full_bivariate
+    injected = spec.bivariate and not spec.is_periodic
 
     def finish(target: _Generation) -> None:
-        new_w = target.w
-        if new_w is not None and not spec.is_periodic and full_bivariate:
-            # the sqrt-coefficient combination amplifies an off-zero pool
-            # mean by branches * E[sqrt(V)] > 1 per generation; the map is
-            # defined on the zero-mean unit-variance constraint set, so
-            # project back (re-standardise) after every step
-            new_w = (new_w - new_w.mean()) / new_w.std()
-        finished = SamplePool(spec=spec, x=target.x, w=new_w, generation=target.gen,
+        finished = SamplePool(spec=spec, x=target.x, w=target.w, generation=target.gen,
                               trace=trace)
         finished.trace.append(finished.moments())
         if target.gen >= 5 and finished.x.var() < 1e-12 * (1.0 + spec.scale_constant):
@@ -621,7 +604,7 @@ def _distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(max(dcov2, 0.0) / math.sqrt(dvar_a * dvar_b))
 
 
-def diagnose(pool: SamplePool, subsample: int = 2048, seed: int = 0) -> dict:
+def diagnose(pool: SamplePool) -> dict:
     """Moments plus normality and independence screens of a converged pool."""
     from scipy import stats as sstats
 
@@ -639,11 +622,11 @@ def diagnose(pool: SamplePool, subsample: int = 2048, seed: int = 0) -> dict:
             out["ks_stat"] = float(ks.statistic)
             out["ks_pvalue"] = float(ks.pvalue)
         out["slot_correlation"] = float(np.corrcoef(x, wr)[0, 1])
-        rng = np.random.Generator(np.random.Philox(key=[seed, 2**40]))
-        pick = rng.choice(len(x), size=min(subsample, len(x)), replace=False)
+        rng = np.random.Generator(np.random.Philox(key=[0, 2**40]))
+        pick = rng.choice(len(x), size=min(2048, len(x)), replace=False)
         out["distance_correlation"] = _distance_correlation(x[pick], wr[pick])
     if pool.spec.is_periodic:
-        th = complex(pool.spec.mean_constraint[1])
+        th = pool.spec.theta
         mw = complex(pool.w.mean())
         out["mean_w_minus_theta"] = abs(mw - th)
         out["theta_re"], out["theta_im"] = th.real, th.imag

@@ -49,8 +49,8 @@ class GammaPoleError(ValueError):
     """Raised when gamma or digamma is requested at a non-positive integer."""
 
 
-def _is_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
-    return z.imag == 0 and z.real <= 0.5 and abs(z.real - round(z.real)) < tol
+def _is_nonpositive_int(z: complex) -> bool:
+    return z.imag == 0 and z.real <= 0.5 and abs(z.real - round(z.real)) < 1e-12
 
 
 def log_gamma(z: complex) -> complex:

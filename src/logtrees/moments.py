@@ -51,8 +51,8 @@ import numpy as np
 from .families import FamilyInstance, mary
 from .treesim import build_mary_tree
 
-EXACT_CAP_DEFAULT = 300
-FLOAT_CAP_DEFAULT = 20_000
+EXACT_CAP = 300
+FLOAT_CAP = 20_000
 FLOAT_DRIFT_TOL = 1e-8
 
 MARY_ROWS = mary(3).row_names  # the same for every m
@@ -168,16 +168,13 @@ class _SplitLaw:
         return out
 
 
-def _law(instance: FamilyInstance, n_max: int, mode: str, cap: int | None = None) -> _SplitLaw:
+def _law(instance: FamilyInstance, n_max: int, mode: str) -> _SplitLaw:
     """The split law of ``instance`` in ``mode`` up to n_max within the mode's cap."""
     if mode not in ("exact", "float"):
         raise TableModeError(f"mode must be 'exact' or 'float', got {mode!r}")
-    limit = cap if cap is not None else (
-        EXACT_CAP_DEFAULT if mode == "exact" else FLOAT_CAP_DEFAULT)
+    limit = EXACT_CAP if mode == "exact" else FLOAT_CAP
     if n_max > limit:
-        raise TableModeError(
-            f"n_max = {n_max} exceeds the {mode}-mode cap {limit}; "
-            "pass cap explicitly to override")
+        raise TableModeError(f"n_max = {n_max} exceeds the {mode}-mode cap {limit}")
     law = instance.split_law
     if law is None:  # quadtree(d)
         return _SplitLaw(2, 0, n_max, mode == "exact", chain=instance.parameter)
@@ -286,21 +283,19 @@ class MomentTable:
             fh.write(",".join(cells) + "\n")
 
 
-def mean_tables(instance: FamilyInstance, n_max: int, mode: str = "exact",
-                cap: int | None = None):
+def mean_tables(instance: FamilyInstance, n_max: int, mode: str = "exact"):
     """Family mean rows: (mu, kappa, nu) for mary, (s_mean, x_mean) for
     fbbst, (l_mean, xi_mean) for quadtree."""
-    return tuple(_mean_rows(instance, _law(instance, n_max, mode, cap), n_max).values())
+    return tuple(_mean_rows(instance, _law(instance, n_max, mode), n_max).values())
 
 
-def second_moment_tables(instance: FamilyInstance, n_max: int, mode: str = "exact",
-                         cap: int | None = None) -> MomentTable:
+def second_moment_tables(instance: FamilyInstance, n_max: int, mode: str = "exact") -> MomentTable:
     """Full moment table (means plus all second-order rows)."""
     if instance.split_law is None:
         raise UnsupportedTableError(
             "quadtree second moments need the pairwise cell-count law, which "
             "is not implemented (ROADMAP item 3); use treesim.monte_carlo")
-    law = _law(instance, n_max, mode, cap)
+    law = _law(instance, n_max, mode)
     means = _mean_rows(instance, law, n_max)
     columns = {meas.row: means[meas.name] for meas in instance.measures}
     columns.update(_covariance_rows(instance, law, means, n_max))
@@ -368,9 +363,7 @@ def permutation_oracle(n: int, m: int) -> OracleMoments:
 @dataclass(frozen=True)
 class GrowthFit:
     slope: float
-    intercept: float
-    residual: float            # max |log residual| of the fit
-    detrended_amplitude: float  # (max - min)/2 of fit residuals
+    residual: float  # max |log residual| of the fit
 
 
 def growth_exponent(values, n_grid) -> GrowthFit:
@@ -389,9 +382,4 @@ def growth_exponent(values, n_grid) -> GrowthFit:
     A = np.vstack([xs, np.ones(len(xs))]).T
     (slope, intercept), *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
     resid = np.array(ys) - A @ np.array([slope, intercept])
-    return GrowthFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=float(np.abs(resid).max()),
-        detrended_amplitude=float((resid.max() - resid.min()) / 2.0),
-    )
+    return GrowthFit(slope=float(slope), residual=float(np.abs(resid).max()))

@@ -68,9 +68,7 @@ from .gammafn import reciprocal_gamma
 
 
 class RootConvergenceError(RuntimeError):
-    def __init__(self, message: str, radii=None):
-        super().__init__(message)
-        self.radii = radii
+    pass
 
 
 class IndeterminateRegimeError(RegimeMismatchError):
@@ -109,7 +107,6 @@ class Spectrum:
     alpha: float
     beta: float
     certified_error: float  # max_k r_k / max(1, |z_k|) over the inclusion disks
-    precision: int
     # inclusion radii r_k, one per root: |w - roots[k]| <= r_k holds exactly
     # one zero w, and the disks are pairwise disjoint
     radii: tuple = field(repr=False, default=())
@@ -386,7 +383,7 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
     if certified > CERTIFIED_TOLERANCE:
         raise RootConvergenceError(
             f"inclusion radii not certified below {CERTIFIED_TOLERANCE} for "
-            f"{instance} (best effort {certified:.3e})", radii=radii)
+            f"{instance} (best effort {certified:.3e})")
 
     roots, radii = zip(*sorted(zip(roots, radii),
                                key=lambda zr: (-float(zr[0].real), -float(zr[0].imag))))
@@ -418,7 +415,6 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
         alpha=alpha,
         beta=beta,
         certified_error=certified,
-        precision=precision,
         radii=radii,
     )
 
@@ -487,8 +483,9 @@ def require_phase(spectrum: Spectrum, phase: CovariancePhase | DistributionPhase
     """RegimeMismatchError, naming both phases and alpha, unless the spectrum is in ``phase``."""
     name = "covariance" if isinstance(phase, CovariancePhase) else "distribution"
     if (got := getattr(classify_regime(spectrum), f"{name}_phase")) is not phase:
+        why = f"alpha = {spectrum.alpha:.6g}" if spectrum.degree > 1 else "no root besides z = 2"
         raise RegimeMismatchError(f"{what} needs the {phase.value} {name} phase; {spectrum.instance}"
-                                  f" is {got.value} (alpha = {spectrum.alpha:.6g})")
+                                  f" is {got.value} ({why})")
 
 
 def amplitude_law(spectrum: Spectrum) -> tuple[int, int]:

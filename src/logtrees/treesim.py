@@ -201,9 +201,13 @@ def sample_volumes(d: int, rng, size: int) -> np.ndarray:
     return vol
 
 
-def check_cells(instance: FamilyInstance) -> None:
-    """Reject, before any draw, a quadtree whose (CELL_ROWS, 2^d) cell array
-    would exceed MAX_CELL_BYTES, i.e. d > 9.  The (m,t) laws always pass."""
+def check_draws(instance: FamilyInstance, seed: int) -> None:
+    """Reject, before any draw, a seed outside [0, 2^63), which numpy wraps
+    (below 0) or may cast through a float (2^63 and up) into the Philox key,
+    aliasing another seed, and a quadtree whose (CELL_ROWS, 2^d) cell array
+    would exceed MAX_CELL_BYTES, i.e. d > 9.  The (m,t) laws always pass the latter."""
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be in [0, 2**63), got {seed}")
     max_d = (MAX_CELL_BYTES // (8 * CELL_ROWS)).bit_length() - 1
     if instance.split_law is None and instance.parameter > max_d:
         raise ValueError(
@@ -672,7 +676,7 @@ def monte_carlo(instance: FamilyInstance, n: int, reps: int, seed: int,
         raise ValueError(f"tree size n must be >= 0, got {n}")
     if reps < 2:
         raise ValueError("reps must be >= 2 for variance estimates")
-    check_cells(instance)
+    check_draws(instance, seed)
     small_laws(instance)  # built here, not by the first worker thread to need it
     blocks = [(i, min(BLOCK, reps - i * BLOCK)) for i in range((reps + BLOCK - 1) // BLOCK)]
     if threads > 1:

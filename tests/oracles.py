@@ -148,7 +148,12 @@ def serial_iterate(spec, pool_size: int, generations: int, seed: int,
     reproduce its pools and traces bit for bit at any thread count.  It
     checks the orchestration only: it takes the periodic weights from the
     same ``fixpoint._periodic_weights``, whose accuracy is tested against
-    ``np.exp`` and mpmath on its own."""
+    ``np.exp`` and mpmath on its own.
+
+    With ``full_bivariate`` the normal maps' w slot is iterated,
+    w' = sum_r V_r^(1/2) w_r, and re-standardised after every generation,
+    instead of injected from fresh normals as ``fixpoint.iterate`` does:
+    an independent reference for the injected slot."""
     from logtrees import fixpoint
     from logtrees.treesim import CELL_ROWS
 
@@ -156,7 +161,7 @@ def serial_iterate(spec, pool_size: int, generations: int, seed: int,
     x = np.zeros(pool_size)
     w = None
     if spec.is_periodic:
-        w = np.full(pool_size, complex(spec.mean_constraint[1]), dtype=complex)
+        w = np.full(pool_size, spec.theta, dtype=complex)
     elif spec.bivariate:
         x = rng0.standard_normal(pool_size)
         w = rng0.standard_normal(pool_size)

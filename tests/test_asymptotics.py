@@ -288,6 +288,16 @@ def test_regime_mismatch_errors():
         periodic("P2", quadtree(5))
 
 
+def test_cplus_is_refused_for_the_m_t_factors():
+    # the (m,t) factors take their amplitude from the spectrum, so a cplus
+    # they cannot use is an error, not dropped
+    for kind, inst in (("F1", mary(27)), ("F2", mary(14)), ("Frho", mary(27)),
+                       ("G1", fbbst(59)), ("G2", fbbst(29))):
+        with pytest.raises(ValueError, match="cplus"):
+            periodic(kind, inst, cplus=5 + 1j)
+    assert periodic("P1", quadtree(9)).osc == periodic("P1", quadtree(9), cplus=1 + 0j).osc
+
+
 # the paper's phase changes: first parameter with a periodic covariance, and
 # first with a periodic distribution (Var(S), the correlation, the limit law)
 PHASE_CUTS = {"mary": (14, 27), "fbbst": (29, 59), "quadtree": (6, 9)}
@@ -298,7 +308,8 @@ def _accepted(build) -> bool:
     try:
         build()
     except RegimeMismatchError as exc:
-        assert "phase" in str(exc) and "alpha = " in str(exc), exc
+        # degree 1 (quadtree(1)) has no alpha to name: its lone root is z = 2
+        assert "phase" in str(exc) and ("alpha = " in str(exc) or "z = 2" in str(exc)), exc
         return False
     return True
 
@@ -321,8 +332,8 @@ def test_phase_gates_accept_exactly_the_instances_past_the_cuts(family):
         if inst.correlation_factor:
             want[inst.correlation_factor] = p >= dist_from
         got = {kind: _accepted(lambda: periodic(kind, inst, spec)) for kind in want}
-        got[periodic_map] = _accepted(lambda: fixed_point_spec(inst, periodic_map, spec))
-        got[normal_map] = _accepted(lambda: fixed_point_spec(inst, normal_map, spec))
+        got[periodic_map] = _accepted(lambda: fixed_point_spec(inst, periodic_map))
+        got[normal_map] = _accepted(lambda: fixed_point_spec(inst, normal_map))
         want.update({periodic_map: p >= dist_from, normal_map: p < dist_from})
         assert got == want, inst
 
@@ -442,7 +453,7 @@ def test_f2_amplitude_matches_table_m27():
     inst = mary(m)
     spec = solve_spectrum(inst)
     lam = spec.lambda2
-    table = second_moment_tables(inst, 8192, "float", cap=8192)
+    table = second_moment_tables(inst, 8192, "float")
     ns = np.unique(np.geomspace(512, 8192, 90).astype(int))
     b = _toll_from_table(table, "VSK", m, ns)
     fitted = _demod_single(b, lam)
@@ -467,7 +478,7 @@ def test_f1_coefficients_match_table_m27():
     spec = solve_spectrum(inst)
     lam = spec.lambda2
     alpha, beta = spec.alpha, spec.beta
-    table = second_moment_tables(inst, 8192, "float", cap=8192)
+    table = second_moment_tables(inst, 8192, "float")
     ns = np.unique(np.geomspace(512, 8192, 90).astype(int))
     b = _toll_from_table(table, "VS", m, ns)
     base = ns.astype(float) ** (2 * alpha - 2)
@@ -493,7 +504,7 @@ def test_g2_amplitude_matches_table_t29():
     inst = fbbst(t)
     spec = solve_spectrum(inst)
     rho = spec.lambda2
-    table = second_moment_tables(inst, 8192, "float", cap=8192)
+    table = second_moment_tables(inst, 8192, "float")
     col = np.array(table.column("VSX"))
     ct = np.array([math.comb(x, t) for x in range(8193)], dtype=float)
     c2t1 = np.array([math.comb(x, 2 * t + 1) for x in range(8193)], dtype=float)
@@ -518,7 +529,7 @@ def test_g1_coefficients_match_table_t59():
     spec = solve_spectrum(inst)
     rho = spec.lambda2
     at, bt = spec.alpha, spec.beta
-    table = second_moment_tables(inst, 8192, "float", cap=8192)
+    table = second_moment_tables(inst, 8192, "float")
     col = np.array(table.column("VS"))
     ct = np.array([math.comb(x, t) for x in range(8193)], dtype=float)
     c2t1 = np.array([math.comb(x, 2 * t + 1) for x in range(8193)], dtype=float)

@@ -183,6 +183,13 @@ def test_regime_mismatch_exit_code():
     assert "regime mismatch" in err
 
 
+def test_degree_one_mismatch_names_the_lone_root():
+    code, out, err = run_cli(["periodic", "--kind", "P2", "--param", "1"])
+    assert (code, out) == (3, "")
+    assert err == ("regime mismatch: P2 needs the periodic covariance phase; quadtree(1) is "
+                   "linear (no root besides z = 2)\n")
+
+
 def test_usage_error_exit_code():
     code, _, _ = run_cli(["simulate", "--family", "mary"])
     assert code == 2
@@ -230,6 +237,26 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, flag):
     assert (code, out) == (2, "")
     assert err == f"error: cannot write {bad}: No such file or directory\n"
     assert not out_path.exists()  # a failed run creates no -o file
+
+
+@pytest.mark.parametrize("flag", ["--trace-out", "--pool-out"])
+def test_unwritable_side_file_is_refused_before_the_run(tmp_path, monkeypatch, flag):
+    from logtrees import fixpoint
+
+    def not_run(*args, **kwargs):
+        raise AssertionError("iterate ran before the output paths were checked")
+
+    monkeypatch.setattr(fixpoint, "iterate", not_run)
+    blocker, good = tmp_path / "file", tmp_path / "good.csv"
+    blocker.write_text("")
+    other = "--pool-out" if flag == "--trace-out" else "--trace-out"
+    argv = ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "1",
+            other, str(good)]
+    for bad, reason in ((tmp_path / "missing" / "out.csv", "No such file or directory"),
+                        (blocker / "out.csv", "Not a directory"), (tmp_path, "Is a directory")):
+        code, out, err = run_cli([*argv, flag, str(bad)])
+        assert (code, out, err) == (2, "", f"error: cannot write {bad}: {reason}\n")
+    assert not good.exists() and blocker.read_text() == ""  # neither path is created
 
 
 def test_config_file_output_key(tmp_path):
@@ -297,14 +324,17 @@ def test_float_moments_overflow_names_first_n():
 
 
 def test_config_file_store_true_key(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("full_bivariate=true\n")
-    argv = ["fixpoint", "--map", "TNprime_normal", "--family", "mary", "--param", "3",
-            "--pool", "1000", "--gens", "2", "--seed", "1"]
-    code, out, err = run_cli(["--config", str(cfg), *argv])
-    assert code == 0, err
-    assert out == run_cli([*argv, "--full-bivariate"])[1]
-    assert out != run_cli(argv)[1]
+    # --quick is the one store-true flag: true becomes the bare switch, false is dropped
+    from logtrees.cli import _apply_config_file, build_parser
+
+    cfg, ap = tmp_path / "run.cfg", build_parser()
+    argv = ["--config", str(cfg), "verify"]
+    cfg.write_text("quick=true\n")
+    assert _apply_config_file(argv, ap) == [*argv, "--quick"]
+    assert ap.parse_args(_apply_config_file(argv, ap)).quick is True
+    cfg.write_text("quick=false\n")
+    assert _apply_config_file(argv, ap) == argv
+    assert ap.parse_args(_apply_config_file(argv, ap)).quick is False
 
 
 def test_simulate_negative_n_is_usage_error():
@@ -322,11 +352,12 @@ def test_header_echoes_result_changing_flags(tmp_path):
     assert given.splitlines()[1].endswith("points=4 cplus_re=0.5 cplus_im=0.25")
     trace = tmp_path / "trace.csv"
     argv = ["fixpoint", "--map", "TNprime_normal", "--family", "mary", "--param", "3",
-            "--pool", "1000", "--gens", "2", "--full-bivariate", "--trace-out", str(trace)]
+            "--pool", "1000", "--gens", "2", "--trace-out", str(trace)]
     code, out, _ = run_cli(argv)
     assert code == 0
-    assert json.loads(out)["meta"]["config"]["full_bivariate"] is True
-    assert "full_bivariate=True" in trace.read_text().splitlines()[1]
+    assert json.loads(out)["meta"]["config"]["gens"] == 2
+    assert trace.read_text().splitlines()[1] == (
+        "# config: command=fixpoint map=TNprime_normal family=mary param=3 pool=1000 gens=2 seed=1")
 
 
 def test_header_follows_parser_order_without_execution_flags():
@@ -402,6 +433,10 @@ def test_threads_default_is_the_cpus_available():
     ["moments", "--family", "mary", "--param", "3", "--nmax", "-1"],
     ["simulate", "--family", "mary", "--param", "3", "--n", "30", "--reps", "4",
      "--threads", "0"],
+    ["simulate", "--family", "mary", "--param", "3", "--n", "30", "--reps", "4",
+     "--seed", "-1"],
+    ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "1",
+     "--seed", "9223372036854775808"],
     ["corr-profile", "--family", "fbbst", "--param", "1", "--grid", "30", "--reps", "4",
      "--threads", "-2"],
     ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "1",

@@ -24,7 +24,7 @@ from logtrees.fixpoint import (
 )
 from logtrees.roots import solve_spectrum
 from logtrees.treesim import CELL_ROWS
-from oracles import distance_correlation
+from oracles import distance_correlation, serial_iterate
 
 
 def rng_for(seed):
@@ -153,6 +153,16 @@ def test_regime_mismatch_rejected():
         fixed_point_spec(mary(27), "Tmed_periodic")
 
 
+def test_theta_is_refused_where_the_spectrum_sets_it():
+    # theta is caller-supplied for the quadtree periodic map alone
+    for inst, kind in ((mary(27), "TN_periodic"), (fbbst(59), "Tmed_periodic"),
+                       (mary(3), "uniK"), (quadtree(2), "Tquad_normal")):
+        with pytest.raises(ValueError, match="theta"):
+            fixed_point_spec(inst, kind, theta=5)
+    assert fixed_point_spec(quadtree(9), "Tquad_periodic").theta == 1
+    assert fixed_point_spec(quadtree(9), "Tquad_periodic", theta=5).theta == 5
+
+
 def test_pool_size_floor():
     with pytest.raises(ValueError):
         iterate(fixed_point_spec(mary(3), "uniK"), 10, 5, seed=0)
@@ -183,7 +193,7 @@ def test_unik_variance_matches_exact_table_grid_top():
     # pool variance vs the exact-table VK/n^2 at the top of the float grid
     from logtrees.moments import second_moment_tables
     m = 3
-    table = second_moment_tables(mary(m), 8192, "float", cap=8192)
+    table = second_moment_tables(mary(m), 8192, "float")
     top = table.column("VK")[8192] / 8192**2
     pool = iterate(fixed_point_spec(mary(m), "uniK"), 50_000, 30, seed=13)
     assert abs(pool.x.var() - top) < 0.05 * top
@@ -212,7 +222,7 @@ def test_tn_periodic_mean_preserved():
     inst = mary(27)
     spec = fixed_point_spec(inst, "TN_periodic")
     pool = iterate(spec, 30_000, 12, seed=41)
-    th = complex(spec.mean_constraint[1])
+    th = spec.theta
     sew = math.sqrt(pool.moments()["var_w"] / len(pool.x))
     drift = abs(complex(pool.w.mean()) - th)
     assert drift < 4 * sew + 1e-9
@@ -225,7 +235,7 @@ def test_tmed_periodic_mean_preserved():
     inst = fbbst(59)
     spec = fixed_point_spec(inst, "Tmed_periodic")
     pool = iterate(spec, 20_000, 10, seed=43)
-    th = complex(spec.mean_constraint[1])
+    th = spec.theta
     sew = math.sqrt(pool.moments()["var_w"] / len(pool.x)) if pool.moments()["var_w"] else 1e-6
     assert abs(complex(pool.w.mean()) - th) < 5 * sew + 1e-9
 
@@ -250,8 +260,9 @@ def test_tnprime_normal_slot_and_independence():
 
 
 def test_tnprime_fully_iterated_variant_agrees():
+    # the w slot iterated and re-standardised (test reference) instead of injected
     spec = fixed_point_spec(mary(3), "TNprime_normal")
-    pool = iterate(spec, 60_000, 25, seed=52, full_bivariate=True)
+    pool = serial_iterate(spec, 60_000, 25, seed=52, full_bivariate=True)
     d = diagnose(pool)
     assert d["ks_pvalue"] > 0.01
     assert abs(d["slot_correlation"]) < 0.05

@@ -16,16 +16,14 @@ from oracles import serial_iterate
 POOL = 2 * CELL_ROWS + 17  # three chunks a generation, the last one ragged
 
 CASES = {
-    "uniK-mary(3)": (mary(3), "uniK", {}, False, 6),
-    "TN_periodic-mary(27)": (mary(27), "TN_periodic", {}, False, 6),
-    "TNprime_normal-mary(3)": (mary(3), "TNprime_normal", {}, False, 6),
-    "TNprime_normal-mary(3)-full": (mary(3), "TNprime_normal", {}, True, 6),
-    "Tmed_periodic-fbbst(59)": (fbbst(59), "Tmed_periodic", {}, False, 6),
-    "Tmed_normal-fbbst(1)": (fbbst(1), "Tmed_normal", {}, False, 6),
-    "Tquad_normal-quadtree(2)": (quadtree(2), "Tquad_normal", {}, False, 6),
+    "uniK-mary(3)": (mary(3), "uniK", {}, 6),
+    "TN_periodic-mary(27)": (mary(27), "TN_periodic", {}, 6),
+    "TNprime_normal-mary(3)": (mary(3), "TNprime_normal", {}, 6),
+    "Tmed_periodic-fbbst(59)": (fbbst(59), "Tmed_periodic", {}, 6),
+    "Tmed_normal-fbbst(1)": (fbbst(1), "Tmed_normal", {}, 6),
+    "Tquad_normal-quadtree(2)": (quadtree(2), "Tquad_normal", {}, 6),
     # 512 cells a row: one chunk in flight (WINDOW_BYTES), one generation
-    "Tquad_periodic-quadtree(9)": (quadtree(9), "Tquad_periodic",
-                                   {"theta": 0.5 + 0.25j}, False, 1),
+    "Tquad_periodic-quadtree(9)": (quadtree(9), "Tquad_periodic", {"theta": 0.5 + 0.25j}, 1),
 }
 
 
@@ -41,11 +39,11 @@ def assert_same_pool(got, want):
 
 @pytest.mark.parametrize("case", CASES)
 def test_threads_reproduce_serial_loop(case):
-    inst, kind, extra, full, gens = CASES[case]
+    inst, kind, extra, gens = CASES[case]
     spec = fixed_point_spec(inst, kind, **extra)
-    want = serial_iterate(spec, POOL, gens, seed=17, full_bivariate=full)
+    want = serial_iterate(spec, POOL, gens, seed=17)
     for threads in (1, 2, 8):
-        got = iterate(spec, POOL, gens, seed=17, full_bivariate=full, threads=threads)
+        got = iterate(spec, POOL, gens, seed=17, threads=threads)
         assert_same_pool(got, want)
 
 

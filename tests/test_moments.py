@@ -230,7 +230,7 @@ def test_m3_small_values():
 
 
 def test_cauchy_schwarz_exact():
-    t = second_moment_tables(mary(4), 60, "exact", cap=60)
+    t = second_moment_tables(mary(4), 60, "exact")
     assert t.cauchy_schwarz_ok()
     for name in ("VS", "VK", "VN"):
         assert all(v >= 0 for v in t.column(name))
@@ -299,12 +299,12 @@ def test_rho_kn_climbs_toward_one():
     def rho_of(t, n):
         return t.column("VKN")[n] / math.sqrt(t.column("VK")[n] * t.column("VN")[n])
 
-    t3 = second_moment_tables(mary(3), 8192, "float", cap=8192)
+    t3 = second_moment_tables(mary(3), 8192, "float")
     rho = [rho_of(t3, n) for n in grid]
     assert all(b >= a - 1e-9 for a, b in zip(rho, rho[1:]))
     assert rho[-1] >= 0.95
 
-    t10 = second_moment_tables(mary(10), 8192, "float", cap=8192)
+    t10 = second_moment_tables(mary(10), 8192, "float")
     rho = [rho_of(t10, n) for n in grid]
     assert all(b >= a - 1e-9 for a, b in zip(rho, rho[1:]))
     assert rho[-1] >= 0.85
@@ -321,7 +321,7 @@ def test_rho_kn_climbs_toward_one():
     # tiny limit constant phi^2 C_K); validate the table against Monte
     # Carlo instead of asserting the asymptote.
     from logtrees.treesim import monte_carlo
-    t20 = second_moment_tables(mary(20), 2048, "float", cap=2048)
+    t20 = second_moment_tables(mary(20), 2048, "float")
     st = monte_carlo(mary(20), 2048, 4000, seed=11)
     for row, name in (("VK", "K"), ("VN", "N")):
         rel = abs(st.var(name) - t20.column(row)[2048]) / t20.column(row)[2048]
@@ -400,7 +400,7 @@ def test_generic_recurrence_reproduces_means():
     inst = mary(m)
     law = moments._law(inst, n_max, "exact")
     zeros = [Fraction(0)] * (m - 1)
-    mu, kappa, nu = mean_tables(inst, n_max, "exact", cap=n_max)
+    mu, kappa, nu = mean_tables(inst, n_max, "exact")
     one_toll = [Fraction(0)] * (m - 1) + [Fraction(1)] * (n_max - m + 2)
     got = moments._recurrence(law, one_toll, mu[: m - 1], n_max)
     assert got == mu
@@ -419,7 +419,7 @@ def test_generic_recurrence_linear_toll_form():
     # initial segment, t_n = -(n+1) inside it) reproduces kappa
     m, n_max = 3, 150
     inst = mary(m)
-    _, kappa, _ = mean_tables(inst, n_max, "float", cap=n_max)
+    _, kappa, _ = mean_tables(inst, n_max, "float")
     t_seq = [-(n + 1.0) if n < m - 1 else -float(m) for n in range(n_max + 1)]
     toll = [1.0 * (n + 1) + t_seq[n] for n in range(n_max + 1)]
     got = moments._recurrence(moments._law(inst, n_max, "float"), toll, [0.0] * (m - 1), n_max)
@@ -428,11 +428,11 @@ def test_generic_recurrence_linear_toll_form():
 
 def test_generic_recurrence_fbbst_and_quadtree():
     # constant toll 1 above the threshold reproduces the stage/leaf means
-    eS, _ = mean_tables(fbbst(1), 60, "exact", cap=60)
+    eS, _ = mean_tables(fbbst(1), 60, "exact")
     toll = [Fraction(0)] * 3 + [Fraction(1)] * 58
     got = moments._recurrence(moments._law(fbbst(1), 60, "exact"), toll, [Fraction(0)] * 3, 60)
     assert got == eS
-    l_mean, _ = mean_tables(quadtree(2), 40, "exact", cap=40)
+    l_mean, _ = mean_tables(quadtree(2), 40, "exact")
     toll = [Fraction(0)] * 41
     got = moments._recurrence(moments._law(quadtree(2), 40, "exact"), toll,
                               [Fraction(0), Fraction(1)], 40)
@@ -456,7 +456,7 @@ def test_growth_exponent_rejects_nonpositive():
 
 
 def test_growth_exponents_match_theory_m3():
-    t = second_moment_tables(mary(3), 8192, "float", cap=8192)
+    t = second_moment_tables(mary(3), 8192, "float")
     grid = [2 ** k for k in range(8, 14)]
     assert abs(growth_exponent(t.column("VK"), grid).slope - 2.0) < 0.05
     assert abs(growth_exponent(t.column("VSK"), grid).slope - 1.0) < 0.1
@@ -469,7 +469,7 @@ def test_growth_exponents_match_theory_m3():
 
 def test_float_mode_flags_normalisation():
     # healthy horizon stays silent
-    second_moment_tables(mary(6), 500, "float", cap=500)
+    second_moment_tables(mary(6), 500, "float")
 
 
 def test_float_mode_normaliser_overflow_is_named():

@@ -21,6 +21,7 @@ from logtrees.treesim import (
     _simulate_block,
     _splits,
     build_mary_tree,
+    check_draws,
     monte_carlo,
     sample_volumes,
     small_laws,
@@ -718,3 +719,18 @@ def test_sorted_gaps_equal_sort_and_diff(k, step):
         bounds = np.hstack([np.full((3000, 1), low), keys, np.broadcast_to(high, 3000)[:, None]])
         want = np.diff(bounds.astype(a.dtype), axis=1)
         assert np.array_equal(sorted_gaps(a.copy(), low, high, step), want)
+
+
+def test_seeds_outside_the_philox_key_range_are_refused():
+    # numpy wraps a negative key word and may cast one of 2^63 or more
+    # through a float: 2^64 - 2 and 2^64 - 1 gave the draws of seed 0
+    from logtrees.fixpoint import fixed_point_spec, iterate
+
+    for seed in (-1, 2**63, 2**64 - 1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo(mary(3), 20, 4, seed)
+        with pytest.raises(ValueError, match="seed"):
+            iterate(fixed_point_spec(mary(3), "uniK"), 1000, 1, seed)
+    check_draws(mary(3), 2**63 - 1)
+    top, zero = (monte_carlo(mary(3), 20, 4, seed).to_dict() for seed in (2**63 - 1, 0))
+    assert top != zero
