@@ -387,6 +387,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     code = 0
     try:
+        if args.output:  # refused before the run, without creating the file
+            _check_writable(args.output)
         body = COMMANDS[args.command][0](args)
         with _create(args.output) if args.output else contextlib.nullcontext(sys.stdout) as fh:
             _write_run(fh, args, body)

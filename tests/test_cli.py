@@ -259,6 +259,21 @@ def test_unwritable_side_file_is_refused_before_the_run(tmp_path, monkeypatch, f
     assert not good.exists() and blocker.read_text() == ""  # neither path is created
 
 
+def test_unwritable_output_file_is_refused_before_the_run(tmp_path, monkeypatch):
+    from logtrees import cli
+
+    def not_run(args):
+        raise AssertionError("the command ran before -o was checked")
+
+    monkeypatch.setitem(cli.COMMANDS, "constants", (not_run, *cli.COMMANDS["constants"][1:]))
+    argv = ["constants", "--family", "mary", "--param", "3"]
+    for bad, reason in ((tmp_path / "missing" / "out.json", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        code, out, err = run_cli(["-o", str(bad), *argv])
+        assert (code, out, err) == (2, "", f"error: cannot write {bad}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []  # nothing was created
+
+
 def test_config_file_output_key(tmp_path):
     cfg, path, explicit = tmp_path / "run.cfg", tmp_path / "cfg.json", tmp_path / "flag.json"
     cfg.write_text(f"output={path}\n")

@@ -2,10 +2,14 @@ import functools
 import hashlib
 import io
 import math
+import os
 import random
+import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -87,9 +91,9 @@ def _check_cascade(inst, n_max, marginal, pair=None):
     rnd = random.Random(inst.parameter)
     law = moments._law(inst, n_max, "exact")
     f, g = _random_row(rnd, n_max + 1), _random_row(rnd, n_max + 1)
-    op = law.marginal()
+    op = law.operator(law.marginal)
     pair_ops = [] if pair is None else [
-        (law.pair_marginal(), law.convolve(a, b), a, b) for a, b in ((f, g), (f, f))]
+        (law.operator(law.pair), law.convolve(a, b), a, b) for a, b in ((f, g), (f, f))]
     for n in range(law.size, n_max + 1):
         assert op(f, n) == sum(p * f[j] for j, p in marginal(n).items()), n
         for pair_op, conv, a, b in pair_ops:
@@ -137,6 +141,84 @@ def test_quadtree_recurrence_reads_every_initial_value(d):
         want.append(2 ** d * sum(_thinned(d, n - 1, j) * want[j] for j in range(n)) + toll[n])
     assert moments._recurrence(moments._law(quadtree(d), n_max, "exact"), toll, initial,
                                n_max) == want
+
+
+# ----------------------------- whole-row runs -----------------------------
+
+RUN_LAWS = [(mary(3), 30), (mary(10), 30), (mary(27), 40), (fbbst(1), 30), (fbbst(5), 30),
+            (quadtree(2), 30), (quadtree(3), 30)]
+ROW_VALUES = {
+    "float": st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1.0]),
+                       st.floats(-1e6, 1e6, allow_nan=False)),
+    "exact": st.fractions(-50, 50, max_denominator=20),
+}
+
+
+def _specs(inst, law):
+    """The marginal operator, and the pair operator of an (m,t) split."""
+    return [law.marginal] if inst.split_law is None else [law.marginal, law.pair]
+
+
+def _check_run(law, spec, row, n0, n_max):
+    """``run`` against a fresh online operator called at n = n0..n_max:
+    the same doubles bit for bit, or the same Fractions."""
+    op = law.operator(spec)
+    want = law.row(op(row, n) for n in range(n0, n_max + 1))
+    got = law.run(spec, row, n0)
+    assert len(got) == n_max + 1 and not any(got[:n0])
+    if law.exact:
+        assert got[n0:].tolist() == want
+    else:
+        assert got[n0:].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("inst,n_max", RUN_LAWS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_run_matches_the_online_operator_bit_for_bit(inst, n_max, mode, data):
+    law = moments._law(inst, n_max, mode)
+    for spec in _specs(inst, law):
+        row = law.row(data.draw(st.lists(ROW_VALUES[mode], min_size=n_max + 1,
+                                         max_size=n_max + 1)))
+        _check_run(law, spec, row, data.draw(st.integers(law.size, n_max + 1)), n_max)
+
+
+@pytest.mark.parametrize("inst,n_max", RUN_LAWS, ids=str)
+def test_run_keeps_the_cascade_signed_zeros(inst, n_max):
+    # the cascade's first push is 0.0 + x, so a -0.0 pushed first comes out +0.0
+    law = moments._law(inst, n_max, "float")
+    for spec in _specs(inst, law):
+        _check_run(law, spec, law.row([-0.0] * (n_max + 1)), law.size, n_max)
+
+
+# sha256 of the packed (little-endian) doubles of mean_tables(instance, n_max,
+# "float"), row after row.  These rows take only +, -, *, / and left-to-right
+# sums, so every IEEE-754 machine gives the same bits whatever SIMD numpy uses.
+FLOAT_MEAN_DIGESTS = {
+    "mary-3-20000": "05ac1f993d5b0532e76d07343c91e6a497fb91f4b5da90412a8216c6c710a4d4",
+    "fbbst-1-8192": "a90b1129db72888edc0883877e835837c7ec1ef20f67ccf2f9517b9b4874577f",
+    "mary-27-8192": "c1763e975d21ebf43cfacc22c224a5cf6a4dfae2199da454b130cd46e1fa4be6",
+    "quadtree-2-20000": "bfc2ab62b48d596d31c8ac8925342237f1ef5909d6746ea18fb7e19106b0a0e1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FLOAT_MEAN_DIGESTS))
+def test_float_mean_rows_match_pinned_digests(key):
+    family, param, n_max = key.split("-")
+    inst = {"mary": mary, "fbbst": fbbst, "quadtree": quadtree}[family](int(param))
+    rows = mean_tables(inst, int(n_max), "float")
+    got = hashlib.sha256(b"".join(array("d", row).tobytes() for row in rows)).hexdigest()
+    assert got == FLOAT_MEAN_DIGESTS[key]
+
+
+def test_moments_imports_treesim_only_for_the_oracle():
+    code = ("import sys, logtrees.moments as m; print('logtrees.treesim' in sys.modules); "
+            "print(m.permutation_oracle(4, 3).mu, 'logtrees.treesim' in sys.modules)")
+    src = str(Path(moments.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["False", str(permutation_oracle(4, 3).mu), "True"]
 
 
 # ----------------------------- oracle equality ----------------------------
