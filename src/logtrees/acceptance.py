@@ -72,7 +72,7 @@ def criterion_1(quick: bool) -> tuple[bool, str]:
 
 
 def criterion_2(quick: bool) -> tuple[bool, str]:
-    from .asymptotics import REFERENCE_C2C1, c2_minus_phi_c1
+    from .asymptotics import REFERENCE_C2C1, REFERENCE_C2C1_TOL, c2_minus_phi_c1
     from .families import mary
     from .roots import solve_spectrum
 
@@ -82,7 +82,7 @@ def criterion_2(quick: bool) -> tuple[bool, str]:
         want = float(REFERENCE_C2C1[m])
         rel = abs(got - want) / want
         worst = max(worst, rel)
-        if rel > 1e-9:
+        if rel > REFERENCE_C2C1_TOL:
             return False, f"m={m}: relative error {rel:.2e}"
     return True, f"28 rationals matched, worst relative error {worst:.1e}"
 

@@ -95,8 +95,10 @@ def c2_minus_phi_c1(spectrum: Spectrum) -> float:
     return 2 * phi * (phi - 1 / (m - 1) + tot.real)
 
 
-# exact rational values of c2 - phi c1, m = 3..30 (reproduced numerically
-# to 1e-9 relative by the root-sum formula; see the acceptance suite)
+# exact rational values of c2 - phi c1, m = 3..30, which the root-sum
+# formula reproduces to REFERENCE_C2C1_TOL relative: the ``table c2`` match
+# column and acceptance criterion 2 both test |value - ref| / ref <= it
+REFERENCE_C2C1_TOL = 1e-9
 REFERENCE_C2C1: dict[int, Fraction] = {
     3: Fraction(12, 125),
     4: Fraction(222, 2197),

@@ -166,7 +166,7 @@ def cmd_table_alpha(args):
 
 
 def cmd_table_c2(args):
-    from .asymptotics import REFERENCE_C2C1, c2_minus_phi_c1
+    from .asymptotics import REFERENCE_C2C1, REFERENCE_C2C1_TOL, c2_minus_phi_c1
     from .families import mary
     from .roots import solve_spectrum
 
@@ -177,7 +177,7 @@ def cmd_table_c2(args):
         if ref is None:
             lines.append(f"{m},{_fmt_float(val)},,\n")
         else:
-            ok = abs(val - float(ref)) <= 1e-9 * float(ref)
+            ok = abs(val - float(ref)) / float(ref) <= REFERENCE_C2C1_TOL
             lines.append(f"{m},{_fmt_float(val)},{ref.numerator}/{ref.denominator},"
                          f"{'yes' if ok else 'no'}\n")
     return lambda fh: fh.writelines(lines)

@@ -468,8 +468,9 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
     def finish(target: _Generation) -> None:
         finished = SamplePool(spec=spec, x=target.x, w=target.w, generation=target.gen,
                               trace=trace)
-        finished.trace.append(finished.moments())
-        if target.gen >= 5 and finished.x.var() < 1e-12 * (1.0 + spec.scale_constant):
+        row = finished.moments()
+        finished.trace.append(row)
+        if target.gen >= 5 and row["var_x"] < 1e-12 * (1.0 + spec.scale_constant):
             raise PoolDegeneracyError(
                 f"pool variance collapsed at generation {target.gen}")
         target.pool = finished

@@ -11,7 +11,8 @@ volume).  With the Mellin signature E[V^x] = prod_s (s+1)/(s+1+x) of
     quadtree:   z^d - 2^d                                     (d zero shifts)
 
 z = 2 is always a zero (the principal one); the real part alpha of the
-second-largest zero decides the phase of second-order moments.  The
+second-largest zero decides the phase of second-order moments, and each
+phase cut is decided by its certified inclusion disk (below).  The
 quadtree zeros 2 e^(2 pi i k / d) are solved and certified like the others;
 quadtree(1), the binary search tree, has the one root z = 2 (its formal
 lambda_2).
@@ -72,14 +73,13 @@ class RootConvergenceError(RuntimeError):
 
 
 class IndeterminateRegimeError(RegimeMismatchError):
-    """alpha sits inside the guard band around a phase threshold."""
+    """The certified disk of lambda_2 meets a phase cut."""
 
 
 class AmplitudeError(ValueError):
     pass
 
 
-REGIME_GUARD_BAND = 1e-6
 # largest relative inclusion radius max_k r_k / max(1, |z_k|) accepted
 CERTIFIED_TOLERANCE = 1e-10
 _EPS = 2.0 ** -52
@@ -96,30 +96,83 @@ def indicial_shifts(instance: FamilyInstance) -> tuple[list[int], int]:
 @dataclass(frozen=True)
 class Spectrum:
     """All indicial roots of one instance, sorted by decreasing real part
-    (ties by decreasing imaginary part), with certified inclusion disks."""
+    (ties by decreasing imaginary part), with their certified inclusion
+    disks; alpha, beta, lambda_2 and certified_error are read from them.
+
+    Construction checks by the disks the root order that the phase
+    decisions rely on, and raises RootConvergenceError otherwise: the
+    principal root's disk holds z = 2; a lambda_2 that is not real has its
+    exact conjugate as the third root; and the disk of the next root lies
+    strictly left of lambda_2's."""
 
     instance: FamilyInstance
     # Python complex from the double-precision certificate; mpmath values
     # when the roots were polished (precision > 64 or the double
     # certificate failed).  complex(r) works on every item.
     roots: tuple
-    principal_root: complex
-    alpha: float
-    beta: float
-    certified_error: float  # max_k r_k / max(1, |z_k|) over the inclusion disks
     # inclusion radii r_k, one per root: |w - roots[k]| <= r_k holds exactly
     # one zero w, and the disks are pairwise disjoint
-    radii: tuple = field(repr=False, default=())
+    radii: tuple = field(repr=False)
+
+    def __post_init__(self):
+        if not abs(self.roots[0] - 2) <= self.radii[0]:
+            raise RootConvergenceError(
+                f"principal root {self.principal_root} is not 2 for {self.instance}")
+        nxt = 2
+        if self.beta > 0.0:
+            nxt = 3
+            lam2, lam3 = complex(self.roots[1]), complex(self.roots[2])
+            if lam3 != lam2.conjugate():
+                raise RootConvergenceError(f"ordering violated: {lam3} is not conj({lam2})")
+        if self.degree > nxt and not self._real_span(nxt)[1] < self._real_span(1)[0]:
+            raise RootConvergenceError(
+                f"ordering violated: root {nxt + 1} not strictly below alpha for {self.instance}")
 
     @property
     def degree(self) -> int:
         return len(self.roots)
 
     @property
+    def principal_root(self) -> complex:
+        return complex(self.roots[0])
+
+    @property
     def lambda2(self) -> complex:
-        """Second-largest root with nonnegative imaginary part (exactly real
-        when beta = 0)."""
-        return complex(self.alpha, self.beta)
+        """Second-largest root, the upper member of its pair; z = 2, the
+        formal lambda_2, at degree 1.  Real roots are exactly real, and a
+        certified upper root's disk does not meet the real axis (it would
+        overlap its mirror), so beta = 0 exactly when lambda_2 is real."""
+        z = complex(self.roots[1 if self.degree > 1 else 0])
+        return complex(z.real, abs(z.imag))
+
+    @property
+    def alpha(self) -> float:
+        return self.lambda2.real
+
+    @property
+    def beta(self) -> float:
+        return self.lambda2.imag
+
+    @property
+    def certified_error(self) -> float:
+        """max_k r_k / max(1, |z_k|) over the inclusion disks."""
+        return _relative_radius(self.roots, self.radii)
+
+    def _real_span(self, k: int) -> tuple[float, float]:
+        """Doubles lo <= hi such that [lo, hi] holds Re w for every w in the
+        disk of root k, and the real part of the root rounded to double.  An
+        mpmath centre moves by at most eps/2 |x| in that rounding, so its
+        radius grows by eps |x|; each bound is then rounded outward."""
+        z, r = self.roots[k], self.radii[k]
+        x = complex(z).real
+        if x != z.real:
+            r = math.nextafter(r + _EPS * abs(x), math.inf)
+        return math.nextafter(x - r, -math.inf), math.nextafter(x + r, math.inf)
+
+
+def _relative_radius(points, radii) -> float:
+    """max_k r_k / max(1, |z_k|), the certified error of a set of disks."""
+    return max(r / max(1.0, abs(complex(p))) for p, r in zip(points, radii))
 
 
 def _branch_circle(shifts: Sequence[int], m: int) -> np.ndarray:
@@ -323,23 +376,23 @@ def _disjoint(points, radii) -> bool:
     return bool((gap > 0.0).all())
 
 
-def _certify(upper, real, radius_fn: Callable) -> tuple[list, list[float], float] | None:
+def _certify(upper, real, radius_fn: Callable) -> tuple[list, list[float]] | None:
     """The points (the upper half-plane roots, their exact conjugates and
-    the real roots), their radii and max_k r_k / max(1, |z_k|), or None when
-    the disks are not pairwise disjoint (then they need not hold one root
-    each).  r_k is the same at z and at conj(z), so ``radius_fn`` runs on the
-    upper and real points only and the conjugates take the radii of their
-    partners; an upper disk that meets the real axis overlaps its mirror."""
+    the real roots) and their radii, or None when the disks are not
+    pairwise disjoint (then they need not hold one root each).  r_k is the
+    same at z and at conj(z), so ``radius_fn`` runs on the upper and real
+    points only and the conjugates take the radii of their partners; an
+    upper disk that meets the real axis overlaps its mirror."""
     radii = radius_fn([*upper, *real])
     radii = [*radii[:len(upper)], *radii[:len(upper)], *radii[len(upper):]]
     points = [*upper, *(z.conjugate() for z in upper), *real]
     if not _disjoint(points, radii):
         return None
-    return points, radii, max(r / max(1.0, abs(complex(p))) for p, r in zip(points, radii))
+    return points, radii
 
 
 def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
-    """Locate all indicial roots, certify them, extract (alpha, beta).
+    """Locate all indicial roots and certify them.
 
     ``precision`` is the working precision in bits (>= 64).  At 64 the
     branch roots are certified directly in double precision: every
@@ -347,7 +400,8 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
     and ``certified_error`` = max_k r_k / max(1, |z_k|) must not exceed
     1e-10.  Above 64 bits, or when the double-precision certificate fails,
     the roots are Newton-polished with mpmath at twice ``precision`` and
-    certified by the same disks evaluated at that precision.
+    certified by the same disks evaluated at that precision.  The
+    ``Spectrum`` then checks the root order by the disks.
     """
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
@@ -375,48 +429,19 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
     if precision == 64:
         found = _certify(upper.tolist(), real.tolist(),
                          lambda pts: _radii_double(shifts, log_c, pts))
-    if found is None or found[2] > CERTIFIED_TOLERANCE:
+    if found is None or _relative_radius(*found) > CERTIFIED_TOLERANCE:
         found = _certify_mp(shifts, const, upper.tolist(), real.tolist(), 2 * precision)
     if found is None:
         raise RootConvergenceError(f"inclusion disks overlap for {instance}")
-    roots, radii, certified = found
+    certified = _relative_radius(*found)
     if certified > CERTIFIED_TOLERANCE:
         raise RootConvergenceError(
             f"inclusion radii not certified below {CERTIFIED_TOLERANCE} for "
             f"{instance} (best effort {certified:.3e})")
 
-    roots, radii = zip(*sorted(zip(roots, radii),
+    roots, radii = zip(*sorted(zip(*found),
                                key=lambda zr: (-float(zr[0].real), -float(zr[0].imag))))
-    principal = complex(roots[0])
-    if abs(principal - 2.0) > 1e-10:
-        raise RootConvergenceError(
-            f"principal root {principal} is not 2 for {instance}")
-
-    # degree 1 (quadtree(1)) has no second root; its formal lambda_2 is z = 2
-    lam2 = complex(roots[1]) if deg > 1 else principal
-    imag_tol = 1e-12 * max(1.0, abs(lam2.real))
-    beta = abs(lam2.imag) if abs(lam2.imag) > imag_tol else 0.0
-    alpha = lam2.real
-
-    if beta > 0.0:
-        # the second and third roots must be a conjugate pair strictly above
-        # the rest; verified rather than assumed
-        lam3 = complex(roots[2])
-        if lam3 != lam2.conjugate():
-            raise RootConvergenceError(f"ordering violated: {lam3} is not conj({lam2})")
-        if deg > 3 and complex(roots[3]).real >= alpha - 1e-9:
-            raise RootConvergenceError(
-                f"ordering violated: fourth root not strictly below alpha for {instance}")
-
-    return Spectrum(
-        instance=instance,
-        roots=roots,
-        principal_root=principal,
-        alpha=alpha,
-        beta=beta,
-        certified_error=certified,
-        radii=radii,
-    )
+    return Spectrum(instance=instance, roots=roots, radii=radii)
 
 
 @dataclass(frozen=True)
@@ -450,29 +475,36 @@ class Regime:
     distribution_phase: DistributionPhase
 
 
-def _threshold(value: float, cut: float, what: str) -> bool:
-    if abs(value - cut) <= REGIME_GUARD_BAND:
-        raise IndeterminateRegimeError(
-            f"{what}: alpha = {value!r} within guard band of threshold {cut}")
-    return value > cut
+def _right_of_cut(spectrum: Spectrum, cut: float, closed: bool = False) -> bool:
+    """True when the certified disk of lambda_2 (widened by the rounding of
+    an mpmath centre to double) lies wholly right of ``cut``, False when it
+    lies wholly left.  A disk that meets the cut counts as right of a
+    ``closed`` cut, and raises IndeterminateRegimeError otherwise."""
+    lo, hi = spectrum._real_span(1)
+    if lo > cut or (closed and hi >= cut):
+        return True
+    if hi < cut:
+        return False
+    raise IndeterminateRegimeError(
+        f"{spectrum.instance}: the certified disk of lambda_2 ({lo!r} <= Re <= {hi!r}) "
+        f"meets the phase cut alpha = {cut}")
 
 
 def classify_regime(spectrum: Spectrum) -> Regime:
     """Phase classification: the covariance turns periodic for alpha > 1,
-    the distribution for alpha > 3/2; an alpha within REGIME_GUARD_BAND of a
-    cut raises IndeterminateRegimeError.  Two stated rules: degree 1
+    the distribution for alpha > 3/2.  A cut is decided only when the
+    certified disk of lambda_2 lies wholly on one side of it (for mpmath
+    roots, together with the centre rounded to double); a disk that meets a
+    cut raises IndeterminateRegimeError.  Two exact rules: degree 1
     (quadtree(1), the BST) is linear and Gaussian, its formal lambda_2 = 2
-    being the principal root; quadtrees put the covariance cut at
-    alpha >= 1 - REGIME_GUARD_BAND, since Re lambda_2 = 1 exactly at d = 6.
+    being the principal root; and the quadtree covariance cut is closed (a
+    disk meeting alpha = 1 is periodic), since Re lambda_2 = 2 cos(2 pi / d)
+    is exactly 1 at d = 6.
     """
     if spectrum.degree == 1:
         return Regime(CovariancePhase.LINEAR, DistributionPhase.GAUSSIAN)
-    label = str(spectrum.instance)
-    if spectrum.instance.split_law is None:
-        cov = spectrum.alpha >= 1.0 - REGIME_GUARD_BAND
-    else:
-        cov = _threshold(spectrum.alpha, 1.0, label)
-    dist = _threshold(spectrum.alpha, 1.5, label)
+    cov = _right_of_cut(spectrum, 1.0, closed=spectrum.instance.split_law is None)
+    dist = _right_of_cut(spectrum, 1.5)
     return Regime(
         CovariancePhase.PERIODIC if cov else CovariancePhase.LINEAR,
         DistributionPhase.PERIODIC if dist else DistributionPhase.GAUSSIAN,

@@ -319,7 +319,7 @@ def test_phase_gates_accept_exactly_the_instances_past_the_cuts(family):
     # every periodic factor and bivariate fixed-point map of each scanned
     # instance; the gates read the phase from the spectrum, not from a table
     cov_from, dist_from = PHASE_CUTS[family]
-    # no alpha near a guard-banded cut (nearest: mary(26), 8.6e-4 below 3/2);
+    # no alpha near a cut (nearest: mary(26), 8.6e-4 below 3/2);
     # quadtree(6) has Re lambda_2 = 1 exactly, a stated rule of classify_regime
     cuts = (1.5,) if family == "quadtree" else (1.0, 1.5)
     for p in PHASE_SCAN[family]:

@@ -79,6 +79,18 @@ def test_table_c2_match_column():
     assert m4[3] == "yes"
 
 
+def test_table_c2_match_and_criterion_2_read_one_tolerance(monkeypatch):
+    # a tolerance no value meets turns every match to "no" and criterion 2 red
+    from logtrees import acceptance, asymptotics
+
+    monkeypatch.setattr(asymptotics, "REFERENCE_C2C1_TOL", -1.0)
+    code, out, _ = run_cli(["table-c2", "--from", "3", "--to", "5"])
+    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
+    assert code == 0 and [r[3] for r in rows] == ["no"] * 3
+    passed, detail = acceptance.criterion_2(quick=True)
+    assert not passed and detail.startswith("m=3:"), detail
+
+
 def test_constants_json_schema():
     code, out, _ = run_cli(["constants", "--family", "fbbst", "--param", "1"])
     assert code == 0

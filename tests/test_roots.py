@@ -199,17 +199,126 @@ def test_classify_quadtree_thresholds():
     assert solve_spectrum(quadtree(6)).alpha == 1.0
 
 
-def test_guard_band_raises():
-    spec = solve_spectrum(mary(27))
-    for cut in (1.0, 1.5):
-        with pytest.raises(IndeterminateRegimeError):
-            classify_regime(dataclasses.replace(spec, alpha=cut + 1e-9))
-    # the quadtree covariance cut has no guard band, the distribution cut has
-    quad = solve_spectrum(quadtree(9))
-    assert classify_regime(dataclasses.replace(quad, alpha=1.0 - 1e-9)).covariance_phase \
-        is CovariancePhase.PERIODIC
+def _moved(spec, k: int, z, radius: float):
+    """``spec`` with root k (and its conjugate partner, when z is not real)
+    moved to z with disk radius ``radius``."""
+    roots, radii = list(spec.roots), list(spec.radii)
+    roots[k], radii[k] = z, radius
+    if z.imag:
+        roots[k + 1], radii[k + 1] = z.conjugate(), radius
+    return dataclasses.replace(spec, roots=tuple(roots), radii=tuple(radii))
+
+
+def _phases(spec) -> tuple[str, str]:
+    regime = classify_regime(spec)
+    return regime.covariance_phase.value, regime.distribution_phase.value
+
+
+CUT_CASES = [(mary(14), 1.0), (fbbst(29), 1.0), (mary(27), 1.5), (fbbst(59), 1.5),
+             (quadtree(9), 1.5)]
+
+
+@pytest.mark.parametrize("inst,cut", CUT_CASES, ids=str)
+def test_regime_disk_meeting_a_cut_raises(inst, cut):
+    # a lambda_2 disk that straddles or touches the cut leaves the phase
+    # undecided, however close its centre
+    spec = solve_spectrum(inst)
+    beta = spec.beta
+    for centre, radius in ((cut + 1e-9, 2e-9), (cut - 1e-9, 2e-9), (cut + 1e-9, 1e-9),
+                           (cut, 1e-15)):
+        with pytest.raises(IndeterminateRegimeError, match="meets the phase cut"):
+            classify_regime(_moved(spec, 1, complex(centre, beta), radius))
+
+
+@pytest.mark.parametrize("inst,cut", CUT_CASES, ids=str)
+def test_regime_disk_clear_of_a_cut_is_decided(inst, cut):
+    # 1e-9 from the cut, well inside the former fixed band of 1e-6, a disk
+    # of radius 1e-12 lies wholly on one side and decides the phase
+    spec = solve_spectrum(inst)
+    above = _phases(_moved(spec, 1, complex(cut + 1e-9, spec.beta), 1e-12))
+    below = _phases(_moved(spec, 1, complex(cut - 1e-9, spec.beta), 1e-12))
+    which = 0 if cut == 1.0 else 1
+    assert above[which] == "periodic" and below[which] != "periodic", (above, below)
+
+
+def test_regime_decision_covers_the_rounding_of_an_mpmath_centre():
+    # the disk around the 192-bit centre 3/2 + 2^-60 lies right of 3/2, but
+    # the centre rounds to alpha = 1.5 exactly, so the cut is not decided
+    spec = solve_spectrum(mary(27), precision=96)
+    with mpmath.workprec(192):
+        centre = mpmath.mpc(mpmath.mpf(1.5) + mpmath.mpf(2) ** -60, spec.beta)
+    moved = _moved(spec, 1, centre, 2.0 ** -70)
+    assert moved.alpha == 1.5
     with pytest.raises(IndeterminateRegimeError):
-        classify_regime(dataclasses.replace(quad, alpha=1.5 + 1e-9))
+        classify_regime(moved)
+    with mpmath.workprec(192):
+        centre = mpmath.mpc(mpmath.mpf(1.5) + mpmath.mpf(2) ** -40, spec.beta)
+    assert _phases(_moved(spec, 1, centre, 2.0 ** -70)) == ("periodic", "periodic")
+    # the outward rounding of the bounds does not cover the centre's rounding
+    # at every radius: the disk of radius 7.5 - 2^-50 about 8.5 - 2^-50
+    # reaches the covariance cut exactly, and its centre rounds (a tie, to
+    # even) to 8.5, 1 + 2^-50 from the cut at that radius
+    with mpmath.workprec(192):
+        centre = mpmath.mpc(mpmath.mpf(8.5) - mpmath.mpf(2) ** -50, spec.beta)
+    far = _moved(spec, 1, centre, 7.5 - 2.0 ** -50)
+    assert far.alpha == 8.5
+    with pytest.raises(IndeterminateRegimeError, match="cut alpha = 1.0"):
+        classify_regime(far)
+
+
+def test_quadtree_covariance_cut_is_closed():
+    # a disk meeting alpha = 1 is periodic (Re lambda_2 = 1 exactly at
+    # d = 6); one wholly left of 1 is linear; the distribution cut is open
+    spec = solve_spectrum(quadtree(9))
+    assert _phases(_moved(spec, 1, complex(1.0 - 1e-9, spec.beta), 2e-9))[0] == "periodic"
+    assert _phases(_moved(spec, 1, complex(1.0 - 1e-9, spec.beta), 1e-12))[0] == "linear"
+    six = solve_spectrum(quadtree(6))
+    assert six.alpha == 1.0 and _phases(six)[0] == "periodic"
+
+
+def test_beta_is_the_imaginary_part_of_lambda2():
+    # no tolerance sets a small imaginary part to zero: real roots are
+    # exactly real, and a certified upper disk keeps off the real axis
+    spec = solve_spectrum(mary(27))
+    moved = _moved(spec, 1, complex(1.2, 1e-13), 1e-15)
+    assert moved.beta == 1e-13 and moved.lambda2 == complex(1.2, 1e-13)
+    assert solve_spectrum(mary(3)).beta == 0.0 and solve_spectrum(quadtree(2)).beta == 0.0
+
+
+def test_root_after_lambda2_must_lie_strictly_left_of_its_disk():
+    spec = solve_spectrum(mary(27))
+    alpha, fourth = spec.alpha, complex(spec.roots[3])
+    # 1e-10 below alpha was refused by the former fixed slack of 1e-9; the
+    # disks decide now
+    near = complex(alpha - 1e-10, fourth.imag)
+    close = _moved(spec, 3, near, 1e-12)
+    assert close.alpha == alpha
+    for radius in (1e-10, 2e-10):
+        with pytest.raises(RootConvergenceError, match="ordering violated"):
+            _moved(spec, 3, near, radius)
+    with pytest.raises(RootConvergenceError, match="ordering violated"):
+        _moved(close, 1, spec.lambda2, 1e-10 - 1e-12)
+    with pytest.raises(RootConvergenceError, match="not conj"):
+        dataclasses.replace(spec, roots=(*spec.roots[:2], complex(spec.roots[3]), *spec.roots[3:]))
+
+
+def test_principal_disk_must_hold_two():
+    spec = solve_spectrum(mary(10))
+    assert _moved(spec, 0, 2.0 + 1e-12 + 0j, 2e-12).principal_root == 2.0 + 1e-12
+    with pytest.raises(RootConvergenceError, match="is not 2"):
+        _moved(spec, 0, 2.0 + 1e-12 + 0j, 1e-13)
+
+
+@pytest.mark.parametrize("inst", [mary(27), fbbst(59), quadtree(9), quadtree(1)], ids=str)
+def test_spectrum_is_read_from_its_roots_and_disks(inst):
+    assert [f.name for f in dataclasses.fields(roots_module.Spectrum)] == \
+        ["instance", "roots", "radii"]
+    spec = solve_spectrum(inst)
+    lam2 = complex(spec.roots[1 if spec.degree > 1 else 0])
+    assert (spec.alpha, spec.beta) == (lam2.real, abs(lam2.imag))
+    assert spec.principal_root == complex(spec.roots[0]) == 2.0
+    assert spec.certified_error == max(r / max(1.0, abs(complex(z)))
+                                       for z, r in zip(spec.roots, spec.radii))
 
 
 def _exact_quadtree_roots(d: int) -> list:
@@ -404,12 +513,11 @@ def _spy_certify(monkeypatch) -> list:
 
 
 def _assert_all_points_pass(seen) -> None:
-    # the radii of the upper and real roots, mirrored to the conjugates, and
-    # certified_error are what a radius pass over every root gives, bit for bit
-    for (points, radii, certified), radius_fn in seen:
-        full = radius_fn(points)
-        assert radii == full
-        assert certified == max(r / max(1.0, abs(complex(p))) for p, r in zip(points, full))
+    # the radii of the upper and real roots, mirrored to the conjugates, are
+    # what a radius pass over every root gives, bit for bit (certified_error
+    # is read from them)
+    for (points, radii), radius_fn in seen:
+        assert radii == radius_fn(points)
 
 
 @pytest.mark.parametrize("insts", [[mary(m) for m in range(3, 301)],
