@@ -149,16 +149,15 @@ class FamilyConstants:
     theta: complex | None
 
     def to_dict(self) -> dict:
-        ex = self.c2_minus_phi_c1_exact
         return {
             "instance": str(self.instance),
-            "phi": None if self.phi is None else f"{self.phi.numerator}/{self.phi.denominator}",
+            "phi": self.phi,
             "phi_float": None if self.phi is None else float(self.phi),
-            "harmonic_1": f"{self.harmonic_1.numerator}/{self.harmonic_1.denominator}",
-            "harmonic_2": f"{self.harmonic_2.numerator}/{self.harmonic_2.denominator}",
+            "harmonic_1": self.harmonic_1,
+            "harmonic_2": self.harmonic_2,
             "c1": self.c1,
             "c2_minus_phi_c1": self.c2_minus_phi_c1,
-            "c2_minus_phi_c1_exact": None if ex is None else f"{ex.numerator}/{ex.denominator}",
+            "c2_minus_phi_c1_exact": self.c2_minus_phi_c1_exact,
             "cK": self.cK,
             "theta_re": None if self.theta is None else self.theta.real,
             "theta_im": None if self.theta is None else self.theta.imag,
@@ -303,11 +302,6 @@ class PeriodicFunction:
         zs = [2 * math.pi * i / points for i in range(points)]
         return [(z, self(z)) for z in zs]
 
-    def write_csv(self, fh, points: int = 512) -> None:
-        fh.write("z,value\n")
-        for z, val in self.sample(points):
-            fh.write(f"{z:.17g},{val:.17g}\n")
-
 
 class CorrelationFactor(PeriodicFunction):
     """rho(z) = f_cov(z) / sqrt(C f_var(z)): the periodic factor of the
@@ -368,12 +362,13 @@ def periodic(kind: str, instance: FamilyInstance,
 
 
 # ---------------------------------------------------------------------------
-# prediction rows for corr_profile
+# prediction rows of the corr-profile command
 # ---------------------------------------------------------------------------
 
-def profile_rows(instance: FamilyInstance, n: int, stats) -> list[dict]:
-    """Empirical-vs-predicted rows for one grid point; used by
-    treesim.corr_profile."""
+def profile_rows(instance: FamilyInstance, n: int, stats) -> list[tuple]:
+    """Empirical-vs-predicted rows (n, stat, empirical, standard error,
+    prediction or None, regime label) for one size n of Monte Carlo
+    ``stats``."""
     p = instance.parameter
     law = instance.split_law
     count = stats.count
@@ -385,8 +380,7 @@ def profile_rows(instance: FamilyInstance, n: int, stats) -> list[dict]:
     rows = []
 
     def add(stat, empirical, stderr, predicted):
-        rows.append({"n": n, "stat": stat, "empirical": empirical,
-                     "stderr": stderr, "predicted": predicted, "regime": tag})
+        rows.append((n, stat, empirical, stderr, predicted, tag))
 
     def add_corr(x, y, predicted):
         rho = stats.corr(x, y)

@@ -8,6 +8,13 @@ header, and ``main`` alone opens the output and maps exceptions to exit
 codes: 0 success, 1 internal error, 2 usage, 3 regime mismatch,
 4 acceptance failure.  A reader that closes stdout early ends the run
 with exit 0 and nothing on stderr.
+
+This module formats every output byte: the library returns numbers,
+Fractions and rows, and ``_cell`` (CSV) and ``_json_value`` (JSON) spell
+them.  A command does all the work that can fail before it returns its
+body: its CSV rows, lazy or not, are views of finished data, so a failed
+run writes nothing and creates no ``-o`` file.  ``verify`` alone streams
+its criteria as they run.
 """
 from __future__ import annotations
 
@@ -39,6 +46,10 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _fmt_fraction(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
 def _json_value(obj) -> str:
     if obj is None:
         return "null"
@@ -54,7 +65,7 @@ def _json_value(obj) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, Fraction):
-        return f'"{obj.numerator}/{obj.denominator}"'
+        return f'"{_fmt_fraction(obj)}"'
     if isinstance(obj, complex):
         return _json_value({"re": obj.real, "im": obj.imag})
     if isinstance(obj, dict):
@@ -68,6 +79,25 @@ def _json_value(obj) -> str:
 def dump_json(obj: dict) -> str:
     """Stable-order JSON with floats at 17 significant digits."""
     return _json_value(obj) + "\n"
+
+
+def _cell(v) -> str:
+    """One CSV cell: a float (numpy's included) at 17 significant digits, a
+    Fraction as num/den, None empty, anything else by ``str``."""
+    if isinstance(v, float):
+        return _fmt_float(v)
+    if isinstance(v, Fraction):
+        return _fmt_fraction(v)
+    return "" if v is None else str(v)
+
+
+def _csv(names, rows):
+    """The CSV body of finished ``rows`` under the header ``names``, as a
+    function writing it to a stream, one line per row."""
+    def write(fh):
+        fh.write(",".join(names) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+    return write
 
 
 # flags that steer how a run executes or where it writes, never its result:
@@ -122,8 +152,8 @@ def _check_writable(path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its JSON payload, or a function that writes its
-# CSV body to a stream, after the work that can fail is done
+# subcommands: each returns its JSON payload, or its CSV body from ``_csv``,
+# after the work that can fail is done
 # ---------------------------------------------------------------------------
 
 def cmd_roots(args) -> dict:
@@ -158,11 +188,8 @@ def cmd_table_alpha(args):
     from .families import mary
     from .roots import solve_spectrum
 
-    lines = ["m,alpha,beta\n"]
-    for m in _m_range(args):
-        spec = solve_spectrum(mary(m))
-        lines.append(f"{m},{_fmt_float(spec.alpha)},{_fmt_float(spec.beta)}\n")
-    return lambda fh: fh.writelines(lines)
+    specs = {m: solve_spectrum(mary(m)) for m in _m_range(args)}
+    return _csv(("m", "alpha", "beta"), [(m, s.alpha, s.beta) for m, s in specs.items()])
 
 
 def cmd_table_c2(args):
@@ -170,17 +197,14 @@ def cmd_table_c2(args):
     from .families import mary
     from .roots import solve_spectrum
 
-    lines = ["m,c2_minus_phi_c1,reference,match\n"]
+    rows = []
     for m in _m_range(args):
         val = c2_minus_phi_c1(solve_spectrum(mary(m)))
         ref = REFERENCE_C2C1.get(m)
-        if ref is None:
-            lines.append(f"{m},{_fmt_float(val)},,\n")
-        else:
-            ok = abs(val - float(ref)) / float(ref) <= REFERENCE_C2C1_TOL
-            lines.append(f"{m},{_fmt_float(val)},{ref.numerator}/{ref.denominator},"
-                         f"{'yes' if ok else 'no'}\n")
-    return lambda fh: fh.writelines(lines)
+        match = None if ref is None else (
+            "yes" if abs(val - float(ref)) / float(ref) <= REFERENCE_C2C1_TOL else "no")
+        rows.append((m, val, ref, match))
+    return _csv(("m", "c2_minus_phi_c1", "reference", "match"), rows)
 
 
 def cmd_constants(args) -> dict:
@@ -190,17 +214,16 @@ def cmd_constants(args) -> dict:
 
 
 def cmd_moments(args):
-    from .moments import MomentTable, UnsupportedTableError, mean_tables, second_moment_tables
+    from .moments import UnsupportedTableError, mean_tables, second_moment_tables
 
     inst = _instance(args)
     try:
-        table = second_moment_tables(inst, args.nmax, args.mode)
+        columns = second_moment_tables(inst, args.nmax, args.mode).columns
     except UnsupportedTableError:
         # quadtree: means only
-        means = mean_tables(inst, args.nmax, args.mode)
-        table = MomentTable(inst, args.nmax, args.mode, dict(zip(inst.row_names, means)))
+        columns = dict(zip(inst.row_names, mean_tables(inst, args.nmax, args.mode)))
     # a float table at the cap is megabytes of text: stream it, row by row
-    return table.write_csv
+    return _csv(("n", *columns), zip(range(args.nmax + 1), *columns.values()))
 
 
 def cmd_simulate(args) -> dict:
@@ -211,17 +234,17 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_corr_profile(args):
-    from .treesim import corr_profile
+    from .asymptotics import profile_rows
+    from .treesim import monte_carlo
 
+    inst = _instance(args)
     grid = [int(x) for x in args.grid.split(",")]
-    rows = corr_profile(_instance(args), grid, args.reps, args.seed,
-                        threads=args.threads)
-    lines = ["n,stat,empirical,stderr,predicted,regime\n"]
-    for row in rows:
-        pred = "" if row["predicted"] is None else _fmt_float(row["predicted"])
-        lines.append(f"{row['n']},{row['stat']},{_fmt_float(row['empirical'])},"
-                     f"{_fmt_float(row['stderr'])},{pred},{row['regime']}\n")
-    return lambda fh: fh.writelines(lines)
+    small = [n for n in grid if n < 2]
+    if small:  # the predictions divide by n (n log n for quadtrees): check before any run
+        raise ValueError(f"corr-profile sizes must be >= 2, got {small[0]}")
+    rows = [row for n in grid for row in profile_rows(
+        inst, n, monte_carlo(inst, n, args.reps, args.seed, args.threads))]
+    return _csv(("n", "stat", "empirical", "stderr", "predicted", "regime"), rows)
 
 
 def cmd_fixpoint(args) -> dict:
@@ -237,10 +260,13 @@ def cmd_fixpoint(args) -> dict:
         "pool": len(pool.x), **pool.moments()}
     if args.trace_out:
         with _create(args.trace_out) as fh:
-            _write_run(fh, args, pool.write_trace_csv)
+            _write_run(fh, args, _csv(("generation", *pool.trace[0]),
+                                      ((i, *row.values()) for i, row in enumerate(pool.trace))))
     if args.pool_out:
+        w = [0j] * len(pool.x) if pool.w is None else pool.w.tolist()
         with _create(args.pool_out) as fh:
-            pool.write_pool_csv(fh)
+            _csv(("x", "re_w", "im_w"),
+                 ((x, z.real, z.imag) for x, z in zip(pool.x.tolist(), w)))(fh)
     return {"diagnostics": diag}
 
 
@@ -251,8 +277,7 @@ def cmd_periodic(args):
     cplus = None if (args.cplus_re, args.cplus_im) == (None, None) else complex(
         1.0 if args.cplus_re is None else args.cplus_re,
         0.0 if args.cplus_im is None else args.cplus_im)
-    pf = periodic(args.kind, inst, cplus=cplus)
-    return lambda fh: pf.write_csv(fh, points=args.points)
+    return _csv(("z", "value"), periodic(args.kind, inst, cplus=cplus).sample(args.points))
 
 
 def cmd_verify(args):

@@ -259,7 +259,8 @@ def quadtree_ipl_variance_constant(d: int) -> float:
     length, d >= 1 (d = 1 is again quicksort)."""
     if d < 1:
         raise ValueError("d >= 1 required")
-    return 3.0**d / (3.0**d - 2.0**d) * (21 - 2 * math.pi * math.pi) / (9 * d)
+    # the ratio exactly: 3.0**d overflows a double from d = 647 on
+    return float(Fraction(3**d, 3**d - 2**d)) * (21 - 2 * math.pi * math.pi) / (9 * d)
 
 
 class _FamilyData(NamedTuple):

@@ -224,23 +224,6 @@ class SamplePool:
             out.update({"mean_re_w": 0.0, "mean_im_w": 0.0, "var_w": 0.0, "cov": 0.0})
         return out
 
-    def write_pool_csv(self, fh) -> None:
-        fh.write("x,re_w,im_w\n")
-        if self.w is None:
-            for xv in self.x:
-                fh.write(f"{xv:.17g},0,0\n")
-        else:
-            for xv, wv in zip(self.x, self.w):
-                wc = complex(wv)
-                fh.write(f"{xv:.17g},{wc.real:.17g},{wc.imag:.17g}\n")
-
-    def write_trace_csv(self, fh) -> None:
-        fh.write("generation,mean_x,var_x,mean_re_w,mean_im_w,var_w,cov\n")
-        for i, row in enumerate(self.trace):
-            fh.write(",".join([str(i)] + [f"{row[k]:.17g}" for k in
-                                          ("mean_x", "var_x", "mean_re_w",
-                                           "mean_im_w", "var_w", "cov")]) + "\n")
-
 
 def _split_rows(spec: FixedPointSpec, rng, size: int) -> np.ndarray:
     """(size, branches) coefficient rows of the split law: spacings for

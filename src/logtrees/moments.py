@@ -58,7 +58,8 @@ class TableModeError(ValueError):
 
 
 class FloatDriftError(ArithmeticError):
-    """Float-mode weight normalisation drifted beyond 1e-8, or overflowed."""
+    """Float-mode weight normalisation drifted beyond 1e-8, or overflowed
+    (the normaliser, or the branch count)."""
 
 
 class UnsupportedTableError(NotImplementedError):
@@ -183,6 +184,9 @@ def _law(instance: FamilyInstance, n_max: int, mode: str) -> _SplitLaw:
     limit = EXACT_CAP if mode == "exact" else FLOAT_CAP
     if n_max > limit:
         raise TableModeError(f"n_max = {n_max} exceeds the {mode}-mode cap {limit}")
+    if mode == "float" and instance.branches > sys.float_info.max:  # quadtree(d), d >= 1024
+        raise FloatDriftError(f"the branch count of {instance} exceeds the double range; "
+                              "use exact mode")
     if instance.split_law is None:  # quadtree(d)
         return _SplitLaw(2, 0, n_max, mode == "exact", chain=instance.parameter)
     return _SplitLaw(*instance.split_law, n_max, mode == "exact")
@@ -267,19 +271,6 @@ class MomentTable:
                 if c[n] * c[n] > bound + slack:
                     return False
         return True
-
-    def write_csv(self, fh) -> None:
-        names = self.row_names
-        fh.write("n," + ",".join(names) + "\n")
-        for n in range(self.n_max + 1):
-            cells = [str(n)]
-            for name in names:
-                v = self.columns[name][n]
-                if isinstance(v, Fraction):
-                    cells.append(f"{v.numerator}/{v.denominator}")
-                else:
-                    cells.append(f"{float(v):.17g}")
-            fh.write(",".join(cells) + "\n")
 
 
 def mean_tables(instance: FamilyInstance, n_max: int, mode: str = "exact"):

@@ -690,23 +690,3 @@ def monte_carlo(instance: FamilyInstance, n: int, reps: int, seed: int,
     for part in parts[1:]:
         merged = merged.merge(part)
     return merged
-
-
-def corr_profile(instance: FamilyInstance, n_grid, reps: int, seed: int,
-                 threads: int = 1) -> list[dict]:
-    """Empirical-vs-predicted profile rows over a grid of sizes.
-
-    Each row: n, stat name, empirical value, standard error (when available),
-    prediction from the asymptotics module, and the regime label.
-    """
-    from . import asymptotics  # deferred: avoid import cycle at module load
-
-    sizes = [int(n) for n in n_grid]
-    small = [n for n in sizes if n < 2]
-    if small:  # the predictions divide by n (n log n for quadtrees): check before any run
-        raise ValueError(f"corr-profile sizes must be >= 2, got {small[0]}")
-    rows = []
-    for n in sizes:
-        stats = monte_carlo(instance, n, reps, seed, threads)
-        rows.extend(asymptotics.profile_rows(instance, n, stats))
-    return rows

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 from fractions import Fraction
 
@@ -34,6 +36,7 @@ from logtrees.families import (
     occupancy_constant,
     quadtree,
 )
+from logtrees.cli import main
 from logtrees.fixpoint import fixed_point_spec
 from logtrees.moments import mean_tables, second_moment_tables
 from logtrees.roots import amplitude, solve_spectrum
@@ -71,6 +74,18 @@ def test_variance_constants_positive():
         assert fbbst_tpl_variance_constant(t) > 0
     for d in range(1, 12):
         assert quadtree_ipl_variance_constant(d) > 0
+
+
+def test_quadtree_variance_constant_takes_any_dimension():
+    # 3.0**d overflows a double from d = 647; 3^d/(3^d - 2^d) -> 1
+    for d in (647, 2000):
+        assert math.isfinite(quadtree_ipl_variance_constant(d))
+    limit = (21 - 2 * math.pi ** 2) / (9 * 2000)
+    assert abs(quadtree_ipl_variance_constant(2000) / limit - 1) <= 1e-15
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["constants", "--family", "quadtree", "--param", "647"]) == 0
+    assert '"cK":0.0002165191821777922,' in out.getvalue()
 
 
 def test_c1_quicksort_value():
@@ -557,10 +572,10 @@ def test_g1_coefficients_match_table_t59():
 
 
 def test_periodic_csv_dump(tmp_path):
-    fr = periodic("Frho", mary(27))
     path = tmp_path / "frho.csv"
-    with open(path, "w") as fh:
-        fr.write_csv(fh, points=64)
-    lines = path.read_text().strip().splitlines()
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["-o", str(path), "periodic", "--kind", "Frho", "--param", "27",
+                     "--points", "64"]) == 0
+    lines = [line for line in path.read_text().strip().splitlines() if not line.startswith("#")]
     assert lines[0] == "z,value"
     assert len(lines) == 65

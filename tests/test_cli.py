@@ -164,6 +164,21 @@ def test_periodic_csv():
     assert max(vals) <= 1 + 1e-6
 
 
+def test_periodic_failure_while_sampling_writes_nothing(tmp_path, monkeypatch):
+    from logtrees.asymptotics import PeriodicFunction
+
+    def fail(self, points):
+        raise ArithmeticError("F1(0) <= 0; correlation factor undefined")
+
+    monkeypatch.setattr(PeriodicFunction, "sample", fail)
+    path = tmp_path / "frho.csv"
+    for argv in (["periodic", "--kind", "Frho", "--param", "27"],
+                 ["-o", str(path), "periodic", "--kind", "Frho", "--param", "27"]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "") and "correlation factor undefined" in err
+    assert not path.exists()
+
+
 def test_corr_profile_csv():
     code, out, _ = run_cli(["corr-profile", "--family", "mary", "--param", "3",
                             "--grid", "64,128", "--reps", "300", "--seed", "2"])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import tracemalloc
 import weakref
@@ -8,6 +10,7 @@ import pytest
 
 from logtrees.asymptotics import RegimeMismatchError, kpl_variance_constant
 from logtrees import fixpoint
+from logtrees.cli import main
 from logtrees.families import fbbst, mary, quadtree
 from logtrees.fixpoint import (
     _distance_correlation,
@@ -289,15 +292,14 @@ def test_deterministic_replay():
 
 
 def test_pool_csv_exports(tmp_path):
-    spec = fixed_point_spec(mary(27), "TN_periodic")
-    pool = iterate(spec, 2000, 3, seed=3)
-    with open(tmp_path / "pool.csv", "w") as fh:
-        pool.write_pool_csv(fh)
-    with open(tmp_path / "trace.csv", "w") as fh:
-        pool.write_trace_csv(fh)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["fixpoint", "--map", "TN_periodic", "--param", "27", "--pool", "2000",
+                     "--gens", "3", "--seed", "3", "--trace-out", str(tmp_path / "trace.csv"),
+                     "--pool-out", str(tmp_path / "pool.csv")]) == 0
     lines = (tmp_path / "pool.csv").read_text().splitlines()
     assert lines[0] == "x,re_w,im_w" and len(lines) == 2001
-    tlines = (tmp_path / "trace.csv").read_text().splitlines()
+    tlines = [line for line in (tmp_path / "trace.csv").read_text().splitlines()
+              if not line.startswith("#")]
     assert tlines[0] == "generation,mean_x,var_x,mean_re_w,mean_im_w,var_w,cov"
     assert len(tlines) == 5  # initial pool + 3 generations
 

@@ -77,6 +77,13 @@ libm's cos and sin at the rounded angle 2 pi / 9.  Its imaginary part moved
 by one ulp (1.2855752193730785 to 1.2855752193730787), the real part kept
 its bits.  The x slot kept every bit; the w moments moved by at most
 2.9e-14 relative (mean_im_w).
+
+``CSV_CASES`` and the ``--trace-out`` / ``--pool-out`` files of
+``FIXPOINT_CSV`` were recorded before every CSV body moved onto the one
+writer of ``logtrees.cli``; the move changed none of their bytes.  The
+quadtree float means take no ``np.convolve``, so, like the spectra and
+the periodic factors, they are the same under every numpy dispatch; the
+fixpoint files are not (np.log), and their test ids name ``fixpoint``.
 """
 import contextlib
 import hashlib
@@ -184,3 +191,62 @@ def test_threshold_cutoff_reproduces_recorded_draws(key, monkeypatch):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert main(CASES[key]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SPLIT_TO_THRESHOLD[key]
+
+
+CSV_CASES = {
+    **{f"moments-{f}-{p}-exact": ["moments", "--family", f, "--param", str(p), "--nmax", "60"]
+       for f, p in (("mary", 3), ("fbbst", 1), ("quadtree", 2))},
+    "moments-quadtree-2-float": ["moments", "--family", "quadtree", "--param", "2",
+                                 "--nmax", "3000", "--mode", "float"],
+    **{f"periodic-{kind}-{p}": ["periodic", "--kind", kind, "--param", str(p)]
+       for kind, p in (("Frho", 27), ("G1", 59), ("P1", 9))},
+    "periodic-P2-6": ["periodic", "--kind", "P2", "--param", "6",
+                      "--cplus-re", "0.5", "--cplus-im", "-0.25"],
+    "table-alpha-3-40": ["table-alpha", "--from", "3", "--to", "40"],
+    "table-c2-3-33": ["table-c2", "--from", "3", "--to", "33"],
+}
+
+CSV_DIGESTS = {
+    "moments-mary-3-exact": "32556fc5669d43d01a19877731c0b8a39d8352f503577575817522c131b58240",
+    "moments-fbbst-1-exact": "2bb4b4acfbe3f8c6e463efef3907ddc31a2fd939177d8ccfcb525462fefbcc32",
+    "moments-quadtree-2-exact": "11f6aa97a7672dc9a6de0dc7e275fad503570f825d5783987ac719407133c697",
+    "moments-quadtree-2-float": "0bd6ea5c7492387f1986eef499f233566a938309d67936af1100df7ba366b439",
+    "periodic-Frho-27": "6a56a13e295f047e0e0a7d686f839503e8eb56f79397c8307bbc59a9bfbb76d8",
+    "periodic-G1-59": "91dda34eaf2530089c9b8cd3a97e2c5107514ab6692a2a907441a89464f35672",
+    "periodic-P1-9": "d5a79ffd4e89aaedb5df9afdb68e969ca5b55a152cb220d7837543971901a17c",
+    "periodic-P2-6": "54e9f7b07a27f6491e1195be54c811a73b8a7cb611286313447729fe41bf1cfc",
+    "table-alpha-3-40": "27de2c6f8c2f58b03fa55391ccf820241ea44588b057d46a880e3afe490fd671",
+    "table-c2-3-33": "441908694e958f5b75214ba4da8eacee471d1ee33609ee9fb6ecc3d01bbfb1cf",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CSV_CASES))
+def test_csv_stdout_matches_golden_digest(key):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(CSV_CASES[key])
+    assert code == 0, err.getvalue()
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CSV_DIGESTS[key]
+
+
+# sha256 of the (trace, pool) files of a 1000-row, 3-generation run
+FIXPOINT_CSV = {
+    "uniK-mary-3": ("c22f66be1ad85dbbb6033c496d18e0b7cd16683ee8cddf48bdac802bdb311822",
+                    "8d96fc81505507853b0c6c1395aa0532b12810ba3aa9a7ff920d6139885217fe"),
+    "TN_periodic-mary-27": ("17ecfd9bdb12199704b9f61e43dc2a2affae8e2f973af87c87dc48cb8371499a",
+                            "4e34012291e58db6e158580ecb5853492daa7994c4b75ef7eb8720f813fa6dd3"),
+    "TNprime_normal-mary-3": ("a0773cf283e6c515f1432f12e5cea95602249dec4571ef31144d5151cd38a229",
+                              "1e4c299689774fa853481f14dac57815a9a5b4d45d78ac5a97fe7dab4e4ae26c"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FIXPOINT_CSV))
+def test_fixpoint_csv_files_match_golden_digest(key, tmp_path):
+    kind, family, param = key.split("-")
+    trace, pool = tmp_path / "trace.csv", tmp_path / "pool.csv"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["fixpoint", "--map", kind, "--family", family, "--param", param,
+                     "--pool", "1000", "--gens", "3", "--seed", "5",
+                     "--trace-out", str(trace), "--pool-out", str(pool)]) == 0
+    assert tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in (trace, pool)) == FIXPOINT_CSV[key]

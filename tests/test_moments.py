@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import io
@@ -15,11 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logtrees import moments
+from logtrees import cli, moments
 from logtrees.families import fbbst, harmonic, mary, quadtree
 from logtrees.moments import (
     FloatDriftError,
-    MomentTable,
     TableModeError,
     UnsupportedTableError,
     growth_exponent,
@@ -233,9 +233,10 @@ def test_oracle_equality_all_rows(m):
             assert table.column(name)[n] == getattr(oracle, name), (m, n, name)
 
 
-# sha256 of MomentTable.write_csv at n = 100, recorded before the moment
-# engines were merged into one split-law recurrence; exact tables must stay
-# rationally equal, which for normalised Fractions means byte-equal CSVs.
+# sha256 of the CSV body (the table after the two header lines) of
+# ``logtrees moments --nmax 100``, recorded before the moment engines were
+# merged into one split-law recurrence; exact tables must stay rationally
+# equal, which for normalised Fractions means byte-equal CSVs.
 GOLDEN_DIGESTS = {
     "mary-3": "cf34463cd8b76425ab47515e7f64e7813ae1c892fd7d6457fdbf95d7df4c6152",
     "mary-4": "fb3cec975d334ef62381be9b33c5242be15df48a0be04d6143cdeb4baa8d6762",
@@ -262,15 +263,12 @@ GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
 def test_exact_tables_match_golden_digests(key):
     family, param = key.rsplit("-", 1)
-    inst = {"mary": mary, "fbbst": fbbst, "quadtree": quadtree}[family](int(param))
-    if family == "quadtree":
-        cols = dict(zip(("l_mean", "xi_mean"), mean_tables(inst, 100, "exact")))
-        table = MomentTable(inst, 100, "exact", cols)
-    else:
-        table = second_moment_tables(inst, 100, "exact")
-    buf = io.StringIO()
-    table.write_csv(buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_DIGESTS[key]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["moments", "--family", family, "--param", param, "--nmax", "100"]) == 0
+    version, config, body = out.getvalue().split("\n", 2)
+    assert version.startswith("# logtrees") and config.startswith("# config:")
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_DIGESTS[key]
 
 
 def test_oracle_reference_sequence_values():
@@ -561,6 +559,23 @@ def test_float_mode_normaliser_overflow_is_named():
         second_moment_tables(mary(200), 5000, "float")
     with pytest.raises(FloatDriftError, match=r"n = 2739"):
         mean_tables(mary(200), 5000, "float")
+
+
+def test_float_quadtree_beyond_the_double_range_is_refused():
+    # quadtree(1024) has 2^1024 branches, one past the largest double
+    with pytest.raises(FloatDriftError, match=r"quadtree\(1024\).*double range; use exact mode"):
+        mean_tables(quadtree(1024), 5, "float")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        code = cli.main(["moments", "--family", "quadtree", "--param", "1024", "--nmax", "5",
+                         "--mode", "float"])
+    assert (code, out.getvalue()) == (2, "") and "double range" in err.getvalue()
+    # one dimension less in float mode, and more in exact mode, still run
+    l_mean, xi_mean = mean_tables(quadtree(1023), 50, "float")
+    assert all(math.isfinite(v) for v in (*l_mean, *xi_mean))
+    exact = mean_tables(quadtree(1100), 5, "exact")
+    assert [len(row) for row in exact] == [6, 6]
+    assert all(isinstance(v, Fraction) for row in exact for v in row)
 
 
 @settings(max_examples=25, deadline=None)
