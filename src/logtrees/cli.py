@@ -3,7 +3,7 @@
 Every run is fully determined by its flags, all of which but the
 execution-only ones are echoed into the output header; wall time goes to
 stderr so repeated runs with the same seed are byte-identical.  Each
-subcommand is one entry of ``COMMANDS``; ``_write_run`` alone writes the
+subcommand is one entry of ``COMMANDS``; ``_run_writer`` alone writes the
 header, and ``main`` alone opens the output and maps exceptions to exit
 codes: 0 success, 1 internal error, 2 usage, 3 regime mismatch,
 4 acceptance failure.  A reader that closes stdout early ends the run
@@ -12,9 +12,11 @@ with exit 0 and nothing on stderr.
 This module formats every output byte: the library returns numbers,
 Fractions and rows, and ``_cell`` (CSV) and ``_json_value`` (JSON) spell
 them.  A command does all the work that can fail before it returns its
-body: its CSV rows, lazy or not, are views of finished data, so a failed
-run writes nothing and creates no ``-o`` file.  ``verify`` alone streams
-its criteria as they run.
+body: its CSV rows, lazy or not, are views of finished data whose exact
+values ``_cell`` can spell (``_check_spellable``), and a JSON payload is
+spelled before the output is opened, so a failed run writes nothing and
+creates no ``-o`` file.  ``verify`` alone streams its criteria as they
+run.
 """
 from __future__ import annotations
 
@@ -91,6 +93,23 @@ def _cell(v) -> str:
     return "" if v is None else str(v)
 
 
+def _check_spellable(columns: dict) -> None:
+    """Refuse exact values ``_cell`` could not spell: a numerator or
+    denominator with more decimal digits than ``str(int)`` allows
+    (``sys.get_int_max_str_digits``, Python 3.11 on; 0 is no limit).
+    Called before the body is returned, so nothing has been written."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        return
+    bound = 10 ** limit  # str(k) fails exactly when |k| >= bound
+    for name, column in columns.items():
+        for n, q in enumerate(column):
+            if abs(q.numerator) >= bound or q.denominator >= bound:
+                raise ValueError(f"exact {name} at n = {n} has more than {limit} digits, "
+                                 "the limit of integer string conversion "
+                                 "(PYTHONINTMAXSTRDIGITS); use --mode float or a smaller --nmax")
+
+
 def _csv(names, rows):
     """The CSV body of finished ``rows`` under the header ``names``, as a
     function writing it to a stream, one line per row."""
@@ -109,20 +128,25 @@ class AcceptanceFailure(Exception):
     """A criterion of the acceptance suite failed (exit 4)."""
 
 
-def _write_run(fh, args, body) -> None:
-    """Write one run: a JSON payload (dict) after its ``meta``, or a CSV
-    body (a function writing it to a stream) after the ``# logtrees`` /
-    ``# config:`` header.  Both echo the run identity: the command and
-    every argument of its parser in parser order (the order argparse fills
-    the namespace in), minus the execution-only ones and those not set."""
+def _run_writer(args, body):
+    """One run as a function writing it to a stream: a JSON payload (dict)
+    after its ``meta``, or a CSV body (a function writing it to a stream)
+    after the ``# logtrees`` / ``# config:`` header.  Both echo the run
+    identity: the command and every argument of its parser in parser order
+    (the order argparse fills the namespace in), minus the execution-only
+    ones and those not set.  A JSON payload is spelled here, so one that
+    cannot be spelled fails before any output is opened."""
     config = {k: v for k, v in vars(args).items() if k not in EXECUTION_ONLY and v is not None}
     if isinstance(body, dict):
         meta = {"tool": "logtrees", "version": __version__, "config": config}
-        fh.write(dump_json({"meta": meta, **body}))
-        return
+        text = dump_json({"meta": meta, **body})
+        return lambda fh: fh.write(text)
     echo = " ".join(f"{k}={v}" for k, v in config.items())
-    fh.write(f"# logtrees {__version__}\n# config: {echo}\n")
-    body(fh)
+
+    def write(fh):
+        fh.write(f"# logtrees {__version__}\n# config: {echo}\n")
+        body(fh)
+    return write
 
 
 def _instance(args) -> FamilyInstance:
@@ -222,6 +246,8 @@ def cmd_moments(args):
     except UnsupportedTableError:
         # quadtree: means only
         columns = dict(zip(inst.row_names, mean_tables(inst, args.nmax, args.mode)))
+    if args.mode == "exact":
+        _check_spellable(columns)
     # a float table at the cap is megabytes of text: stream it, row by row
     return _csv(("n", *columns), zip(range(args.nmax + 1), *columns.values()))
 
@@ -260,8 +286,8 @@ def cmd_fixpoint(args) -> dict:
         "pool": len(pool.x), **pool.moments()}
     if args.trace_out:
         with _create(args.trace_out) as fh:
-            _write_run(fh, args, _csv(("generation", *pool.trace[0]),
-                                      ((i, *row.values()) for i, row in enumerate(pool.trace))))
+            _run_writer(args, _csv(("generation", *pool.trace[0]),
+                                   ((i, *row.values()) for i, row in enumerate(pool.trace))))(fh)
     if args.pool_out:
         w = [0j] * len(pool.x) if pool.w is None else pool.w.tolist()
         with _create(args.pool_out) as fh:
@@ -414,9 +440,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.output:  # refused before the run, without creating the file
             _check_writable(args.output)
-        body = COMMANDS[args.command][0](args)
+        write = _run_writer(args, COMMANDS[args.command][0](args))
         with _create(args.output) if args.output else contextlib.nullcontext(sys.stdout) as fh:
-            _write_run(fh, args, body)
+            write(fh)
             fh.flush()  # a reader that stopped shows here, not at exit
     except BrokenPipeError:
         # the reader stopped (``| head``): no error.  Point stdout at the null

@@ -33,14 +33,15 @@ normalised (normal-map) pools start from iid standard normals, because the
 point-mass start has zero variance and the normalised map preserves it.
 
 Every random draw is made on the calling thread, chunk by chunk, from one
-Philox stream per generation.  The arithmetic of each chunk (toll, weights,
-gathers from the previous pool and row sums) may run on worker threads,
-which start on a chunk's toll and weights while the previous generation is
-still being combined; a pool is bit-identical at any thread count.  The
-resampling indices are drawn as 32-bit integers (the values and the stream
-position of 64-bit draws), and the gathers, products and row sums of a
-chunk run on row sub-blocks of WEIGHT_BLOCK elements, so a chunk in flight
-holds 28 bytes a cell and no gathered copy of its rows.
+Philox stream per generation, and a chunk holds only its draws: 32-bit
+resampling indices and coefficients, and the fresh normals of the normal
+maps (12 bytes a cell, 20 with fresh normals).  All of a chunk's
+arithmetic waits until the previous generation is finished, then runs on
+row sub-blocks of at most WEIGHT_BLOCK elements, each making its
+logarithms, toll, weights, gathers and row sums while its rows are in
+cache; with worker threads, each worker takes an interleaved share of a
+chunk's sub-blocks.  Every value is made per element or per row, so a
+pool is bit-identical at any thread count.
 
 The periodic weights V^(lambda_2 - 1) = exp((a + ib) log V) do not go
 through numpy's complex exp, which runs a scalar exp, cos and sin an
@@ -61,6 +62,8 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -97,6 +100,23 @@ class FixedPointSpec:
     @property
     def is_periodic(self) -> bool:
         return self.map_kind == self.instance.fixed_point_maps[0]
+
+    @cached_property
+    def toll_constants(self) -> tuple[float, float | None, float | None]:
+        """(kappa, scale, norm) of ``toll``: b = 1 + kappa sum_r V_r log V_r,
+        times ``scale`` for the bivariate maps and divided by ``norm`` for
+        the normal maps (None where the step does not apply)."""
+        law = self.instance.split_law
+        kappa = 2.0 / self.instance.parameter if law is None else 2.0 * (law[1] + 1) * self.phi
+        if not self.bivariate:
+            return kappa, None, None
+        # the bivariate maps follow the family's last measure, whose toll grows
+        # like s n, or like phi n when it collects the node count (mary N)
+        path = self.instance.measures[-1]
+        scale = self.phi if path.plus else float(path.toll[1])
+        if self.is_periodic:
+            return kappa, scale, None
+        return kappa, scale, math.sqrt(scale ** 2 * self.scale_constant)
 
 
 def fixed_point_spec(instance: FamilyInstance, map_kind: str,
@@ -167,20 +187,14 @@ def toll(spec: FixedPointSpec, split_sample: np.ndarray,
          log_sample: np.ndarray | None = None) -> np.ndarray:
     """Toll of the map for a batch of (size, branches) coefficient rows;
     ``log_sample``, when given, holds their logarithms."""
-    law = spec.instance.split_law
-    kappa = 2.0 / spec.instance.parameter if law is None else 2.0 * (law[1] + 1) * spec.phi
+    kappa, scale, norm = spec.toll_constants
     if log_sample is None:
         log_sample = np.log(split_sample)
     b = 1.0 + kappa * (split_sample * log_sample).sum(axis=1)
-    scale = 1.0
-    if spec.bivariate:
-        # the bivariate maps follow the family's last measure, whose toll grows
-        # like s n, or like phi n when it collects the node count (mary N)
-        path = spec.instance.measures[-1]
-        scale = spec.phi if path.plus else float(path.toll[1])
+    if scale is not None:
         b = scale * b
-    if spec.bivariate and not spec.is_periodic:
-        return b / math.sqrt(scale ** 2 * spec.scale_constant)
+    if norm is not None:
+        b = b / norm
     return b
 
 
@@ -240,10 +254,10 @@ def _split_rows(spec: FixedPointSpec, rng, size: int) -> np.ndarray:
 
 
 # The chunks of a generation run on worker threads while the calling thread
-# draws the next ones.  A chunk in flight holds its index, coefficient and
-# weight rows (at most 28 bytes a cell: a 32-bit index, a float and a
-# complex); at most 2 x threads chunks, and at most WINDOW_BYTES of them, are
-# in flight at once.
+# draws the next ones.  A chunk in flight holds its draws only (12 bytes a
+# cell: a 32-bit index and a float coefficient; 20 with the fresh normals of
+# a normal map); at most 2 x threads chunks, and at most WINDOW_BYTES of
+# them, are in flight at once.
 WINDOW_BYTES = 256 * 2**20
 
 
@@ -299,32 +313,40 @@ def _turn_table() -> np.ndarray:
 _TURNS = _turn_table()
 
 
-def _periodic_weights(exponent: complex, logs: np.ndarray) -> np.ndarray:
+def _weight_plan(exponent: complex, size: int) -> tuple:
+    """What ``_periodic_weights`` needs besides the logarithms, made once
+    for each thread that weights: the turn step hi + lo for ``exponent``,
+    its k hi exact for every |k| that log V >= log(smallest positive
+    double) can give, and scratch rows for sub-blocks of ``size``
+    elements."""
+    k_max = abs(exponent.imag) * -_LOG_TINY * TURN_STEPS / _TWO_PI_HI + 2
+    hi, lo = _turn_step(53 - math.ceil(math.log2(k_max)))
+    return hi, lo, np.empty((5, size))
+
+
+def _periodic_weights(exponent: complex, logs: np.ndarray, plan: tuple | None = None) -> np.ndarray:
     """exp(exponent * logs), a complex array of the shape of ``logs``, within
     a few ulps of ``np.exp`` (which runs a scalar complex exp an element),
-    from array operations on sub-blocks of WEIGHT_BLOCK elements.
+    from array operations on sub-blocks of WEIGHT_BLOCK elements; ``plan``
+    is ``_weight_plan(exponent)``, made here when not given.
 
     The magnitude is exp(a L).  The phase theta = b L, the same double
     ``np.exp`` takes, is reduced to theta = k 2 pi / TURN_STEPS + r by
-    k = rint(theta TURN_STEPS / 2 pi) and r = (theta - k hi) - k lo, where
-    k hi is exact for every |k| that L >= log(smallest positive double) can
-    give; cis(r) is the degree-6 Taylor polynomial of e^(ir), its real and
+    k = rint(theta TURN_STEPS / 2 pi) and r = (theta - k hi) - k lo;
+    cis(r) is the degree-6 Taylor polynomial of e^(ir), its real and
     imaginary parts by Horner in r^2, times the magnitude, turned by the
     table entry of k mod TURN_STEPS."""
     a, b = exponent.real, exponent.imag
-    k_max = abs(b) * -_LOG_TINY * TURN_STEPS / _TWO_PI_HI + 2
-    hi, lo = _turn_step(53 - math.ceil(math.log2(k_max)))
+    hi, lo, scratch = plan or _weight_plan(exponent, min(WEIGHT_BLOCK, logs.size))
     per_radian = TURN_STEPS / _TWO_PI_HI
     flat = logs.reshape(-1)
     out = np.empty(logs.shape, complex)
     out_flat = out.reshape(-1)
     pairs = out_flat.view(np.float64).reshape(-1, 2)  # (re, im) rows of out
-    size = min(WEIGHT_BLOCK, flat.size)
-    theta, k, tmp, cos, sin = (np.empty(size) for _ in range(5))
     for lo_el in range(0, flat.size, WEIGHT_BLOCK):
         L = flat[lo_el:lo_el + WEIGHT_BLOCK]
         n = L.size
-        th, kk, t, c, s = theta[:n], k[:n], tmp[:n], cos[:n], sin[:n]
+        th, kk, t, c, s = scratch[:, :n]
         np.multiply(L, b, out=th)
         np.multiply(th, per_radian, out=kk)
         kk += _ROUND_SHIFT
@@ -352,46 +374,51 @@ def _periodic_weights(exponent: complex, logs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_rows(branches: int) -> int:
+    """Rows of a sub-block: whole rows, at most WEIGHT_BLOCK elements (one
+    row when a row is longer)."""
+    return max(1, WEIGHT_BLOCK // branches)
+
+
 def _row_blocks(lo: int, rows: int, branches: int):
     """(chunk rows, pool rows) slices of the sub-blocks of a chunk of
-    ``rows`` rows written from pool row ``lo`` on: whole rows, at most
-    WEIGHT_BLOCK elements (one row when a row is longer)."""
-    step = max(1, WEIGHT_BLOCK // branches)
+    ``rows`` rows written from pool row ``lo`` on."""
+    step = _block_rows(branches)
     for r in range(0, rows, step):
         stop = min(r + step, rows)
         yield slice(r, stop), slice(lo + r, lo + stop)
 
 
 def _combine(spec: FixedPointSpec, exponent, source: _Generation, target: _Generation,
-             lo: int, idx: np.ndarray, coef: np.ndarray, fresh: np.ndarray | None) -> None:
-    """The arithmetic of one chunk: rows lo:lo+len(idx) of ``target``.  The
-    toll and the weights of the w slot need no pool; the gathers from the
-    source pool and the row sums wait until that generation is finished.
-    Products and row sums run on row sub-blocks (``_row_blocks``); each
-    value is made per element or per row, so the sub-blocks change no bit
-    of it, and no gathered array of a whole chunk is held."""
-    logs = np.log(coef)
-    tolls = toll(spec, coef, logs)
-    weights = _periodic_weights(exponent, logs) if spec.is_periodic else None
-    if fresh is not None:  # the injected normal slot: the normals scaled in place
-        fresh *= np.sqrt(coef)
-        for rows, out in _row_blocks(lo, *idx.shape):
-            target.w[out] = fresh[rows].sum(axis=1)
-    del logs  # not held while the chunk waits for its source generation
+             lo: int, idx: np.ndarray, coef: np.ndarray, fresh: np.ndarray | None,
+             share: int, shares: int) -> None:
+    """Share ``share`` of ``shares`` of the arithmetic of one chunk, rows
+    lo:lo+len(idx) of ``target``: its sub-blocks (``_row_blocks``) share,
+    share + shares, ... once the source generation is finished.  Each
+    sub-block makes its logarithms, toll, weights, gathers and row sums
+    while its rows are in cache.  Every value is made per element or per
+    row, so neither the sub-blocks nor the shares change a bit of it."""
     source.done.wait()
     prev = source.pool
     if prev is None:  # the iteration stopped
         return
-    for rows, out in _row_blocks(lo, *idx.shape):
+    plan = None if exponent is None else _weight_plan(exponent, min(WEIGHT_BLOCK, idx.size))
+    for rows, out in islice(_row_blocks(lo, *idx.shape), share, None, shares):
+        c = coef[rows]
+        logs = np.log(c)
         gathered = prev.x.take(idx[rows])
-        gathered *= coef[rows]
-        target.x[out] = gathered.sum(axis=1) + tolls[rows]
-        if weights is not None:
+        gathered *= c
+        target.x[out] = gathered.sum(axis=1) + toll(spec, c, logs)
+        if plan is not None:
             # pool values first: numpy's complex product can round differently
             # with its operands swapped, so the order is part of the pool's bits
             gathered = prev.w.take(idx[rows])
-            gathered *= weights[rows]
+            gathered *= _periodic_weights(exponent, logs, plan)
             target.w[out] = gathered.sum(axis=1)
+        elif fresh is not None:  # the injected normal slot: the normals scaled in place
+            normals = fresh[rows]
+            normals *= np.sqrt(c)
+            target.w[out] = normals.sum(axis=1)
 
 
 def _start_generation(spec: FixedPointSpec, pool_size: int, seed: int) -> _Generation:
@@ -423,13 +450,12 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
     rows: the resampling indices (32-bit, so ``pool_size`` < 2**31), the
     coefficient rows, then the fresh normals of the injected normal slot.
     Every draw is made on the calling thread in that order.  With
-    ``threads`` > 1 the arithmetic of each chunk runs on a worker thread:
-    its toll and weights at once, its gathers and row sums once the
-    previous generation is finished, while the calling thread draws ahead,
-    at most 2 x ``threads`` chunks (and WINDOW_BYTES of their rows) in
-    flight.  Each element sees the same operations in the same order at
-    any thread count, so pools and traces are bit-identical for a given
-    seed.
+    ``threads`` > 1 every worker takes an interleaved share of each
+    chunk's sub-blocks, once the previous generation is finished, while
+    the calling thread draws ahead, at most 2 x ``threads`` chunks (and
+    WINDOW_BYTES of their draws) in flight.  Each element sees the same
+    operations in the same order at any thread count, so pools and traces
+    are bit-identical for a given seed.
     """
     if pool_size < 1000:
         raise ValueError("pool_size must be >= 1000")
@@ -459,19 +485,20 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
         target.pool = finished
         target.done.set()
 
-    # chunks in flight, oldest first: (future, or None when run inline,
-    # target, whether it is the last chunk of the target generation)
+    # chunks in flight, oldest first: (the futures of its shares, none when
+    # run inline, target, whether it is the last chunk of the target generation)
     in_flight = deque()
 
     def retire() -> None:
-        future, target, last = in_flight[0]
-        if future is not None:
+        futures, target, last = in_flight[0]
+        for future in futures:
             future.result()
         if last:
             finish(target)
         in_flight.popleft()
 
-    window = max(1, min(2 * threads, WINDOW_BYTES // (28 * CELL_ROWS * branches)))
+    cell_bytes = 4 + 8 + (8 if injected else 0)  # index, coefficient, fresh normal
+    window = max(1, min(2 * threads, WINDOW_BYTES // (cell_bytes * CELL_ROWS * branches)))
     workers = (ThreadPoolExecutor(max_workers=threads, thread_name_prefix="fixpoint")
                if threads > 1 else None)
     try:
@@ -481,8 +508,8 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
                                  None if source.w is None else np.empty_like(source.w))
             for lo in range(0, pool_size, CELL_ROWS):
                 # retire the finished chunks, and the oldest while the window is full
-                while in_flight and (len(in_flight) >= window or in_flight[0][0] is None
-                                     or in_flight[0][0].done()):
+                while in_flight and (len(in_flight) >= window
+                                     or all(f.done() for f in in_flight[0][0])):
                     retire()
                 size = min(CELL_ROWS, pool_size - lo)
                 idx = rng.integers(0, pool_size, (size, branches), dtype=np.int32)
@@ -490,11 +517,13 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
                 fresh = rng.standard_normal((size, branches)) if injected else None
                 chunk = (spec, exponent, source, target, lo, idx, coef, fresh)
                 if workers is None:
-                    _combine(*chunk)
-                    future = None
+                    _combine(*chunk, 0, 1)
+                    futures = ()
                 else:
-                    future = workers.submit(_combine, *chunk)
-                in_flight.append((future, target, lo + size == pool_size))
+                    shares = min(threads, -(-size // _block_rows(branches)))
+                    futures = [workers.submit(_combine, *chunk, share, shares)
+                               for share in range(shares)]
+                in_flight.append((futures, target, lo + size == pool_size))
             source = target
         while in_flight:
             retire()

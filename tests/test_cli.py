@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import types
 from importlib import resources
 
@@ -363,6 +364,47 @@ def test_float_moments_overflow_names_first_n():
                               "--nmax", "5000", "--mode", "float"])
     assert code == 2 and out == ""
     assert "n = 2739" in err and "use exact mode" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on integer string conversion before Python 3.11")
+def test_exact_value_past_the_digit_limit_writes_nothing(tmp_path):
+    # quadtree(300) rows pass 640 digits by n = 8: refused before the header
+    path = tmp_path / "f.csv"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv in (["moments", "--family", "quadtree", "--param", "300", "--nmax", "8"],
+                     ["-o", str(path), "moments", "--family", "quadtree", "--param", "300",
+                      "--nmax", "8", "--mode", "exact"]):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (2, "") and "more than 640 digits" in err
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert not path.exists()
+    assert run_cli(["-o", str(path), "moments", "--family", "quadtree", "--param", "300",
+                    "--nmax", "8"])[0] == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on integer string conversion before Python 3.11")
+def test_json_value_past_the_digit_limit_creates_no_file(tmp_path, monkeypatch):
+    # the payload is spelled before ``-o`` is opened
+    from fractions import Fraction
+
+    from logtrees import asymptotics
+    monkeypatch.setattr(asymptotics, "constants", lambda inst: types.SimpleNamespace(
+        to_dict=lambda: {"phi": Fraction(10 ** 700, 3)}))
+    path = tmp_path / "c.json"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(["-o", str(path), "constants", "--family", "mary",
+                                  "--param", "3"])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (2, "") and "640 digits" in err
+    assert not path.exists()
 
 
 def test_config_file_store_true_key(tmp_path):

@@ -360,19 +360,20 @@ def test_iterate_rejects_generations_and_pools_out_of_range():
         iterate(spec, 2**31, 5, seed=0)
 
 
-def test_iterate_memory_in_flight_is_28_bytes_a_cell():
-    # two workers, a window of four chunks; the former int64 indices and
-    # whole-chunk gathers peaked at 67-71 MiB here
+def test_iterate_memory_in_flight_is_12_bytes_a_cell():
+    # two workers, a window of four chunks that hold their draws only; chunks
+    # that also held their complex weights (28 bytes a cell) peaked at
+    # 51-53 MiB here, int64 indices and whole-chunk gathers at 67-71 MiB
     threads, window, pool = 2, 4, 6 * CELL_ROWS
     spec = fixed_point_spec(mary(27), "TN_periodic")
     cells = CELL_ROWS * spec.instance.branches
-    bound = (window * cells * (4 + 8 + 16)  # 32-bit indices, coefficients, complex weights
-             # a worker making a chunk's weights also holds its logarithms
-             + threads * cells * 8
+    bound = (window * cells * (4 + 8)  # 32-bit indices and coefficients
              # at most three generations: x and complex w
              + 3 * pool * (8 + 16)
-             # periodic-weight and gather sub-blocks, 64 bytes an element
-             + threads * fixpoint.WEIGHT_BLOCK * 64)
+             # the uniforms and gaps of the chunk being drawn
+             + cells * 16
+             # a worker's sub-block: logarithms, weights, gathers, scratch
+             + threads * fixpoint.WEIGHT_BLOCK * 128)
     tracemalloc.start()
     try:
         iterate(spec, pool, 3, seed=1, threads=threads)
@@ -474,7 +475,7 @@ def test_periodic_pools_agree_with_the_exp_route(case, monkeypatch):
     # the x slot takes no weight; the w slot stays within 1e-12 SD(w)
     spec, _, pool = periodic_case(case)
     got = iterate(spec, pool, 30, seed=61, threads=2)
-    monkeypatch.setattr(fixpoint, "_periodic_weights", lambda e, logs: np.exp(e * logs))
+    monkeypatch.setattr(fixpoint, "_periodic_weights", lambda e, logs, *plan: np.exp(e * logs))
     want = iterate(spec, pool, 30, seed=61, threads=2)
     assert got.x.tobytes() == want.x.tobytes()
     assert np.abs(got.w - want.w).max() <= 1e-12 * want.w.std()

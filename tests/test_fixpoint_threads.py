@@ -22,7 +22,8 @@ CASES = {
     "Tmed_periodic-fbbst(59)": (fbbst(59), "Tmed_periodic", {}, 6),
     "Tmed_normal-fbbst(1)": (fbbst(1), "Tmed_normal", {}, 6),
     "Tquad_normal-quadtree(2)": (quadtree(2), "Tquad_normal", {}, 6),
-    # 512 cells a row: one chunk in flight (WINDOW_BYTES), one generation
+    # 512 cells a row: two chunks in flight (WINDOW_BYTES at 12 bytes a
+    # cell), each shared by every worker; one generation
     "Tquad_periodic-quadtree(9)": (quadtree(9), "Tquad_periodic", {"theta": 0.5 + 0.25j}, 1),
 }
 
@@ -59,6 +60,23 @@ def test_threads_reproduce_serial_loop_under_fast_switching():
     assert_same_pool(got, want)
 
 
+UNEVEN = {  # sub-blocks of a whole chunk, none a multiple of three
+    "Tquad_normal-quadtree(3)": (quadtree(3), "Tquad_normal", {}, 4),  # 8 of 2,048 rows
+    "TN_periodic-mary(27)": CASES["TN_periodic-mary(27)"],  # 28 of at most 606 rows
+    "Tquad_periodic-quadtree(9)": CASES["Tquad_periodic-quadtree(9)"],  # 512 of 32 rows
+}
+
+
+@pytest.mark.parametrize("case", UNEVEN)
+def test_uneven_shares_reproduce_serial_loop(case):
+    # three workers take interleaved shares of each chunk's sub-blocks
+    inst, kind, extra, gens = UNEVEN[case]
+    assert len(list(fixpoint._row_blocks(0, CELL_ROWS, inst.branches))) % 3 != 0
+    spec = fixed_point_spec(inst, kind, **extra)
+    want = serial_iterate(spec, POOL, gens, seed=19)
+    assert_same_pool(iterate(spec, POOL, gens, seed=19, threads=3), want)
+
+
 def test_small_pools_span_generations_in_flight():
     # one chunk a generation: the window holds chunks of several generations
     spec = fixed_point_spec(mary(4), "uniK")
@@ -68,11 +86,13 @@ def test_small_pools_span_generations_in_flight():
 
 @pytest.mark.parametrize("threads,budget_chunks,window", [(2, None, 4), (3, None, 6), (3, 2, 2)])
 def test_at_most_two_chunks_per_thread_in_flight(monkeypatch, threads, budget_chunks, window):
-    # a chunk is retired only once its arithmetic has returned, so before
-    # each draw the chunks drawn but not returned are fewer than the window;
-    # WINDOW_BYTES of two chunks' rows caps it at two
+    # a chunk is retired only once every share of its arithmetic has
+    # returned, so before each draw the chunks drawn but not returned are
+    # fewer than the window; WINDOW_BYTES of exactly two chunks' draws
+    # (12 bytes a cell: a 32-bit index and a coefficient) caps it at two
     lock = threading.Lock()
     drawn, returned, gaps = [0], [0], []
+    shares_back = {}
     split_rows, combine = fixpoint._split_rows, fixpoint._combine
 
     def counting_split_rows(*args):
@@ -83,17 +103,23 @@ def test_at_most_two_chunks_per_thread_in_flight(monkeypatch, threads, budget_ch
 
     def counting_combine(*args):
         combine(*args)
+        target, lo, shares = args[3], args[4], args[-1]
         with lock:
-            returned[0] += 1
+            key = target.gen, lo
+            shares_back[key] = shares_back.get(key, 0) + 1
+            if shares_back[key] == shares:  # the chunk's last share
+                returned[0] += 1
 
     monkeypatch.setattr(fixpoint, "_split_rows", counting_split_rows)
     monkeypatch.setattr(fixpoint, "_combine", counting_combine)
     if budget_chunks:
-        monkeypatch.setattr(fixpoint, "WINDOW_BYTES", budget_chunks * 28 * CELL_ROWS * 27)
+        monkeypatch.setattr(fixpoint, "WINDOW_BYTES", budget_chunks * 12 * CELL_ROWS * 27)
     spec = fixed_point_spec(mary(27), "TN_periodic")
     iterate(spec, POOL, 4, seed=31, threads=threads)
     assert drawn[0] == 4 * 3
+    assert returned[0] == 4 * 3
     assert max(gaps) <= window - 1
+    assert max(shares_back.values()) == threads
 
 
 def _fixpoint_threads():
@@ -122,8 +148,9 @@ def raised_within(seconds, call):
 
 @pytest.mark.parametrize("threads", [2, 8])
 def test_worker_error_reaches_caller(monkeypatch, threads):
-    # the fifth toll raises: a chunk of generation 2 fails while chunks of
-    # generation 3 wait for it to be finished
+    # each chunk makes one toll a sub-block: 4 + 4 + 1 = 9 for generation 1
+    # (5,461 rows a sub-block), so the 14th toll raises, in a chunk of
+    # generation 2, while chunks of generation 3 wait for it to be finished
     calls = [0]
     lock = threading.Lock()
     real_toll = fixpoint.toll
@@ -131,7 +158,7 @@ def test_worker_error_reaches_caller(monkeypatch, threads):
     def failing_toll(spec, coef, *logs):
         with lock:
             calls[0] += 1
-            if calls[0] == 5:
+            if calls[0] == 14:
                 raise RuntimeError("toll failed")
         return real_toll(spec, coef, *logs)
 
