@@ -80,15 +80,15 @@ def c1_constant(m: int) -> float:
 
 
 def c2_minus_phi_c1(spectrum: Spectrum) -> float:
-    """c2 - phi c1 = 2 phi (phi - 1/(m-1) + sum_l A_l/(2 - lambda_l)) from
-    high-precision roots; a rational number in disguise.  A t = 0 constant
+    """c2 - phi c1 = 2 phi (phi - 1/(m-1) + sum_l A_l/(2 - lambda_l)) over
+    the certified roots; a rational number in disguise.  A t = 0 constant
     (``c1_constant``): a spectrum with t >= 1 raises ValueError, a quadtree
     spectrum AmplitudeError."""
     m, t = amplitude_law(spectrum)
     if t != 0:
         raise ValueError("c2 - phi c1 is defined for the t = 0 (m-ary) split law only")
     phi = float(occupancy_constant(spectrum.instance))
-    tot = sum(amplitude(spectrum, k) / (2.0 - complex(spectrum.roots[k - 1]))
+    tot = sum(amplitude(spectrum, k) / (2.0 - spectrum.roots[k - 1])
               for k in range(2, spectrum.degree + 1))
     if abs(tot.imag) > 1e-9 * max(1.0, abs(tot.real)):
         raise ArithmeticError(f"root sum not real: {tot}")

@@ -183,19 +183,18 @@ def _check_writable(path: str) -> None:
 def cmd_roots(args) -> dict:
     from .roots import classify_regime, quadtree_exponents, solve_spectrum
 
-    spec = solve_spectrum(_instance(args), precision=args.precision)
+    spec = solve_spectrum(_instance(args))
+    fields = {
+        "degree": spec.degree,
+        "roots": spec.roots,
+        "principal_root": spec.principal_root,
+        "alpha": spec.alpha,
+        "beta": spec.beta,
+        "certified_error": spec.certified_error,
+    }
     if spec.instance.split_law is None:
         qe = quadtree_exponents(spec)
-        fields = {"alpha_hat": qe.alpha_hat, "beta_hat": qe.beta_hat}
-    else:
-        fields = {
-            "degree": spec.degree,
-            "roots": [complex(r) for r in spec.roots],
-            "principal_root": complex(spec.principal_root),
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "certified_error": spec.certified_error,
-        }
+        fields.update(alpha_hat=qe.alpha_hat, beta_hat=qe.beta_hat)
     regime = classify_regime(spec)
     return {"family": args.family, "parameter": args.param, **fields,
             "covariance_phase": regime.covariance_phase.value,
@@ -344,8 +343,7 @@ _THREADS = ("--threads", dict(type=_int_from(1), default=_CPUS,
 
 # name: (body, help, arguments as (flag, add_argument keywords))
 COMMANDS = {
-    "roots": (cmd_roots, "indicial spectrum as JSON",
-              (*_FAMILY, ("--precision", dict(type=_int_from(64), default=64)))),
+    "roots": (cmd_roots, "indicial spectrum as JSON", _FAMILY),
     "table-alpha": (cmd_table_alpha, "alpha/beta table as CSV",
                     (("--from", dict(dest="m_from", type=_int_from(3), default=3)),
                      ("--to", dict(dest="m_to", type=_int_from(3), default=26)))),

@@ -119,24 +119,20 @@ class FixedPointSpec:
         return kappa, scale, math.sqrt(scale ** 2 * self.scale_constant)
 
 
-def fixed_point_spec(instance: FamilyInstance, map_kind: str,
-                     theta: complex | None = None) -> FixedPointSpec:
+def fixed_point_spec(instance: FamilyInstance, map_kind: str) -> FixedPointSpec:
     """Build a FixedPointSpec, enforcing regime consistency: a bivariate map
     needs its distribution phase in the spectrum of the instance.
 
     The periodic maps take lambda_2, and for the (m,t) law theta, from the
     spectrum.  For the quadtree periodic map theta depends on an amplitude
-    the theory leaves to external work; supply ``theta`` (default 1) there.
+    the theory leaves to external work, and is 1.
     """
     if map_kind not in FIXED_POINT_MAPS:
         raise ValueError(f"unknown map kind {map_kind!r}")
     periodic_map, normal_map = instance.fixed_point_maps
     if map_kind not in ("uniK", periodic_map, normal_map):
         raise RegimeMismatchError(f"{map_kind} is not a map of {instance}")
-    if theta is not None and (map_kind != periodic_map or instance.split_law is not None):
-        raise ValueError(f"{map_kind} of {instance} takes no theta; only Tquad_periodic does")
-
-    lam2 = None
+    lam2 = theta = None
     phi = None if instance.split_law is None else float(occupancy_constant(instance))
     if map_kind != "uniK":
         spectrum = solve_spectrum(instance)
@@ -144,9 +140,7 @@ def fixed_point_spec(instance: FamilyInstance, map_kind: str,
                       else DistributionPhase.GAUSSIAN, map_kind)
     if map_kind == periodic_map:
         lam2 = spectrum.lambda2
-        if instance.split_law is not None:
-            theta = spectrum_theta(spectrum)
-        theta = complex(1.0 if theta is None else theta)
+        theta = complex(1.0) if instance.split_law is None else spectrum_theta(spectrum)
     return FixedPointSpec(
         instance=instance, map_kind=map_kind, theta=theta,
         lambda2=lam2, phi=phi, scale_constant=instance.variance_constant)

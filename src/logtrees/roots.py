@@ -49,10 +49,11 @@ K = m(t+1)-1 and theta = (1-x) d/dx = d/du under x = 1 - e^(-u), the sum of
 c the toll of S; its Laplace residue at e^(lam u) = (1-x)^(-lam) is
 A = K! (c/(lam-1) + m acc) / ((lam)_t P'(lam)), acc holding a_j for j < K.
 
-mpmath runs only on demand: when the caller asks for more than 64 bits, or
-when the double-precision disks are too wide or overlap, the roots are
-Newton-polished at twice the requested precision and certified the same
-way at that precision.
+The roots are Python complex numbers, and the disks are about them.  mpmath
+runs only when the double-precision disks are too wide or overlap (fbbst(t)
+from t = 160 on): the roots are then Newton-polished at 128 bits, rounded
+to the nearest double, and those doubles are certified by the same disks
+evaluated at 128 bits.
 """
 from __future__ import annotations
 
@@ -98,6 +99,9 @@ class Spectrum:
     """All indicial roots of one instance, sorted by decreasing real part
     (ties by decreasing imaginary part), with their certified inclusion
     disks; alpha, beta, lambda_2 and certified_error are read from them.
+    Each root is a Python complex number and the centre of its disk, the
+    mpmath-polished ones included (rounded to double before their disks
+    are taken), so the certificate is for the doubles every reader uses.
 
     Construction checks by the disks the root order that the phase
     decisions rely on, and raises RootConvergenceError otherwise: the
@@ -106,13 +110,10 @@ class Spectrum:
     strictly left of lambda_2's."""
 
     instance: FamilyInstance
-    # Python complex from the double-precision certificate; mpmath values
-    # when the roots were polished (precision > 64 or the double
-    # certificate failed).  complex(r) works on every item.
-    roots: tuple
+    roots: tuple[complex, ...]
     # inclusion radii r_k, one per root: |w - roots[k]| <= r_k holds exactly
     # one zero w, and the disks are pairwise disjoint
-    radii: tuple = field(repr=False)
+    radii: tuple[float, ...] = field(repr=False)
 
     def __post_init__(self):
         if not abs(self.roots[0] - 2) <= self.radii[0]:
@@ -121,7 +122,7 @@ class Spectrum:
         nxt = 2
         if self.beta > 0.0:
             nxt = 3
-            lam2, lam3 = complex(self.roots[1]), complex(self.roots[2])
+            lam2, lam3 = self.roots[1], self.roots[2]
             if lam3 != lam2.conjugate():
                 raise RootConvergenceError(f"ordering violated: {lam3} is not conj({lam2})")
         if self.degree > nxt and not self._real_span(nxt)[1] < self._real_span(1)[0]:
@@ -134,7 +135,7 @@ class Spectrum:
 
     @property
     def principal_root(self) -> complex:
-        return complex(self.roots[0])
+        return self.roots[0]
 
     @property
     def lambda2(self) -> complex:
@@ -142,7 +143,7 @@ class Spectrum:
         formal lambda_2, at degree 1.  Real roots are exactly real, and a
         certified upper root's disk does not meet the real axis (it would
         overlap its mirror), so beta = 0 exactly when lambda_2 is real."""
-        z = complex(self.roots[1 if self.degree > 1 else 0])
+        z = self.roots[1 if self.degree > 1 else 0]
         return complex(z.real, abs(z.imag))
 
     @property
@@ -160,19 +161,14 @@ class Spectrum:
 
     def _real_span(self, k: int) -> tuple[float, float]:
         """Doubles lo <= hi such that [lo, hi] holds Re w for every w in the
-        disk of root k, and the real part of the root rounded to double.  An
-        mpmath centre moves by at most eps/2 |x| in that rounding, so its
-        radius grows by eps |x|; each bound is then rounded outward."""
-        z, r = self.roots[k], self.radii[k]
-        x = complex(z).real
-        if x != z.real:
-            r = math.nextafter(r + _EPS * abs(x), math.inf)
+        disk of root k: Re z_k -+ r_k, each rounded outward."""
+        x, r = self.roots[k].real, self.radii[k]
         return math.nextafter(x - r, -math.inf), math.nextafter(x + r, math.inf)
 
 
 def _relative_radius(points, radii) -> float:
     """max_k r_k / max(1, |z_k|), the certified error of a set of disks."""
-    return max(r / max(1.0, abs(complex(p))) for p, r in zip(points, radii))
+    return max(r / max(1.0, abs(p)) for p, r in zip(points, radii))
 
 
 def _branch_circle(shifts: Sequence[int], m: int) -> np.ndarray:
@@ -309,13 +305,13 @@ def _radii_double(shifts: Sequence[int], log_c: float, points: Sequence[complex]
     return radii
 
 
-def _certify_mp(shifts: Sequence[int], const: int, upper, real, prec: int):
-    """Newton-polish the upper half-plane and real roots with mpmath at
-    ``prec`` bits, mirror the upper ones, and certify them with inclusion
-    disks evaluated at that precision."""
+def _certify_mp(shifts: Sequence[int], const: int, upper, real):
+    """Newton-polish the upper half-plane and real roots with mpmath at 128
+    bits, round each to the nearest double, mirror the upper ones, and
+    certify those doubles with inclusion disks evaluated at 128 bits."""
     from mpmath import mp, mpc
 
-    with mp.workprec(prec):
+    with mp.workprec(128):
         half = []
         for z0 in [*upper, *real]:
             z = mpc(z0.real, z0.imag)
@@ -328,16 +324,16 @@ def _certify_mp(shifts: Sequence[int], const: int, upper, real, prec: int):
                     s1 += 1 / term
                 step = (prod - const) / (prod * s1)
                 z -= step
-                if abs(step) <= 2.0 ** (-prec + 8) * (1 + abs(z)):
+                if abs(step) <= 2.0 ** -120 * (1 + abs(z)):
                     break
-            half.append(z)
+            half.append(complex(z))
         return _certify(half[:len(upper)], half[len(upper):],
                         lambda pts: _radii_mp(shifts, const, pts))
 
 
 def _radii_mp(shifts: Sequence[int], const: int, points) -> list[float]:
     """Inclusion radii deg |p/p'(z)| evaluated with mpmath at the current
-    working precision.
+    working precision, each point (a double) taken exactly.
 
     p = prod - c and p' = prod S.  Each complex operation is charged a
     relative error of 4 units in the last place, so the product and the
@@ -349,7 +345,7 @@ def _radii_mp(shifts: Sequence[int], const: int, points) -> list[float]:
     deg = len(shifts)
     gamma = 4 * (deg + 2) * mp.mpf(2) ** (-mp.prec)
     radii = []
-    for z in points:
+    for z in map(mpc, points):
         prod, s1, inv_abs = mpc(1), mpc(0), mp.mpf(0)
         for s in shifts:
             term = z + s
@@ -367,7 +363,7 @@ def _radii_mp(shifts: Sequence[int], const: int, points) -> list[float]:
 def _disjoint(points, radii) -> bool:
     """Pairwise disjointness of the disks, with the rounding of the
     distances charged to each pair."""
-    z = np.array([complex(p) for p in points])
+    z = np.asarray(points, dtype=complex)
     r = np.asarray(radii, dtype=float)
     slack = 2.0 * _EPS * np.abs(z)
     gap = np.abs(z[:, None] - z[None, :]) - (slack[:, None] + slack[None, :]) \
@@ -391,46 +387,40 @@ def _certify(upper, real, radius_fn: Callable) -> tuple[list, list[float]] | Non
     return points, radii
 
 
-def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
+def solve_spectrum(instance: FamilyInstance) -> Spectrum:
     """Locate all indicial roots and certify them.
 
-    ``precision`` is the working precision in bits (>= 64).  At 64 the
-    branch roots are certified directly in double precision: every
+    The branch roots are certified directly in double precision: every
     root lies within its inclusion disk, the disks are pairwise disjoint,
     and ``certified_error`` = max_k r_k / max(1, |z_k|) must not exceed
-    1e-10.  Above 64 bits, or when the double-precision certificate fails,
-    the roots are Newton-polished with mpmath at twice ``precision`` and
-    certified by the same disks evaluated at that precision.  The
-    ``Spectrum`` then checks the root order by the disks.
+    1e-10.  When that certificate fails, the roots are Newton-polished with
+    mpmath at 128 bits and rounded to double, and those doubles are
+    certified by the same disks evaluated at 128 bits.  The ``Spectrum``
+    then checks the root order by the disks.
     """
-    if precision < 64:
-        raise ValueError("precision must be >= 64 bits")
     shifts, const = indicial_shifts(instance)
     deg = len(shifts)
     m = instance.branches
     if m >= 2 ** 1024:  # the ratio form reaches prod (z+s)/(s+1) = m in doubles
         raise ValueError(f"{instance}: {m} branches exceed the double range of the solver")
-    upper, real = _branch_roots(shifts, m)
+    upper, real = (z.tolist() for z in _branch_roots(shifts, m))
     # lambda_2, the root after z = 2, is the upper root of largest real part
     # (an upper z with Re z <= x, x the negative real root, would have
     # |z+s| > |x+s| for every s), or the negative real root at degree 2.
     # It alone is polished on p exactly; its partner is its conjugate.
-    if upper.size:
-        k = int(np.argmax(upper.real))
-        upper[k] = _newton_exact(shifts, const, complex(upper[k]))
+    if upper:
+        k = max(range(len(upper)), key=lambda i: upper[i].real)
+        upper[k] = _newton_exact(shifts, const, upper[k])
     elif deg == 2:
-        real[1] = _newton_exact(shifts, const, complex(real[1]))
+        real[1] = _newton_exact(shifts, const, real[1])
 
     # log c = log m + sum log(s+1), a sum of rounded logs: math.log of the
     # big integer c is off by up to ~1e-13 at degree 150, which the radii
     # see as a residual at every root
     log_c = math.fsum([math.log(m), *(math.log(s + 1) for s in shifts)])
-    found = None
-    if precision == 64:
-        found = _certify(upper.tolist(), real.tolist(),
-                         lambda pts: _radii_double(shifts, log_c, pts))
+    found = _certify(upper, real, lambda pts: _radii_double(shifts, log_c, pts))
     if found is None or _relative_radius(*found) > CERTIFIED_TOLERANCE:
-        found = _certify_mp(shifts, const, upper.tolist(), real.tolist(), 2 * precision)
+        found = _certify_mp(shifts, const, upper, real)
     if found is None:
         raise RootConvergenceError(f"inclusion disks overlap for {instance}")
     certified = _relative_radius(*found)
@@ -439,8 +429,7 @@ def solve_spectrum(instance: FamilyInstance, precision: int = 64) -> Spectrum:
             f"inclusion radii not certified below {CERTIFIED_TOLERANCE} for "
             f"{instance} (best effort {certified:.3e})")
 
-    roots, radii = zip(*sorted(zip(*found),
-                               key=lambda zr: (-float(zr[0].real), -float(zr[0].imag))))
+    roots, radii = zip(*sorted(zip(*found), key=lambda zr: (-zr[0].real, -zr[0].imag)))
     return Spectrum(instance=instance, roots=roots, radii=radii)
 
 
@@ -476,10 +465,10 @@ class Regime:
 
 
 def _right_of_cut(spectrum: Spectrum, cut: float, closed: bool = False) -> bool:
-    """True when the certified disk of lambda_2 (widened by the rounding of
-    an mpmath centre to double) lies wholly right of ``cut``, False when it
-    lies wholly left.  A disk that meets the cut counts as right of a
-    ``closed`` cut, and raises IndeterminateRegimeError otherwise."""
+    """True when the certified disk of lambda_2 lies wholly right of
+    ``cut``, False when it lies wholly left.  A disk that meets the cut
+    counts as right of a ``closed`` cut, and raises
+    IndeterminateRegimeError otherwise."""
     lo, hi = spectrum._real_span(1)
     if lo > cut or (closed and hi >= cut):
         return True
@@ -493,9 +482,8 @@ def _right_of_cut(spectrum: Spectrum, cut: float, closed: bool = False) -> bool:
 def classify_regime(spectrum: Spectrum) -> Regime:
     """Phase classification: the covariance turns periodic for alpha > 1,
     the distribution for alpha > 3/2.  A cut is decided only when the
-    certified disk of lambda_2 lies wholly on one side of it (for mpmath
-    roots, together with the centre rounded to double); a disk that meets a
-    cut raises IndeterminateRegimeError.  Two exact rules: degree 1
+    certified disk of lambda_2 lies wholly on one side of it; a disk that
+    meets a cut raises IndeterminateRegimeError.  Two exact rules: degree 1
     (quadtree(1), the BST) is linear and Gaussian, its formal lambda_2 = 2
     being the principal root; and the quadtree covariance cut is closed (a
     disk meeting alpha = 1 is periodic), since Re lambda_2 = 2 cos(2 pi / d)
@@ -542,7 +530,7 @@ def amplitude(spectrum: Spectrum, k: int = 2) -> complex:
     m, t = amplitude_law(spectrum)
     if k < 2 or k > spectrum.degree:
         raise AmplitudeError(f"k must index a non-principal root (2..{spectrum.degree})")
-    lam = complex(spectrum.roots[k - 1])
+    lam = spectrum.roots[k - 1]
     size = m * (t + 1) - 1
     first = spectrum.instance.measures[0]
     acc = 0.0

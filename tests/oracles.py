@@ -286,17 +286,16 @@ def root_mp(instance: FamilyInstance, start: complex, prec: int = 192):
 @cache
 def periodic_factors_mp(instance: FamilyInstance, dps: int = 50):
     """(c0, c2, cov) of the variance and covariance periodic factors of an
-    (m,t) instance at ``dps`` digits, from lambda_2 of a 192-bit spectrum:
-    the amplitude written out per family (``amplitude_mp``), the Dirichlet
-    moments as gamma products, and the covariance toll amplitude
-    m E[V^(lam-1) (1 + kappa sum_r V_r log V_r)] / (1 - m E[V^lam]) taken
-    as it stands, without the root identity m E[V^(lam-1)] = 1.  Cached:
-    the 192-bit spectrum of a high degree takes seconds."""
+    (m,t) instance at ``dps`` digits, from lambda_2 solved at 192 bits by
+    ``root_mp``: the amplitude written out per family (``amplitude_mp``),
+    the Dirichlet moments as gamma products, and the covariance toll
+    amplitude m E[V^(lam-1) (1 + kappa sum_r V_r log V_r)] / (1 - m E[V^lam])
+    taken as it stands, without the root identity m E[V^(lam-1)] = 1.
+    Cached: the variance and the covariance tests read the same instances."""
     from logtrees.families import occupancy_constant
     from logtrees.roots import solve_spectrum
 
-    spec = solve_spectrum(instance, precision=192)
-    root = min(spec.roots, key=lambda r: abs(complex(r) - spec.lambda2))
+    root = root_mp(instance, solve_spectrum(instance).lambda2)
     m, t = instance.split_law
     k = m * (t + 1)
     phi = occupancy_constant(instance)

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -36,16 +37,24 @@ def test_roots_json_and_schema():
 
 
 def test_roots_quadtree_variant():
+    # the payload of every family, plus the quadtree alpha_hat/beta_hat view
     code, out, _ = run_cli(["roots", "--family", "quadtree", "--param", "9"])
     assert code == 0
     doc = json.loads(out)
     jsonschema.validate(doc, load_schema("roots.schema.json"))
-    assert doc["alpha_hat"] == pytest.approx(0.532089, abs=1e-5)
+    assert doc["degree"] == len(doc["roots"]) == 9
+    assert doc["principal_root"] == doc["roots"][0] == {"re": 2, "im": 0}
+    lam2 = 2 * cmath.exp(2j * math.pi / 9)
+    assert complex(doc["alpha"], doc["beta"]) == pytest.approx(lam2, abs=1e-15)
+    assert (doc["alpha_hat"], doc["beta_hat"]) == (doc["alpha"] - 1.0, doc["beta"])
+    assert 0 < doc["certified_error"] <= 1e-10
 
 
 def test_roots_quadtree_solves_its_spectrum_once(monkeypatch):
-    # the alpha_hat/beta_hat view reads the spectrum the command solved; the
-    # bytes are those of the former second solve at 64 bits
+    # the alpha_hat/beta_hat view reads the spectrum the command solved.  The
+    # digest was recorded when quadtrees began to print the payload of every
+    # family (degree, roots, principal_root, alpha, beta, certified_error) and
+    # the config lost "precision"; alpha_hat and beta_hat kept their bytes
     import hashlib
 
     from logtrees import roots
@@ -59,7 +68,7 @@ def test_roots_quadtree_solves_its_spectrum_once(monkeypatch):
     code, out, _ = run_cli(["roots", "--family", "quadtree", "--param", "9"])
     assert code == 0 and len(calls) == 1
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e6b12dd63685f3f7cf0ac9c65e00115acb1190c7232ed41366d85c95d0efcfea")
+        "1f820f58b0020d512352eb379551768c4672cd1300cc4befc36c2f129d508b8f")
 
 
 def test_table_alpha_row_m10():
@@ -528,9 +537,7 @@ def test_threads_default_is_the_cpus_available():
     ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "-3"],
     ["fixpoint", "--map", "uniK", "--param", "3", "--pool", "1000", "--gens", "0"],
     ["fixpoint", "--map", "uniK", "--param", "3", "--gens", "1", "--pool", "999"],
-    ["roots", "--family", "quadtree", "--param", "2", "--precision", "32"],
     ["roots", "--family", "quadtree", "--param", "1024"],
-    ["roots", "--family", "mary", "--param", "5", "--precision", "63"],
     ["table-alpha", "--from", "10", "--to", "5"],
     ["table-alpha", "--to", "5", "--from", "2"],
     ["table-c2", "--from", "3", "--to", "2"],

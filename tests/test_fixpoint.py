@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -25,7 +26,7 @@ from logtrees.fixpoint import (
     sample_volumes,
     toll,
 )
-from logtrees.roots import solve_spectrum
+from logtrees.roots import solve_spectrum, theta
 from logtrees.treesim import CELL_ROWS
 from oracles import distance_correlation, serial_iterate
 
@@ -157,13 +158,18 @@ def test_regime_mismatch_rejected():
 
 
 def test_theta_is_refused_where_the_spectrum_sets_it():
-    # theta is caller-supplied for the quadtree periodic map alone
+    # no caller supplies theta: the (m,t) periodic maps take it from the
+    # spectrum, the quadtree periodic map has theta = 1, and the other maps
+    # have none
     for inst, kind in ((mary(27), "TN_periodic"), (fbbst(59), "Tmed_periodic"),
-                       (mary(3), "uniK"), (quadtree(2), "Tquad_normal")):
-        with pytest.raises(ValueError, match="theta"):
+                       (mary(3), "uniK"), (quadtree(2), "Tquad_normal"),
+                       (quadtree(9), "Tquad_periodic")):
+        with pytest.raises(TypeError, match="theta"):
             fixed_point_spec(inst, kind, theta=5)
-    assert fixed_point_spec(quadtree(9), "Tquad_periodic").theta == 1
-    assert fixed_point_spec(quadtree(9), "Tquad_periodic", theta=5).theta == 5
+    assert fixed_point_spec(mary(27), "TN_periodic").theta == theta(solve_spectrum(mary(27)))
+    assert fixed_point_spec(mary(3), "uniK").theta is None
+    quad = fixed_point_spec(quadtree(9), "Tquad_periodic").theta
+    assert quad == 1 and type(quad) is complex
 
 
 def test_pool_size_floor():
@@ -244,7 +250,8 @@ def test_tmed_periodic_mean_preserved():
 
 
 def test_tquad_periodic_mean_preserved_with_synthetic_theta():
-    spec = fixed_point_spec(quadtree(9), "Tquad_periodic", theta=0.5 + 0.25j)
+    spec = dataclasses.replace(fixed_point_spec(quadtree(9), "Tquad_periodic"),
+                               theta=0.5 + 0.25j)
     pool = iterate(spec, 20_000, 8, seed=44)
     th = 0.5 + 0.25j
     sew = math.sqrt(pool.moments()["var_w"] / len(pool.x))
@@ -419,7 +426,9 @@ PERIODIC = {
 
 def periodic_case(case):
     inst, kind, pool = PERIODIC[case]
-    spec = fixed_point_spec(inst, kind, **({"theta": 0.5 + 0.25j} if inst.split_law is None else {}))
+    spec = fixed_point_spec(inst, kind)
+    if inst.split_law is None:
+        spec = dataclasses.replace(spec, theta=0.5 + 0.25j)
     return spec, spec.lambda2 - 1.0, pool
 
 

@@ -1,6 +1,7 @@
 """Fixed-point generations on worker threads: draws stay on the calling
 thread, so pools and traces match the serial loop in ``oracles`` bit for
 bit at any thread count, and a failing worker stops the iteration."""
+import dataclasses
 import sys
 import threading
 
@@ -41,7 +42,7 @@ def assert_same_pool(got, want):
 @pytest.mark.parametrize("case", CASES)
 def test_threads_reproduce_serial_loop(case):
     inst, kind, extra, gens = CASES[case]
-    spec = fixed_point_spec(inst, kind, **extra)
+    spec = dataclasses.replace(fixed_point_spec(inst, kind), **extra)
     want = serial_iterate(spec, POOL, gens, seed=17)
     for threads in (1, 2, 8):
         got = iterate(spec, POOL, gens, seed=17, threads=threads)
@@ -72,7 +73,7 @@ def test_uneven_shares_reproduce_serial_loop(case):
     # three workers take interleaved shares of each chunk's sub-blocks
     inst, kind, extra, gens = UNEVEN[case]
     assert len(list(fixpoint._row_blocks(0, CELL_ROWS, inst.branches))) % 3 != 0
-    spec = fixed_point_spec(inst, kind, **extra)
+    spec = dataclasses.replace(fixed_point_spec(inst, kind), **extra)
     want = serial_iterate(spec, POOL, gens, seed=19)
     assert_same_pool(iterate(spec, POOL, gens, seed=19, threads=3), want)
 

@@ -1,5 +1,8 @@
 import cmath
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import os
 import subprocess
@@ -12,6 +15,7 @@ import pytest
 
 import logtrees
 from logtrees import roots as roots_module
+from logtrees.cli import main
 
 from logtrees.families import fbbst, mary, quadtree
 from logtrees.roots import (
@@ -108,21 +112,21 @@ def test_residual_certification():
         # each double-precision root zeroes the split-law form m E[V^(z-1)] - 1,
         # whose residual is relative (-P(z) / prod(z + shifts))
         for r in spec.roots:
-            assert abs(eval_indicial(inst, complex(r))) <= 1e-8
+            assert abs(eval_indicial(inst, r)) <= 1e-8
 
 
 def test_vieta_sum():
     for inst in (mary(8), mary(20), fbbst(7)):
         spec = solve_spectrum(inst)
         coeffs = build_indicial(inst)
-        got = sum(complex(r) for r in spec.roots)
+        got = sum(spec.roots)
         want = -coeffs[1] / coeffs[0]
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_roots_come_in_conjugate_pairs():
     spec = solve_spectrum(mary(12))
-    rs = [complex(r) for r in spec.roots]
+    rs = list(spec.roots)
     for r in rs:
         if abs(r.imag) > 1e-9:
             assert any(abs(r.conjugate() - s) < 1e-9 for s in rs)
@@ -135,7 +139,7 @@ def test_degree_matches():
 
 def test_sorted_by_real_then_imag():
     spec = solve_spectrum(mary(15))
-    rs = [complex(r) for r in spec.roots]
+    rs = list(spec.roots)
     for a, b in zip(rs, rs[1:]):
         assert (a.real, a.imag) >= (b.real, b.imag)
 
@@ -241,27 +245,28 @@ def test_regime_disk_clear_of_a_cut_is_decided(inst, cut):
     assert above[which] == "periodic" and below[which] != "periodic", (above, below)
 
 
-def test_regime_decision_covers_the_rounding_of_an_mpmath_centre():
-    # the disk around the 192-bit centre 3/2 + 2^-60 lies right of 3/2, but
-    # the centre rounds to alpha = 1.5 exactly, so the cut is not decided
-    spec = solve_spectrum(mary(27), precision=96)
-    with mpmath.workprec(192):
-        centre = mpmath.mpc(mpmath.mpf(1.5) + mpmath.mpf(2) ** -60, spec.beta)
-    moved = _moved(spec, 1, centre, 2.0 ** -70)
-    assert moved.alpha == 1.5
-    with pytest.raises(IndeterminateRegimeError):
-        classify_regime(moved)
-    with mpmath.workprec(192):
-        centre = mpmath.mpc(mpmath.mpf(1.5) + mpmath.mpf(2) ** -40, spec.beta)
-    assert _phases(_moved(spec, 1, centre, 2.0 ** -70)) == ("periodic", "periodic")
-    # the outward rounding of the bounds does not cover the centre's rounding
-    # at every radius: the disk of radius 7.5 - 2^-50 about 8.5 - 2^-50
-    # reaches the covariance cut exactly, and its centre rounds (a tie, to
-    # even) to 8.5, 1 + 2^-50 from the cut at that radius
-    with mpmath.workprec(192):
-        centre = mpmath.mpc(mpmath.mpf(8.5) - mpmath.mpf(2) ** -50, spec.beta)
-    far = _moved(spec, 1, centre, 7.5 - 2.0 ** -50)
-    assert far.alpha == 8.5
+def _force_polish(monkeypatch) -> None:
+    """Fail every double-precision certificate, so that the roots take the
+    mpmath polish."""
+    monkeypatch.setattr(roots_module, "_radii_double",
+                        lambda shifts, log_c, pts: [math.inf] * len(pts))
+
+
+def test_regime_decision_covers_the_rounding_of_an_mpmath_centre(monkeypatch):
+    # a polished root is rounded to double before its disk is taken, so a
+    # cut is decided by the disk about that double, with its bounds rounded
+    # outward: a centre on the cut, or one ulp from it, is not decided
+    _force_polish(monkeypatch)
+    spec = solve_spectrum(mary(27))
+    assert all(type(r) is complex for r in spec.roots)
+    for centre in (1.5, math.nextafter(1.5, 2.0)):
+        with pytest.raises(IndeterminateRegimeError):
+            classify_regime(_moved(spec, 1, complex(centre, spec.beta), 2.0 ** -70))
+    two_ulps = math.nextafter(math.nextafter(1.5, 2.0), 2.0)
+    assert _phases(_moved(spec, 1, complex(two_ulps, spec.beta), 2.0 ** -70)) == (
+        "periodic", "periodic")
+    # the disk of radius 7.5 about 8.5 reaches the covariance cut exactly
+    far = _moved(spec, 1, complex(8.5, spec.beta), 7.5)
     with pytest.raises(IndeterminateRegimeError, match="cut alpha = 1.0"):
         classify_regime(far)
 
@@ -287,7 +292,7 @@ def test_beta_is_the_imaginary_part_of_lambda2():
 
 def test_root_after_lambda2_must_lie_strictly_left_of_its_disk():
     spec = solve_spectrum(mary(27))
-    alpha, fourth = spec.alpha, complex(spec.roots[3])
+    alpha, fourth = spec.alpha, spec.roots[3]
     # 1e-10 below alpha was refused by the former fixed slack of 1e-9; the
     # disks decide now
     near = complex(alpha - 1e-10, fourth.imag)
@@ -299,7 +304,7 @@ def test_root_after_lambda2_must_lie_strictly_left_of_its_disk():
     with pytest.raises(RootConvergenceError, match="ordering violated"):
         _moved(close, 1, spec.lambda2, 1e-10 - 1e-12)
     with pytest.raises(RootConvergenceError, match="not conj"):
-        dataclasses.replace(spec, roots=(*spec.roots[:2], complex(spec.roots[3]), *spec.roots[3:]))
+        dataclasses.replace(spec, roots=(*spec.roots[:2], spec.roots[3], *spec.roots[3:]))
 
 
 def test_principal_disk_must_hold_two():
@@ -314,10 +319,10 @@ def test_spectrum_is_read_from_its_roots_and_disks(inst):
     assert [f.name for f in dataclasses.fields(roots_module.Spectrum)] == \
         ["instance", "roots", "radii"]
     spec = solve_spectrum(inst)
-    lam2 = complex(spec.roots[1 if spec.degree > 1 else 0])
+    lam2 = spec.roots[1 if spec.degree > 1 else 0]
     assert (spec.alpha, spec.beta) == (lam2.real, abs(lam2.imag))
-    assert spec.principal_root == complex(spec.roots[0]) == 2.0
-    assert spec.certified_error == max(r / max(1.0, abs(complex(z)))
+    assert spec.principal_root == spec.roots[0] == 2.0
+    assert spec.certified_error == max(r / max(1.0, abs(z))
                                        for z, r in zip(spec.roots, spec.radii))
 
 
@@ -345,7 +350,7 @@ def test_quadtree_spectrum_is_certified_around_the_exact_roots(d):
     if d == 4:
         assert spec.lambda2 == 2j
     for z in spec.roots:
-        assert abs(eval_indicial(quadtree(d), complex(z))) <= 1e-12
+        assert abs(eval_indicial(quadtree(d), z)) <= 1e-12
 
 
 def test_amplitude_is_caller_supplied_for_quadtrees():
@@ -380,7 +385,7 @@ def test_amplitude_matches_family_forms(inst):
     spec = solve_spectrum(inst)
     m, t = inst.split_law
     for k in range(2, spec.degree + 1):
-        lam = complex(spec.roots[k - 1])
+        lam = spec.roots[k - 1]
         got = amplitude(spec, k)
         if t == 0:
             want = amplitude_mary(m, lam)
@@ -463,37 +468,28 @@ def test_large_degree_instances_solve():
     assert abs(spec.principal_root - 2) < 1e-10
 
 
-def test_precision_tightens_certification():
-    lo = solve_spectrum(mary(20), precision=64)
-    hi = solve_spectrum(mary(20), precision=256)
-    assert hi.certified_error < lo.certified_error
-    assert abs(complex(hi.roots[1]) - complex(lo.roots[1])) < 1e-12
-
-
-def test_precision_floor_enforced():
-    with pytest.raises(ValueError):
-        solve_spectrum(mary(5), precision=32)
-
-
 @pytest.mark.parametrize("inst", [mary(27), fbbst(59)])
 def test_polished_roots_lie_in_disjoint_double_disks(inst):
     lo = solve_spectrum(inst)
-    hi = solve_spectrum(inst, precision=128)
+    hi = [root_mp(inst, z) for z in lo.roots]
     assert len(lo.radii) == lo.degree
     for z, r in zip(lo.roots, lo.radii):
-        assert sum(abs(complex(w) - z) <= r for w in hi.roots) == 1, (z, r)
+        assert sum(abs(w - z) <= r for w in hi) == 1, (z, r)
     for i, (z, r) in enumerate(zip(lo.roots, lo.radii)):
         for w, s in zip(lo.roots[i + 1:], lo.radii[i + 1:]):
             assert abs(z - w) > r + s
 
 
-@pytest.mark.parametrize("precision", [64, 128])
+@pytest.mark.parametrize("bits", [64, 128])
 @pytest.mark.parametrize("inst", [mary(27), fbbst(59)])
-def test_roots_exactly_conjugate_symmetric(inst, precision):
+def test_roots_exactly_conjugate_symmetric(inst, bits, monkeypatch):
     # lambda_2 must be the upper member of its pair, or amplitudes (and the
-    # G1 coefficients built from them) come out conjugated
-    spec = solve_spectrum(inst, precision=precision)
-    rs = [complex(r) for r in spec.roots]
+    # G1 coefficients built from them) come out conjugated; 64 is the double
+    # route, 128 the polish at 128 bits
+    if bits == 128:
+        _force_polish(monkeypatch)
+    spec = solve_spectrum(inst)
+    rs = list(spec.roots)
     assert Counter(rs) == Counter(r.conjugate() for r in rs)
     assert rs[1].imag > 0 and rs[2] == rs[1].conjugate()
     assert spec.lambda2 == rs[1]
@@ -538,26 +534,58 @@ def test_mirrored_radii_equal_the_all_points_pass(insts, monkeypatch):
 
 @pytest.mark.parametrize("inst", [mary(3), mary(4), mary(27), fbbst(1), fbbst(8)], ids=str)
 def test_mirrored_mp_radii_equal_the_all_points_pass(inst, monkeypatch):
+    _force_polish(monkeypatch)
     seen = _spy_certify(monkeypatch)
-    with mpmath.workprec(256):  # the working precision of _radii_mp
-        solve_spectrum(inst, precision=128)
-        assert len(seen) == 1
-        _assert_all_points_pass(seen)
+    solve_spectrum(inst)
+    assert len(seen) == 2 and seen[0][0] is None  # the failed double certificate
+    with mpmath.workprec(128):  # the working precision of _radii_mp
+        _assert_all_points_pass(seen[1:])
 
 
 def test_m270_certified_in_double_precision():
-    spec = solve_spectrum(mary(270))
-    assert spec.certified_error <= 1e-10
-    assert all(type(r) is complex for r in spec.roots)  # no mpmath polish
+    # no mpmath polish: the solve leaves mpmath unloaded
+    code = ("import sys; from logtrees.families import mary; "
+            "from logtrees.roots import solve_spectrum; "
+            "print(solve_spectrum(mary(270)).certified_error <= 1e-10, 'mpmath' in sys.modules)")
+    src = str(Path(logtrees.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["True", "False"]
 
 
 def test_polish_fallback_when_double_certificate_fails(monkeypatch):
-    monkeypatch.setattr(roots_module, "_radii_double",
-                        lambda shifts, log_c, pts: [math.inf] * len(pts))
+    want = solve_spectrum(mary(27))
+    _force_polish(monkeypatch)
     spec = solve_spectrum(mary(27))
-    assert type(spec.roots[1]) is not complex
-    assert spec.certified_error < 1e-30
+    assert all(type(r) is complex for r in spec.roots)
+    # the polished roots are rounded to double; lambda_2 of the double route
+    # is already the correctly rounded root
+    assert spec.lambda2 == want.lambda2
+    assert spec.certified_error <= CERTIFIED_TOLERANCE
     assert spec.alpha == pytest.approx(1.516970121848, abs=1e-12)
+
+
+@pytest.mark.parametrize("inst,polish", [pytest.param(fbbst(160), False, id="fbbst(160)"),
+                                         pytest.param(mary(27), True, id="mary(27)-polished")])
+def test_printed_polished_roots_lie_in_their_disks(inst, polish, monkeypatch):
+    # fbbst(160) fails the double certificate on its own; mary(27) is sent
+    # to the polish.  The disks printed by ``roots`` are about the printed
+    # doubles, and each holds its 192-bit root
+    if polish:
+        _force_polish(monkeypatch)
+    spec = solve_spectrum(inst)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["roots", "--family", inst.family.value, "--param", str(inst.parameter)]) == 0
+    doc = json.loads(out.getvalue())
+    assert all(type(r) is complex for r in spec.roots)
+    assert [complex(r["re"], r["im"]) for r in doc["roots"]] == list(spec.roots)
+    assert doc["certified_error"] == spec.certified_error <= CERTIFIED_TOLERANCE
+    # r = deg |p/p'(z)| is about deg |w - z|: the radii are taken at the
+    # doubles, in mpmath throughout
+    for z, r in zip(spec.roots, spec.radii):
+        dist = abs(root_mp(inst, z) - z)
+        assert dist <= r <= 1.01 * spec.degree * dist + 1e-25 * max(1.0, abs(z)), (z, r)
 
 
 @pytest.mark.parametrize("module", ["moments", "treesim", "fixpoint"])
@@ -579,7 +607,7 @@ SWEEP_SCAN = ([mary(m) for m in sorted({*range(3, 301, 7), 27, 270})]
 
 
 @pytest.mark.parametrize("inst", SWEEP_SCAN, ids=str)
-def test_aberth_converges_in_few_sweeps(inst):
+def test_aberth_converges_in_few_sweeps(inst, monkeypatch):
     # (named for the Aberth-Ehrlich sweeps the branch roots replaced) one
     # upper root per branch and the real roots, certified in double
     shifts, _ = indicial_shifts(inst)
@@ -589,9 +617,8 @@ def test_aberth_converges_in_few_sweeps(inst):
     assert real.size == 2 - deg % 2 and real[0] == 2.0 and (real.imag == 0.0).all()
     if inst.split_law[1] >= 156:
         return  # fbbst(160..170) take the mpmath polish, as they did before
-    spec = solve_spectrum(inst)
-    assert all(type(r) is complex for r in spec.roots)
-    assert spec.certified_error <= CERTIFIED_TOLERANCE
+    monkeypatch.setattr(roots_module, "_certify_mp", lambda *args: pytest.fail("polished"))
+    assert solve_spectrum(inst).certified_error <= CERTIFIED_TOLERANCE
 
 
 def _ulps(got: float, want: float) -> float:
@@ -620,11 +647,6 @@ def test_roots_match_the_192_bit_roots(inst, measured):
         assert abs(mpmath.mpc(z) - want) <= 1.5 * measured * abs(want), z
 
 
-@pytest.mark.parametrize("inst", [mary(27), fbbst(59)], ids=str)
-def test_lambda2_matches_the_192_bit_spectrum(inst):
-    assert solve_spectrum(inst).lambda2 == complex(solve_spectrum(inst, precision=192).roots[1])
-
-
 @pytest.mark.parametrize("inst", [mary(27), mary(100), fbbst(59), fbbst(120)], ids=str)
 def test_lambda2_does_not_depend_on_the_starts(inst, monkeypatch):
     # turning the Newton starts by 0.01 rad moves the branch roots in their
@@ -646,7 +668,7 @@ def test_fbbst_amplitude_past_the_factorial_range():
     # of two instead, so the fbbst routes keep working (the spectrum itself
     # takes the mpmath polish there)
     spec = solve_spectrum(fbbst(171))
-    lam = complex(spec.roots[1])
+    lam = spec.roots[1]
     with mpmath.workdps(40):
         want = complex(amplitude_mp(fbbst(171), lam))
     assert abs(amplitude(spec, 2) - want) <= 1e-14 * abs(want)  # 6.6e-15 measured
