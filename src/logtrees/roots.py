@@ -33,8 +33,9 @@ construction.
 
 Each returned root z_k carries an inclusion disk |w - z_k| <= r_k =
 deg |p/p'(z_k)|, which holds at least one zero of p (Bini-Fiorentino,
-Numer. Algorithms 2000); r_k includes a bound on the rounding error of
-evaluating p/p' in log space.  When the disks are pairwise disjoint each
+Numer. Algorithms 2000); p/p' = (1 - m/q) / S is evaluated in the ratio
+form q = prod (z+s)/(s+1), S = sum 1/(z+s), and r_k includes a bound on
+its rounding error (``_radii``).  When the disks are pairwise disjoint each
 holds exactly one zero, a disk centred on the real axis holds a real zero
 (the zeros of a real p come in conjugate pairs), and the roots are
 certified.  r_k is the same at z and at conj(z), so it is taken at the
@@ -51,13 +52,14 @@ A = K! (c/(lam-1) + m acc) / ((lam)_t P'(lam)), acc holding a_j for j < K.
 
 The roots are Python complex numbers, and the disks are about them.  mpmath
 runs only when the double-precision disks are too wide or overlap (fbbst(t)
-from t = 160 on): the roots are then Newton-polished at 128 bits, rounded
-to the nearest double, and those doubles are certified by the same disks
-evaluated at 128 bits.
+from t = 536 on, and mary(m) from m = 1030, where q leaves the double
+range): the roots are then Newton-polished at 128 bits by the same ratio
+step, rounded to the nearest double, and those doubles are certified by
+the same disks evaluated at 128 bits.
 """
 from __future__ import annotations
 
-import cmath
+import contextlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -100,8 +102,8 @@ class Spectrum:
     (ties by decreasing imaginary part), with their certified inclusion
     disks; alpha, beta, lambda_2 and certified_error are read from them.
     Each root is a Python complex number and the centre of its disk, the
-    mpmath-polished ones included (rounded to double before their disks
-    are taken), so the certificate is for the doubles every reader uses.
+    128-bit fallback's included (rounded to double before their disks are
+    taken), so the certificate is for the doubles every reader uses.
 
     Construction checks by the disks the root order that the phase
     decisions rely on, and raises RootConvergenceError otherwise: the
@@ -237,7 +239,9 @@ def _branch_roots(shifts: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray
         if not todo.size:
             break
         zs = z[todo, None] + sh[None, :]
-        step = (1.0 - m / (zs / den).prod(axis=1)) / (1.0 / zs).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (1.0 - m / (zs / den).prod(axis=1)) / (1.0 / zs).sum(axis=1)
+        step[~np.isfinite(step)] = 0.0  # q past the double range: the root stays
         z[todo] -= step
         rel = np.abs(step) / (1.0 + np.abs(z[todo]))
         stop = (rel == 0.0) | ((rel <= 1e-12) & (rel > 0.5 * prev[todo]))
@@ -275,89 +279,85 @@ def _newton_exact(shifts: Sequence[int], const: int, z: complex) -> complex:
     return z
 
 
-def _radii_double(shifts: Sequence[int], log_c: float, points: Sequence[complex]) -> list[float]:
-    """Inclusion radii deg |p/p'(z)| evaluated in double precision.
+def _ratio(shifts: Sequence[int], z):
+    """q = prod (z+s)/(s+1), S = sum 1/(z+s) and sum |1/(z+s)| at z, in the
+    arithmetic of z: a Python complex, or an mpmath mpc at the working
+    precision."""
+    q, s1, s_abs = 1, 0, 0
+    for s in shifts:
+        w = z + s
+        q *= w / (s + 1)
+        inv = 1 / w
+        s1 += inv
+        s_abs += abs(inv)
+    return q, s1, s_abs
 
-    p/p' = (1 - exp(E)) / S with E = log c - sum log(z+s) and
-    S = sum 1/(z+s).  Both sums are taken with math.fsum per component.
-    The rounding bound charges E with 2 eps (|log(z+s)| + 1) per log term,
-    2 eps (|log c| + 1) for log c and eps |E| for the sum, exp with 2 eps,
-    and S with 4 eps |1/(z+s)| per term.  A point whose S cannot be bounded
-    away from 0 gets radius inf.
+
+def _radii(shifts: Sequence[int], m: int, points, bits: int = 53) -> list[float]:
+    """Inclusion radii deg |p/p'(z)| = deg |1 - m/q| / |S| (``_ratio``),
+    rounded up to floats: in Python complex arithmetic at ``bits`` = 53,
+    else with mpmath at ``bits`` bits, each point (a double) converted
+    exactly.  A point whose q or S is not finite gets radius inf.
+
+    Rounding charge, in units u = 2^-bits; gamma_n = n u / (1 - n u), taken
+    as 1.01 n u (Higham, Accuracy and Stability, 2002, ch. 3).  CPython:
+    z + s rounds the real part (1 unit), a division by the real s+1 each
+    part (1); a product is within sqrt(5) (Brent, Percival and Zimmermann,
+    Math. Comp. 2007), Smith's reciprocal 1/w (``_Py_c_quot``, numerator 1)
+    within 5 (three roundings in a denominator of one-signed terms, two in
+    a part), abs within 2 (hypot, one ulp).  mpmath rounds each part once
+    (a reciprocal's modulus with 10 guard bits) and abs once, within the
+    same counts.  m is exact (a power of two, or below 2^53).
+    - q: 2 + sqrt(5) < 4.25 units a shift, nq = 4.25 deg, so that
+      |q - m| / |q| <= (1 + gamma_nq) (|q^ - m| / |q^| + gamma_nq).
+    - S: a term is within gamma_11 (z+s and 1/w), summation adds
+      gamma_(deg-1) sum |terms| (Higham eq. 4.4, per part), and s_abs is
+      within gamma_(deg+1): |S^ - S| <= gamma_(2 deg + 12) s_abs, charged
+      4 units more for abs(S^) and the product.
+    - Relative roundings: q^ - m (1), the moduli and their quotient (5),
+      + gamma_nq (1), the subtraction and abs(S^) (3), deg N / D (2); with
+      1 + gamma_nq and the charge's own two, gamma_(nq + 16).
     """
     deg = len(shifts)
-    zs = np.asarray(points, dtype=complex)[:, None] + np.asarray(shifts, dtype=float)[None, :]
-    logs = np.log(zs)
-    log_abs = np.abs(logs).sum(axis=1)
-    inv = 1.0 / zs
-    inv_abs = np.abs(inv).sum(axis=1)
+    u = 2.0 ** -bits
+    nq = 4.25 * deg
+    g_q, g_s, g_r = (1.01 * n * u for n in (nq, 2 * deg + 16, nq + 16))
+    prec = contextlib.nullcontext()
+    if bits > 53:
+        from mpmath import mp, mpc
+
+        prec, points = mp.workprec(bits), [mpc(z) for z in points]
     radii = []
-    for k in range(len(zs)):
-        e = complex(math.fsum([log_c, *(-logs[k].real).tolist()]),
-                    -math.fsum(logs[k].imag.tolist()))
-        slack = 2.0 * _EPS * (log_abs[k] * (1.0 + deg * _EPS) + deg + abs(log_c) + 1.0) \
-            + _EPS * abs(e)
-        q = cmath.exp(e)
-        num = (abs(1.0 - q) + abs(q) * math.expm1(slack + 2.0 * _EPS)) * (1.0 + 4.0 * _EPS)
-        s = complex(math.fsum(inv[k].real.tolist()), math.fsum(inv[k].imag.tolist()))
-        den = abs(s) * (1.0 - 2.0 * _EPS) - 4.0 * _EPS * inv_abs[k] * (1.0 + deg * _EPS)
-        radii.append(deg * num / den * (1.0 + 4.0 * _EPS) if den > 0.0 else math.inf)
+    with prec:
+        for z in points:
+            q, s1, s_abs = _ratio(shifts, z)
+            den = abs(s1) - g_s * s_abs
+            r = deg * (abs(q - m) / abs(q) + g_q) / den if den > 0 and abs(q) > 0 else math.inf
+            radii.append(math.nextafter(float(r + g_r * r), math.inf) if r < math.inf else math.inf)
     return radii
 
 
-def _certify_mp(shifts: Sequence[int], const: int, upper, real):
+def _certify_mp(shifts: Sequence[int], m: int, upper, real):
     """Newton-polish the upper half-plane and real roots with mpmath at 128
-    bits, round each to the nearest double, mirror the upper ones, and
-    certify those doubles with inclusion disks evaluated at 128 bits."""
+    bits, by the ratio step (1 - m/q) / S of ``_branch_roots``, round each
+    to the nearest double, mirror the upper ones, and certify those doubles
+    with ``_radii`` at 128 bits.  A root stops after a relative step below
+    2^-70, which leaves an error near the 128-bit rounding."""
     from mpmath import mp, mpc
 
     with mp.workprec(128):
         half = []
         for z0 in [*upper, *real]:
-            z = mpc(z0.real, z0.imag)
+            z = mpc(z0)
             for _ in range(6):
-                prod = mpc(1)
-                s1 = mpc(0)
-                for s in shifts:
-                    term = z + s
-                    prod *= term
-                    s1 += 1 / term
-                step = (prod - const) / (prod * s1)
+                q, s1, _ = _ratio(shifts, z)
+                step = (1 - m / q) / s1
                 z -= step
-                if abs(step) <= 2.0 ** -120 * (1 + abs(z)):
+                if abs(step) <= 2.0 ** -70 * (1 + abs(z)):
                     break
             half.append(complex(z))
         return _certify(half[:len(upper)], half[len(upper):],
-                        lambda pts: _radii_mp(shifts, const, pts))
-
-
-def _radii_mp(shifts: Sequence[int], const: int, points) -> list[float]:
-    """Inclusion radii deg |p/p'(z)| evaluated with mpmath at the current
-    working precision, each point (a double) taken exactly.
-
-    p = prod - c and p' = prod S.  Each complex operation is charged a
-    relative error of 4 units in the last place, so the product and the
-    sum S = sum 1/(z+s) carry at most gamma = 4 (deg+2) 2^-prec each.
-    Radii are rounded up to floats.
-    """
-    from mpmath import mp, mpc
-
-    deg = len(shifts)
-    gamma = 4 * (deg + 2) * mp.mpf(2) ** (-mp.prec)
-    radii = []
-    for z in map(mpc, points):
-        prod, s1, inv_abs = mpc(1), mpc(0), mp.mpf(0)
-        for s in shifts:
-            term = z + s
-            prod *= term
-            inv = 1 / term
-            s1 += inv
-            inv_abs += abs(inv)
-        num = abs(prod - const) * (1 + gamma) + gamma * abs(prod) * (1 + gamma)
-        den = abs(prod) * (1 - gamma) * (abs(s1) - gamma * inv_abs)
-        r = deg * num / den * (1 + gamma) if den > 0 else mp.inf
-        radii.append(math.nextafter(float(r), math.inf))
-    return radii
+                        lambda pts: _radii(shifts, m, pts, 128))
 
 
 def _disjoint(points, radii) -> bool:
@@ -393,15 +393,16 @@ def solve_spectrum(instance: FamilyInstance) -> Spectrum:
     The branch roots are certified directly in double precision: every
     root lies within its inclusion disk, the disks are pairwise disjoint,
     and ``certified_error`` = max_k r_k / max(1, |z_k|) must not exceed
-    1e-10.  When that certificate fails, the roots are Newton-polished with
-    mpmath at 128 bits and rounded to double, and those doubles are
-    certified by the same disks evaluated at 128 bits.  The ``Spectrum``
-    then checks the root order by the disks.
+    1e-10.  When that certificate fails (fbbst(t) from t = 536, mary(m)
+    from m = 1030), the roots are Newton-polished with mpmath at 128 bits
+    by the ratio step and rounded to double, and those doubles are
+    certified by the same ``_radii`` evaluated at 128 bits.  The
+    ``Spectrum`` then checks the root order by the disks.
     """
     shifts, const = indicial_shifts(instance)
     deg = len(shifts)
     m = instance.branches
-    if m >= 2 ** 1024:  # the ratio form reaches prod (z+s)/(s+1) = m in doubles
+    if m >= 2 ** 1024:  # quadtree(1024) on: the polish and the radii take m as a double
         raise ValueError(f"{instance}: {m} branches exceed the double range of the solver")
     upper, real = (z.tolist() for z in _branch_roots(shifts, m))
     # lambda_2, the root after z = 2, is the upper root of largest real part
@@ -414,13 +415,9 @@ def solve_spectrum(instance: FamilyInstance) -> Spectrum:
     elif deg == 2:
         real[1] = _newton_exact(shifts, const, real[1])
 
-    # log c = log m + sum log(s+1), a sum of rounded logs: math.log of the
-    # big integer c is off by up to ~1e-13 at degree 150, which the radii
-    # see as a residual at every root
-    log_c = math.fsum([math.log(m), *(math.log(s + 1) for s in shifts)])
-    found = _certify(upper, real, lambda pts: _radii_double(shifts, log_c, pts))
+    found = _certify(upper, real, lambda pts: _radii(shifts, m, pts))
     if found is None or _relative_radius(*found) > CERTIFIED_TOLERANCE:
-        found = _certify_mp(shifts, const, upper, real)
+        found = _certify_mp(shifts, m, upper, real)
     if found is None:
         raise RootConvergenceError(f"inclusion disks overlap for {instance}")
     certified = _relative_radius(*found)

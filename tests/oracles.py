@@ -283,6 +283,22 @@ def root_mp(instance: FamilyInstance, start: complex, prec: int = 192):
         return z
 
 
+def inclusion_radius_mp(instance: FamilyInstance, z: complex, prec: int = 192):
+    """deg |p/p'(z)| at ``prec`` bits, the double z taken exactly: the radius
+    of the inclusion disk about z before any rounding.  p is the product
+    form of ``root_mp``, or z^d - 2^d for a quadtree."""
+    with mpmath.workprec(prec):
+        z = mpmath.mpc(z)
+        if instance.split_law is None:
+            d = instance.parameter
+            return d * abs((z ** d - 2 ** d) / (d * z ** (d - 1)))
+        m, t = instance.split_law
+        n = m * (t + 1) - 1 - t
+        prod = mpmath.rf(z + t, n)
+        return n * abs((prod - m * mpmath.rf(t + 1, n))
+                       / (prod * mpmath.fsum(1 / (z + t + j) for j in range(n))))
+
+
 @cache
 def periodic_factors_mp(instance: FamilyInstance, dps: int = 50):
     """(c0, c2, cov) of the variance and covariance periodic factors of an

@@ -54,7 +54,9 @@ def test_roots_quadtree_solves_its_spectrum_once(monkeypatch):
     # the alpha_hat/beta_hat view reads the spectrum the command solved.  The
     # digest was recorded when quadtrees began to print the payload of every
     # family (degree, roots, principal_root, alpha, beta, certified_error) and
-    # the config lost "precision"; alpha_hat and beta_hat kept their bytes
+    # the config lost "precision"; alpha_hat and beta_hat kept their bytes.
+    # Recorded again when the radii moved to the ratio form: certified_error
+    # went from 2.5715525589887956e-14 to 4.909702638195004e-15
     import hashlib
 
     from logtrees import roots
@@ -68,7 +70,7 @@ def test_roots_quadtree_solves_its_spectrum_once(monkeypatch):
     code, out, _ = run_cli(["roots", "--family", "quadtree", "--param", "9"])
     assert code == 0 and len(calls) == 1
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1f820f58b0020d512352eb379551768c4672cd1300cc4befc36c2f129d508b8f")
+        "3065f7edee20fd5a773a425e7e39db377488e51f9d41591bf2b879011cbe758f")
 
 
 def test_table_alpha_row_m10():

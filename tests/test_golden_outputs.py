@@ -82,6 +82,12 @@ its bits.  The x slot kept every bit; the w moments moved by at most
 ``roots`` lost its ``--precision`` flag: the echoed config lost
 ``"precision":64``, and every other byte stayed the same.
 
+``roots-mary-27`` and ``roots-fbbst-59`` were recorded again when the
+inclusion radii moved from the log form to the ratio form with a derived
+rounding charge: certified_error went from 3.4464787043294554e-13 to
+5.6299973542588043e-14 (mary(27)) and from 1.1802272988373077e-11 to
+1.254684796923575e-12 (fbbst(59)); every other byte stayed the same.
+
 ``CSV_CASES`` and the ``--trace-out`` / ``--pool-out`` files of
 ``FIXPOINT_CSV`` were recorded before every CSV body moved onto the one
 writer of ``logtrees.cli``; the move changed none of their bytes.  The
@@ -157,8 +163,8 @@ DIGESTS = {
     "constants-fbbst-59": "002c8ef85e3b5860b207551b9d91073ebd0361728dc13dab09a641ffbd29d8f3",
     "constants-quadtree-2": "166a2c133ddac8488068db9b3ea4e82b90c6749998ac6990da972867e07f1ce1",
     "constants-quadtree-9": "a6e8423cd1e54f28a60bebf724ff666a07b12976e1cd7c6a27c55dbc5721c895",
-    "roots-mary-27": "956e02bb1fccf45cb908c82c41521aff752b449b590f8aa306b4b33d6a7feb98",
-    "roots-fbbst-59": "be1504d03ca5ec4b9d3c9d5be723a729b107dbc909a93ba28b4618bdab3769dd",
+    "roots-mary-27": "e86b95257f4117891db4535686e5c357afa1b3b7ce442ec8717e3e1eab2436cc",
+    "roots-fbbst-59": "920f20df578ae7209d68c8d76ddb4ab8f6f7a2bebee99399331b8432e9a68bd8",
     "corr-profile-mary-3": "8d2b6a7f29065379824d850b45c50c6c8b0f6a6133cda92b04d2881b7beb1784",
     "corr-profile-mary-27": "8e86670fb63fb61e3da067e0119cd03ddac75aec854d828e0d28be5bc371a26b",
     "corr-profile-fbbst-1": "3e6d7b67065173923d500ffc5bf501fb08f8b7917ed5278a9325a14573770d56",

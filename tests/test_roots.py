@@ -38,6 +38,7 @@ from oracles import (
     amplitude_mp,
     build_indicial,
     eval_indicial,
+    inclusion_radius_mp,
     root_mp,
 )
 
@@ -246,10 +247,12 @@ def test_regime_disk_clear_of_a_cut_is_decided(inst, cut):
 
 
 def _force_polish(monkeypatch) -> None:
-    """Fail every double-precision certificate, so that the roots take the
-    mpmath polish."""
-    monkeypatch.setattr(roots_module, "_radii_double",
-                        lambda shifts, log_c, pts: [math.inf] * len(pts))
+    """Fail every double-precision certificate (``_radii`` at 53 bits gives
+    radius inf), so that the roots take the mpmath polish.  The one seam of
+    the forced-fallback tests."""
+    radii = roots_module._radii
+    monkeypatch.setattr(roots_module, "_radii", lambda shifts, m, pts, bits=53: (
+        radii(shifts, m, pts, bits) if bits > 53 else [math.inf] * len(pts)))
 
 
 def test_regime_decision_covers_the_rounding_of_an_mpmath_centre(monkeypatch):
@@ -520,14 +523,11 @@ def _assert_all_points_pass(seen) -> None:
                                    [fbbst(t) for t in range(1, 171)]],
                          ids=["mary(3..300)", "fbbst(1..170)"])
 def test_mirrored_radii_equal_the_all_points_pass(insts, monkeypatch):
-    # the double pass only: fbbst(160..170) then miss the tolerance and raise
+    # the double pass only: a fallback would raise
     seen = _spy_certify(monkeypatch)
     monkeypatch.setattr(roots_module, "_certify_mp", lambda *args: None)
     for inst in insts:
-        try:
-            solve_spectrum(inst)
-        except RootConvergenceError:
-            assert inst.split_law[1] >= 160, inst
+        solve_spectrum(inst)
     assert len(seen) == len(insts)
     _assert_all_points_pass(seen)
 
@@ -538,19 +538,54 @@ def test_mirrored_mp_radii_equal_the_all_points_pass(inst, monkeypatch):
     seen = _spy_certify(monkeypatch)
     solve_spectrum(inst)
     assert len(seen) == 2 and seen[0][0] is None  # the failed double certificate
-    with mpmath.workprec(128):  # the working precision of _radii_mp
-        _assert_all_points_pass(seen[1:])
+    _assert_all_points_pass(seen[1:])
 
 
 def test_m270_certified_in_double_precision():
-    # no mpmath polish: the solve leaves mpmath unloaded
-    code = ("import sys; from logtrees.families import mary; "
+    # no mpmath polish: the solves leave mpmath unloaded
+    code = ("import sys; from logtrees.families import fbbst, mary; "
             "from logtrees.roots import solve_spectrum; "
-            "print(solve_spectrum(mary(270)).certified_error <= 1e-10, 'mpmath' in sys.modules)")
+            "print(*(solve_spectrum(inst).certified_error <= 1e-10 "
+            "for inst in (mary(270), fbbst(320), mary(985))), 'mpmath' in sys.modules)")
     src = str(Path(logtrees.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["True", "False"]
+    assert out.split() == ["True", "True", "True", "False"]
+
+
+@pytest.mark.parametrize("inst", [mary(27), mary(270), fbbst(59), fbbst(160), fbbst(320),
+                                  quadtree(9)], ids=str)
+def test_double_radii_cover_the_192_bit_radius(inst, monkeypatch):
+    # the rounding charge of ``_radii``: every double radius is at least
+    # deg |p/p'| evaluated at 192 bits at the same double point, and every
+    # disk holds its 192-bit root.  With the charge set to 0 radii fall
+    # below the first bound
+    monkeypatch.setattr(roots_module, "_certify_mp", lambda *args: pytest.fail("polished"))
+    spec = solve_spectrum(inst)
+    exact = _exact_quadtree_roots(inst.parameter) if inst.split_law is None else None
+    for z, r in zip(spec.roots, spec.radii):
+        if z.imag < 0:
+            continue  # the disk of its conjugate partner, mirrored
+        assert r >= inclusion_radius_mp(inst, z), (z, r)
+        with mpmath.workprec(192):
+            w = min(exact, key=lambda w: abs(w - z)) if exact else root_mp(inst, z)
+            assert abs(w - mpmath.mpc(z)) <= r, (z, r)
+
+
+def test_no_overflow_reaches_the_roots_or_the_radii():
+    # from mary(1030) on the ratio product q leaves the double range at
+    # some roots: the branch polish does not take a step that is not finite,
+    # and the double radius there is inf, never nan, so those spectra go to
+    # the 128-bit fallback
+    shifts, _ = indicial_shifts(mary(1030))
+    upper, real = roots_module._branch_roots(shifts, 1030)
+    points = [*upper.tolist(), *real.tolist()]
+    assert all(map(cmath.isfinite, points))
+    radii = roots_module._radii(shifts, 1030, points)
+    assert math.inf in radii and not any(map(math.isnan, radii))
+    # q = z (z+1)/2 (z+2)/3 (z+3)/4 overflows at z = 1e300
+    assert roots_module._radii(list(range(4)), 5, [1e300 + 0j, complex(math.nan, 1.0)]) == \
+        [math.inf, math.inf]
 
 
 def test_polish_fallback_when_double_certificate_fails(monkeypatch):
@@ -565,14 +600,12 @@ def test_polish_fallback_when_double_certificate_fails(monkeypatch):
     assert spec.alpha == pytest.approx(1.516970121848, abs=1e-12)
 
 
-@pytest.mark.parametrize("inst,polish", [pytest.param(fbbst(160), False, id="fbbst(160)"),
-                                         pytest.param(mary(27), True, id="mary(27)-polished")])
-def test_printed_polished_roots_lie_in_their_disks(inst, polish, monkeypatch):
-    # fbbst(160) fails the double certificate on its own; mary(27) is sent
-    # to the polish.  The disks printed by ``roots`` are about the printed
-    # doubles, and each holds its 192-bit root
-    if polish:
-        _force_polish(monkeypatch)
+@pytest.mark.parametrize("inst", [pytest.param(fbbst(160), id="fbbst(160)"),
+                                  pytest.param(mary(27), id="mary(27)-polished")])
+def test_printed_polished_roots_lie_in_their_disks(inst, monkeypatch):
+    # both are sent to the polish.  The disks printed by ``roots`` are about
+    # the printed doubles, and each holds its 192-bit root
+    _force_polish(monkeypatch)
     spec = solve_spectrum(inst)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -615,8 +648,6 @@ def test_aberth_converges_in_few_sweeps(inst, monkeypatch):
     upper, real = roots_module._branch_roots(shifts, inst.split_law[0])
     assert upper.size == (deg - 1) // 2 and (upper.imag > 0).all()
     assert real.size == 2 - deg % 2 and real[0] == 2.0 and (real.imag == 0.0).all()
-    if inst.split_law[1] >= 156:
-        return  # fbbst(160..170) take the mpmath polish, as they did before
     monkeypatch.setattr(roots_module, "_certify_mp", lambda *args: pytest.fail("polished"))
     assert solve_spectrum(inst).certified_error <= CERTIFIED_TOLERANCE
 
@@ -665,8 +696,7 @@ def test_lambda2_does_not_depend_on_the_starts(inst, monkeypatch):
 
 def test_fbbst_amplitude_past_the_factorial_range():
     # 171! exceeds the double range; the amplitude rescales (lam)_t by powers
-    # of two instead, so the fbbst routes keep working (the spectrum itself
-    # takes the mpmath polish there)
+    # of two instead, so the fbbst routes keep working
     spec = solve_spectrum(fbbst(171))
     lam = spec.roots[1]
     with mpmath.workdps(40):
