@@ -50,17 +50,16 @@ K = m(t+1)-1 and theta = (1-x) d/dx = d/du under x = 1 - e^(-u), the sum of
 c the toll of S; its Laplace residue at e^(lam u) = (1-x)^(-lam) is
 A = K! (c/(lam-1) + m acc) / ((lam)_t P'(lam)), acc holding a_j for j < K.
 
-The roots are Python complex numbers, and the disks are about them.  mpmath
-runs only when the double-precision disks are too wide or overlap (fbbst(t)
-from t = 536 on, and mary(m) from m = 1030, where q leaves the double
-range): the roots are then Newton-polished at 128 bits by the same ratio
-step, rounded to the nearest double, and those doubles are certified by
-the same disks evaluated at 128 bits.
+The roots are Python complex numbers, and the disks are about them.  When
+the double disks are too wide or overlap (fbbst(t) from t = 536, mary(m)
+from m = 1030, where q leaves the double range), every root but z = 2
+takes lambda_2's Newton steps on p evaluated exactly, and the disks take
+|1 - m/q| = |p/P| from that exact evaluation instead of from q.
 """
 from __future__ import annotations
 
-import contextlib
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -102,8 +101,8 @@ class Spectrum:
     (ties by decreasing imaginary part), with their certified inclusion
     disks; alpha, beta, lambda_2 and certified_error are read from them.
     Each root is a Python complex number and the centre of its disk, the
-    128-bit fallback's included (rounded to double before their disks are
-    taken), so the certificate is for the doubles every reader uses.
+    exact fallback's included, so the certificate is for the doubles every
+    reader uses.
 
     Construction checks by the disks the root order that the phase
     decisions rely on, and raises RootConvergenceError otherwise: the
@@ -251,38 +250,47 @@ def _branch_roots(shifts: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray
     return upper, np.append(2.0, z[upper.size:])
 
 
+def _residual(shifts: Sequence[int], const: int, z: complex) -> complex | None:
+    """The residual 1 - c/P(z) = p(z)/P(z), P = prod (z+s), at a double z:
+    a Gaussian integer over a power of two D, so D^deg p(z) and D^deg P(z)
+    are Gaussian integers, scaled alike into the double range (each part
+    rounded once) and divided.  0j exactly when z is a root; None when p(z)
+    is not 0 but the quotient is below the normal range (2^-1022)."""
+    (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(da, db)
+    a, b = a * (d // da), b * (d // db)
+    re, im = 1, 0
+    for s in shifts:
+        u = a + s * d
+        re, im = re * u - im * b, re * b + im * u
+    top = re - const * d ** len(shifts)
+    scale = 1 << max(0, max(re.bit_length(), im.bit_length()) - 64)
+    rho = complex(top / scale, im / scale) / complex(re / scale, im / scale)
+    if (top or im) and abs(rho) < sys.float_info.min:
+        return None
+    return rho
+
+
 def _newton_exact(shifts: Sequence[int], const: int, z: complex) -> complex:
     """One or two Newton steps on p(z) = prod (z+s) - c with p evaluated
-    exactly.
-
-    A double z is a Gaussian integer over a power of two D, so D^deg p(z) is
-    a Gaussian integer.  The step p/p' = (1 - c/P) / sum 1/(z+s),
-    P = prod (z+s), then carries only the few rounding errors of its double
-    evaluation, far below an ulp of z, and z - step is the correctly
-    rounded root once z is within a few ulps of it."""
+    exactly (``_residual``).  The step p/p' = (1 - c/P) / sum 1/(z+s) then
+    carries only the few rounding errors of its double evaluation, far
+    below an ulp of z, and z - step is the correctly rounded root once z
+    is within a few ulps of it."""
     for _ in range(2):
-        (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-        d = max(da, db)
-        a, b = a * (d // da), b * (d // db)
-        re, im = 1, 0
-        for s in shifts:
-            u = a + s * d
-            re, im = re * u - im * b, re * b + im * u
-        # scale numerator and denominator alike into the double range
-        scale = 1 << max(0, max(re.bit_length(), im.bit_length()) - 64)
-        ratio = complex((re - const * d ** len(shifts)) / scale, im / scale) \
-            / complex(re / scale, im / scale)
-        new = z - ratio / sum(1.0 / (z + s) for s in shifts)
+        rho = _residual(shifts, const, z)
+        if not rho:  # z is a root, or no double is nearer one
+            break
+        new = z - rho / sum(1.0 / (z + s) for s in shifts)
         if new == z:
             break
         z = new
     return z
 
 
-def _ratio(shifts: Sequence[int], z):
-    """q = prod (z+s)/(s+1), S = sum 1/(z+s) and sum |1/(z+s)| at z, in the
-    arithmetic of z: a Python complex, or an mpmath mpc at the working
-    precision."""
+def _ratio(shifts: Sequence[int], z: complex):
+    """q = prod (z+s)/(s+1), S = sum 1/(z+s) and sum |1/(z+s)| at z, in
+    Python complex arithmetic."""
     q, s1, s_abs = 1, 0, 0
     for s in shifts:
         w = z + s
@@ -293,21 +301,21 @@ def _ratio(shifts: Sequence[int], z):
     return q, s1, s_abs
 
 
-def _radii(shifts: Sequence[int], m: int, points, bits: int = 53) -> list[float]:
-    """Inclusion radii deg |p/p'(z)| = deg |1 - m/q| / |S| (``_ratio``),
-    rounded up to floats: in Python complex arithmetic at ``bits`` = 53,
-    else with mpmath at ``bits`` bits, each point (a double) converted
-    exactly.  A point whose q or S is not finite gets radius inf.
+def _radii(shifts: Sequence[int], m: int, points, const: int | None = None) -> list[float]:
+    """Inclusion radii deg |p/p'(z)| = deg |1 - m/q| / |S| (``_ratio``) at
+    doubles, rounded up: |1 - m/q| from q in double or, given c = ``const``,
+    from the exact ``_residual`` 1 - c/P.  A point whose q or S is not
+    finite, or whose residual is None, gets radius inf; a zero residual (an
+    exact root: z = 2, or mary(m)'s -m at odd m) gets radius 0.
 
-    Rounding charge, in units u = 2^-bits; gamma_n = n u / (1 - n u), taken
+    Rounding charge, in units u = 2^-53; gamma_n = n u / (1 - n u), taken
     as 1.01 n u (Higham, Accuracy and Stability, 2002, ch. 3).  CPython:
     z + s rounds the real part (1 unit), a division by the real s+1 each
     part (1); a product is within sqrt(5) (Brent, Percival and Zimmermann,
     Math. Comp. 2007), Smith's reciprocal 1/w (``_Py_c_quot``, numerator 1)
     within 5 (three roundings in a denominator of one-signed terms, two in
-    a part), abs within 2 (hypot, one ulp).  mpmath rounds each part once
-    (a reciprocal's modulus with 10 guard bits) and abs once, within the
-    same counts.  m is exact (a power of two, or below 2^53).
+    a part), abs within 2 (hypot, one ulp).  m is exact (a power of two, or
+    below 2^53).
     - q: 2 + sqrt(5) < 4.25 units a shift, nq = 4.25 deg, so that
       |q - m| / |q| <= (1 + gamma_nq) (|q^ - m| / |q^| + gamma_nq).
     - S: a term is within gamma_11 (z+s and 1/w), summation adds
@@ -317,47 +325,33 @@ def _radii(shifts: Sequence[int], m: int, points, bits: int = 53) -> list[float]
     - Relative roundings: q^ - m (1), the moduli and their quotient (5),
       + gamma_nq (1), the subtraction and abs(S^) (3), deg N / D (2); with
       1 + gamma_nq and the charge's own two, gamma_(nq + 16).
+    - Exact arm, rho = N/P: the int/int divisions round each part of the
+      scaled N and P once (2).  Smith's quotient a/b, r = b_i/b_r for
+      |b_r| >= |b_i|, has one-signed terms in b_r + b_i r, so a part such
+      as (a_r + a_i r) / (b_r + b_i r) is within gamma_7 (|a_r b_r| +
+      |a_i b_i|) / |b|^2 <= gamma_7 |a/b| (Cauchy-Schwarz): the quotient
+      within sqrt(2) gamma_7 < gamma_10.  As |rho^| >= 2^-1022 and
+      |b| >= 1, underflow adds under 4, and abs 2: |rho| <=
+      (1 + gamma_18) |rho^|.  With the subtraction and abs(S^) (3),
+      deg N / D (2) and the charge's own two, gamma_25.
     """
     deg = len(shifts)
-    u = 2.0 ** -bits
+    u = 2.0 ** -53
     nq = 4.25 * deg
     g_q, g_s, g_r = (1.01 * n * u for n in (nq, 2 * deg + 16, nq + 16))
-    prec = contextlib.nullcontext()
-    if bits > 53:
-        from mpmath import mp, mpc
-
-        prec, points = mp.workprec(bits), [mpc(z) for z in points]
+    g = g_r if const is None else 1.01 * 25 * u
     radii = []
-    with prec:
-        for z in points:
-            q, s1, s_abs = _ratio(shifts, z)
-            den = abs(s1) - g_s * s_abs
-            r = deg * (abs(q - m) / abs(q) + g_q) / den if den > 0 and abs(q) > 0 else math.inf
-            radii.append(math.nextafter(float(r + g_r * r), math.inf) if r < math.inf else math.inf)
+    for z in points:
+        q, s1, s_abs = _ratio(shifts, z)
+        den = abs(s1) - g_s * s_abs
+        if const is None:
+            ok = den > 0 and 0 < abs(q) < math.inf
+            r = deg * (abs(q - m) / abs(q) + g_q) / den if ok else math.inf
+        else:
+            rho = _residual(shifts, const, z)
+            r = deg * abs(rho) / den if den > 0 and rho is not None else math.inf
+        radii.append(math.nextafter(r + g * r, math.inf) if 0 < r < math.inf else r)
     return radii
-
-
-def _certify_mp(shifts: Sequence[int], m: int, upper, real):
-    """Newton-polish the upper half-plane and real roots with mpmath at 128
-    bits, by the ratio step (1 - m/q) / S of ``_branch_roots``, round each
-    to the nearest double, mirror the upper ones, and certify those doubles
-    with ``_radii`` at 128 bits.  A root stops after a relative step below
-    2^-70, which leaves an error near the 128-bit rounding."""
-    from mpmath import mp, mpc
-
-    with mp.workprec(128):
-        half = []
-        for z0 in [*upper, *real]:
-            z = mpc(z0)
-            for _ in range(6):
-                q, s1, _ = _ratio(shifts, z)
-                step = (1 - m / q) / s1
-                z -= step
-                if abs(step) <= 2.0 ** -70 * (1 + abs(z)):
-                    break
-            half.append(complex(z))
-        return _certify(half[:len(upper)], half[len(upper):],
-                        lambda pts: _radii(shifts, m, pts, 128))
 
 
 def _disjoint(points, radii) -> bool:
@@ -394,16 +388,17 @@ def solve_spectrum(instance: FamilyInstance) -> Spectrum:
     root lies within its inclusion disk, the disks are pairwise disjoint,
     and ``certified_error`` = max_k r_k / max(1, |z_k|) must not exceed
     1e-10.  When that certificate fails (fbbst(t) from t = 536, mary(m)
-    from m = 1030), the roots are Newton-polished with mpmath at 128 bits
-    by the ratio step and rounded to double, and those doubles are
-    certified by the same ``_radii`` evaluated at 128 bits.  The
+    from m = 1030), every upper root and the negative real root take the
+    Newton steps on p evaluated exactly (``_newton_exact``), and ``_radii``
+    takes |1 - m/q| from the exact residual; z = 2 is exact already.  The
     ``Spectrum`` then checks the root order by the disks.
     """
     shifts, const = indicial_shifts(instance)
     deg = len(shifts)
     m = instance.branches
-    if m >= 2 ** 1024:  # quadtree(1024) on: the polish and the radii take m as a double
-        raise ValueError(f"{instance}: {m} branches exceed the double range of the solver")
+    if m >= 2 ** 1024:  # quadtree(d), m = 2^d, from d = 1024: the solver takes m as a double
+        raise ValueError(f"{instance}: 2^{m.bit_length() - 1} branches exceed the double range "
+                         "of the solver")
     upper, real = (z.tolist() for z in _branch_roots(shifts, m))
     # lambda_2, the root after z = 2, is the upper root of largest real part
     # (an upper z with Re z <= x, x the negative real root, would have
@@ -417,7 +412,9 @@ def solve_spectrum(instance: FamilyInstance) -> Spectrum:
 
     found = _certify(upper, real, lambda pts: _radii(shifts, m, pts))
     if found is None or _relative_radius(*found) > CERTIFIED_TOLERANCE:
-        found = _certify_mp(shifts, m, upper, real)
+        upper = [_newton_exact(shifts, const, z) for z in upper]
+        real = [real[0], *(_newton_exact(shifts, const, x) for x in real[1:])]
+        found = _certify(upper, real, lambda pts: _radii(shifts, m, pts, const))
     if found is None:
         raise RootConvergenceError(f"inclusion disks overlap for {instance}")
     certified = _relative_radius(*found)

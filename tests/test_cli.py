@@ -553,6 +553,15 @@ def test_out_of_range_inputs_are_usage_errors(argv, tmp_path):
     assert not path.exists()
 
 
+def test_roots_past_the_double_range_names_the_branch_count():
+    # quadtree(1024) has 2^1024 branches; the refusal names them so, not in
+    # their 309 digits
+    code, out, err = run_cli(["roots", "--family", "quadtree", "--param", "1024"])
+    assert (code, out) == (2, "")
+    assert "quadtree(1024): 2^1024 branches exceed the double range" in err
+    assert len(err) < 200, err
+
+
 def test_closed_stdout_ends_the_run_quietly():
     # `logtrees moments ... | head -1`: the reader stops after one line of a
     # body far larger than a pipe buffer

@@ -246,20 +246,28 @@ def test_regime_disk_clear_of_a_cut_is_decided(inst, cut):
     assert above[which] == "periodic" and below[which] != "periodic", (above, below)
 
 
-def _force_polish(monkeypatch) -> None:
-    """Fail every double-precision certificate (``_radii`` at 53 bits gives
-    radius inf), so that the roots take the mpmath polish.  The one seam of
-    the forced-fallback tests."""
+def _radii_seam(monkeypatch, *, fallback: bool) -> None:
+    """The one seam of the fallback tests, on ``_radii``.  With
+    ``fallback`` every double certificate fails (the double arm gives radius
+    inf), so the roots take the exact fallback; without it the exact arm
+    fails the test, so the spectrum must be certified in double."""
     radii = roots_module._radii
-    monkeypatch.setattr(roots_module, "_radii", lambda shifts, m, pts, bits=53: (
-        radii(shifts, m, pts, bits) if bits > 53 else [math.inf] * len(pts)))
+
+    def seam(shifts, m, pts, const=None):
+        if const is None:
+            return [math.inf] * len(pts) if fallback else radii(shifts, m, pts)
+        if not fallback:
+            pytest.fail("the double certificate failed")
+        return radii(shifts, m, pts, const)
+    monkeypatch.setattr(roots_module, "_radii", seam)
 
 
 def test_regime_decision_covers_the_rounding_of_an_mpmath_centre(monkeypatch):
-    # a polished root is rounded to double before its disk is taken, so a
-    # cut is decided by the disk about that double, with its bounds rounded
-    # outward: a centre on the cut, or one ulp from it, is not decided
-    _force_polish(monkeypatch)
+    # (named for the former 128-bit polish) the fallback's roots are
+    # doubles, and a cut is decided by the disk about that double, with its
+    # bounds rounded outward: a centre on the cut, or one ulp from it, is
+    # not decided
+    _radii_seam(monkeypatch, fallback=True)
     spec = solve_spectrum(mary(27))
     assert all(type(r) is complex for r in spec.roots)
     for centre in (1.5, math.nextafter(1.5, 2.0)):
@@ -488,9 +496,9 @@ def test_polished_roots_lie_in_disjoint_double_disks(inst):
 def test_roots_exactly_conjugate_symmetric(inst, bits, monkeypatch):
     # lambda_2 must be the upper member of its pair, or amplitudes (and the
     # G1 coefficients built from them) come out conjugated; 64 is the double
-    # route, 128 the polish at 128 bits
+    # route, 128 the exact fallback (once a 128-bit polish)
     if bits == 128:
-        _force_polish(monkeypatch)
+        _radii_seam(monkeypatch, fallback=True)
     spec = solve_spectrum(inst)
     rs = list(spec.roots)
     assert Counter(rs) == Counter(r.conjugate() for r in rs)
@@ -523,9 +531,9 @@ def _assert_all_points_pass(seen) -> None:
                                    [fbbst(t) for t in range(1, 171)]],
                          ids=["mary(3..300)", "fbbst(1..170)"])
 def test_mirrored_radii_equal_the_all_points_pass(insts, monkeypatch):
-    # the double pass only: a fallback would raise
+    # the double pass only: a fallback fails the test
     seen = _spy_certify(monkeypatch)
-    monkeypatch.setattr(roots_module, "_certify_mp", lambda *args: None)
+    _radii_seam(monkeypatch, fallback=False)
     for inst in insts:
         solve_spectrum(inst)
     assert len(seen) == len(insts)
@@ -534,23 +542,19 @@ def test_mirrored_radii_equal_the_all_points_pass(insts, monkeypatch):
 
 @pytest.mark.parametrize("inst", [mary(3), mary(4), mary(27), fbbst(1), fbbst(8)], ids=str)
 def test_mirrored_mp_radii_equal_the_all_points_pass(inst, monkeypatch):
-    _force_polish(monkeypatch)
+    # (named for the former 128-bit radii) the exact fallback's radii
+    _radii_seam(monkeypatch, fallback=True)
     seen = _spy_certify(monkeypatch)
     solve_spectrum(inst)
     assert len(seen) == 2 and seen[0][0] is None  # the failed double certificate
     _assert_all_points_pass(seen[1:])
 
 
-def test_m270_certified_in_double_precision():
-    # no mpmath polish: the solves leave mpmath unloaded
-    code = ("import sys; from logtrees.families import fbbst, mary; "
-            "from logtrees.roots import solve_spectrum; "
-            "print(*(solve_spectrum(inst).certified_error <= 1e-10 "
-            "for inst in (mary(270), fbbst(320), mary(985))), 'mpmath' in sys.modules)")
-    src = str(Path(logtrees.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["True", "True", "True", "False"]
+def test_m270_certified_in_double_precision(monkeypatch):
+    # the double certificate holds: the exact fallback would fail the test
+    _radii_seam(monkeypatch, fallback=False)
+    for inst in (mary(270), fbbst(320), mary(985)):
+        assert solve_spectrum(inst).certified_error <= CERTIFIED_TOLERANCE
 
 
 @pytest.mark.parametrize("inst", [mary(27), mary(270), fbbst(59), fbbst(160), fbbst(320),
@@ -560,7 +564,7 @@ def test_double_radii_cover_the_192_bit_radius(inst, monkeypatch):
     # deg |p/p'| evaluated at 192 bits at the same double point, and every
     # disk holds its 192-bit root.  With the charge set to 0 radii fall
     # below the first bound
-    monkeypatch.setattr(roots_module, "_certify_mp", lambda *args: pytest.fail("polished"))
+    _radii_seam(monkeypatch, fallback=False)
     spec = solve_spectrum(inst)
     exact = _exact_quadtree_roots(inst.parameter) if inst.split_law is None else None
     for z, r in zip(spec.roots, spec.radii):
@@ -576,7 +580,7 @@ def test_no_overflow_reaches_the_roots_or_the_radii():
     # from mary(1030) on the ratio product q leaves the double range at
     # some roots: the branch polish does not take a step that is not finite,
     # and the double radius there is inf, never nan, so those spectra go to
-    # the 128-bit fallback
+    # the exact fallback
     shifts, _ = indicial_shifts(mary(1030))
     upper, real = roots_module._branch_roots(shifts, 1030)
     points = [*upper.tolist(), *real.tolist()]
@@ -590,11 +594,10 @@ def test_no_overflow_reaches_the_roots_or_the_radii():
 
 def test_polish_fallback_when_double_certificate_fails(monkeypatch):
     want = solve_spectrum(mary(27))
-    _force_polish(monkeypatch)
+    _radii_seam(monkeypatch, fallback=True)
     spec = solve_spectrum(mary(27))
     assert all(type(r) is complex for r in spec.roots)
-    # the polished roots are rounded to double; lambda_2 of the double route
-    # is already the correctly rounded root
+    # lambda_2 of the double route is already the correctly rounded root
     assert spec.lambda2 == want.lambda2
     assert spec.certified_error <= CERTIFIED_TOLERANCE
     assert spec.alpha == pytest.approx(1.516970121848, abs=1e-12)
@@ -603,9 +606,9 @@ def test_polish_fallback_when_double_certificate_fails(monkeypatch):
 @pytest.mark.parametrize("inst", [pytest.param(fbbst(160), id="fbbst(160)"),
                                   pytest.param(mary(27), id="mary(27)-polished")])
 def test_printed_polished_roots_lie_in_their_disks(inst, monkeypatch):
-    # both are sent to the polish.  The disks printed by ``roots`` are about
-    # the printed doubles, and each holds its 192-bit root
-    _force_polish(monkeypatch)
+    # both are sent to the exact fallback.  The disks printed by ``roots``
+    # are about the printed doubles, and each holds its 192-bit root
+    _radii_seam(monkeypatch, fallback=True)
     spec = solve_spectrum(inst)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -615,13 +618,56 @@ def test_printed_polished_roots_lie_in_their_disks(inst, monkeypatch):
     assert [complex(r["re"], r["im"]) for r in doc["roots"]] == list(spec.roots)
     assert doc["certified_error"] == spec.certified_error <= CERTIFIED_TOLERANCE
     # r = deg |p/p'(z)| is about deg |w - z|: the radii are taken at the
-    # doubles, in mpmath throughout
+    # doubles from p evaluated exactly, with a relative charge only (z = 2
+    # is a root, of radius 0)
     for z, r in zip(spec.roots, spec.radii):
         dist = abs(root_mp(inst, z) - z)
-        assert dist <= r <= 1.01 * spec.degree * dist + 1e-25 * max(1.0, abs(z)), (z, r)
+        assert dist <= r <= 1.01 * spec.degree * dist, (z, r)
 
 
-@pytest.mark.parametrize("module", ["moments", "treesim", "fixpoint"])
+@pytest.mark.parametrize("inst,fallback", [(fbbst(536), False), (mary(27), True),
+                                            (fbbst(59), True)],
+                         ids=["fbbst(536)", "mary(27)-forced", "fbbst(59)-forced"])
+def test_fallback_disks_hold_the_192_bit_roots(inst, fallback, monkeypatch):
+    # the exact fallback against the 192-bit oracles, which src does not
+    # share: every root is the 192-bit root rounded to double, every radius
+    # is at least deg |p/p'| at 192 bits at the same double, and every disk
+    # holds its root.  fbbst(536) takes the fallback unforced: the double
+    # radii at its roots pass the tolerance
+    shifts, const = indicial_shifts(inst)
+    if fallback:
+        _radii_seam(monkeypatch, fallback=True)
+    spec = solve_spectrum(inst)
+    if not fallback:
+        double = roots_module._radii(shifts, inst.branches, spec.roots)
+        assert roots_module._relative_radius(spec.roots, double) > CERTIFIED_TOLERANCE
+    for z, r in zip(spec.roots, spec.radii):
+        if z.imag < 0:
+            continue  # the disk of its conjugate partner, mirrored
+        w = root_mp(inst, z)
+        want = complex(w)
+        assert (z.real, z.imag) == (want.real, want.imag), (z, want)
+        if r == 0.0:  # an exact root: z = 2, or mary(m)'s -m at odd m
+            assert z.imag == 0.0 and math.prod(int(z.real) + s for s in shifts) == const, z
+            continue
+        assert r >= inclusion_radius_mp(inst, z), (z, r)
+        with mpmath.workprec(192):
+            assert abs(w - mpmath.mpc(z)) <= r, (z, r)
+
+
+def test_spectrum_needs_no_mpmath():
+    # with the mpmath import blocked, fbbst(536) takes the exact fallback
+    # and is certified
+    code = ("import sys; sys.modules['mpmath'] = None; from logtrees.families import fbbst; "
+            "from logtrees.roots import solve_spectrum; "
+            "print(solve_spectrum(fbbst(536)).certified_error <= 1e-10)")
+    src = str(Path(logtrees.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "True"
+
+
+@pytest.mark.parametrize("module", ["moments", "treesim", "fixpoint", "roots", "asymptotics"])
 def test_cli_import_does_not_load_mpmath(module):
     # mpmath and scipy load only on demand, so they stay out of each
     # command's start-up time
@@ -648,7 +694,7 @@ def test_aberth_converges_in_few_sweeps(inst, monkeypatch):
     upper, real = roots_module._branch_roots(shifts, inst.split_law[0])
     assert upper.size == (deg - 1) // 2 and (upper.imag > 0).all()
     assert real.size == 2 - deg % 2 and real[0] == 2.0 and (real.imag == 0.0).all()
-    monkeypatch.setattr(roots_module, "_certify_mp", lambda *args: pytest.fail("polished"))
+    _radii_seam(monkeypatch, fallback=False)
     assert solve_spectrum(inst).certified_error <= CERTIFIED_TOLERANCE
 
 
