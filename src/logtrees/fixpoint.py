@@ -52,8 +52,9 @@ the Taylor polynomial of cis(r), on sub-blocks that stay in cache.  The
 weights are within a few ulps of ``np.exp`` (README, "Limits and accuracy").
 
 The distance correlation of ``diagnose`` streams its two n x n distance
-matrices through sub-blocks in numpy's summation order, so it returns the
-bits of the matrix formulas without holding either matrix.
+matrices through row blocks in two passes, row means then centred
+products, without holding either matrix; it agrees with the matrix
+formulas to within a bound derived from those passes' rounding.
 """
 from __future__ import annotations
 
@@ -469,15 +470,16 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
     injected = spec.bivariate and not spec.is_periodic
 
     def finish(target: _Generation) -> None:
-        finished = SamplePool(spec=spec, x=target.x, w=target.w, generation=target.gen,
-                              trace=trace)
-        row = finished.moments()
-        finished.trace.append(row)
+        # release the next generation's chunks first: the trace row and the
+        # degeneracy check only read the pool
+        target.pool = SamplePool(spec=spec, x=target.x, w=target.w, generation=target.gen,
+                                 trace=trace)
+        target.done.set()
+        row = target.pool.moments()
+        trace.append(row)
         if target.gen >= 5 and row["var_x"] < 1e-12 * (1.0 + spec.scale_constant):
             raise PoolDegeneracyError(
                 f"pool variance collapsed at generation {target.gen}")
-        target.pool = finished
-        target.done.set()
 
     # chunks in flight, oldest first: (the futures of its shares, none when
     # run inline, target, whether it is the last chunk of the target generation)
@@ -535,96 +537,71 @@ def iterate(spec: FixedPointSpec, pool_size: int, generations: int, seed: int,
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def _pairwise_sums(piece, lo: int, hi: int):
-    """The sum over flat indices lo:hi of values that ``piece(lo, hi)``
-    makes a range at a time, added in the order of numpy's pairwise
-    summation of one contiguous array: halves cut at len // 2 - (len // 2)
-    % 8 down to ranges of at most WEIGHT_BLOCK elements, which ``piece``
-    hands to ``np.add.reduce`` to go on with the same tree down to its
-    128-element leaves unrolled by 8.  ``piece`` may return an array of
-    sums, one for each series summed side by side."""
-    if hi - lo <= WEIGHT_BLOCK:
-        return piece(lo, hi)
-    half = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
-    return _pairwise_sums(piece, lo, half) + _pairwise_sums(piece, half, hi)
+def _distance_rows(a: np.ndarray):
+    """(first row, rows) blocks of about WEIGHT_BLOCK elements of the
+    distance matrix |a_i - a_j|."""
+    step = max(1, WEIGHT_BLOCK // a.size)
+    for first in range(0, a.size, step):
+        D = np.subtract.outer(a[first:first + step], a)
+        yield first, np.abs(D, out=D)
 
 
-def _distances(a: np.ndarray, first: int, stop: int, means: tuple | None = None) -> np.ndarray:
-    """Rows first:stop of the distance matrix |a_i - a_j|, doubly centred
-    when ``means`` (its column, row and grand means) are given: subtracted
-    and added in that order."""
-    D = np.subtract.outer(a[first:stop], a)
-    np.abs(D, out=D)
-    if means is not None:
-        col, row, grand = means
-        D -= col
-        D -= row[first:stop, None]
+def _centred_rows(a: np.ndarray):
+    """Row blocks of the doubly centred distance matrix of ``a``, in two
+    passes.  The first sums each row; the matrix is symmetric, so its
+    column means are its row means, and the grand mean is the correctly
+    rounded sum of the row sums over n^2.  The second makes the rows again
+    and subtracts the column and row means and adds the grand mean, in
+    that order."""
+    n = a.size
+    sums = np.concatenate([np.add.reduce(D, axis=1) for _, D in _distance_rows(a)])
+    means, grand = sums / n, math.fsum(sums) / (n * n)
+    for first, D in _distance_rows(a):
+        D -= means
+        D -= means[first:first + len(D), None]
         D += grand
-    return D
-
-
-def _flat_distances(a: np.ndarray, lo: int, hi: int, means: tuple | None = None) -> np.ndarray:
-    """Elements lo:hi of the (centred) distance matrix of ``a`` flattened by
-    rows, from the rows they touch."""
-    n = a.size
-    first = lo // n
-    D = _distances(a, first, -(-hi // n), means)
-    return D.reshape(-1)[lo - first * n:hi - first * n]
-
-
-def _distance_means(a: np.ndarray) -> tuple:
-    """The column, row and grand means of |a_i - a_j|, summed as numpy sums
-    the whole n x n matrix: columns by adding the rows one after another,
-    each row by its own pairwise sum, the grand sum by the pairwise tree
-    over all n^2 elements."""
-    n = a.size
-    col, row = np.zeros(n), np.empty(n)
-    step = max(1, WEIGHT_BLOCK // n)
-    for first in range(0, n, step):
-        D = _distances(a, first, first + step)
-        np.add.reduce(D, axis=1, out=row[first:first + step])
-        for r in D:
-            col += r
-    grand = _pairwise_sums(lambda lo, hi: np.add.reduce(_flat_distances(a, lo, hi)), 0, n * n)
-    return col / n, row / n, grand / (n * n)
+        yield D
 
 
 def _distance_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """Distance correlation of two samples (Szekely, Rizzo and Bakirov
-    2007), bit for bit the value of the n x n matrix formulas, streamed
-    through sub-blocks of about WEIGHT_BLOCK elements: no n x n matrix is
-    ever held.  It reproduces numpy's
-    summation orders: per-row pairwise sums (row means), rows added one
-    after another (column means), and the pairwise tree over the n^2 flat
-    elements, with 128-element leaves unrolled by 8 (grand mean, and the
-    means of A * A, A * B and B * B)."""
+    2007), streamed through row blocks of about WEIGHT_BLOCK elements: no
+    n x n matrix is ever held.  The means of A * A, A * B and B * B are
+    summed by ``np.add.reduce`` within a block and by ``math.fsum`` across
+    blocks.  The error of a centring mean shifts a whole row or column of
+    A, which the other centred matrix sums to zero against, so it enters
+    the result only at second order (tests/test_fixpoint.py derives the
+    bound against the n x n matrix formulas)."""
     n = a.size
-    means_a, means_b = _distance_means(a), _distance_means(b)
-
-    def products(lo: int, hi: int) -> np.ndarray:
-        A, B = _flat_distances(a, lo, hi, means_a), _flat_distances(b, lo, hi, means_b)
-        return np.array([np.add.reduce(A * A), np.add.reduce(A * B), np.add.reduce(B * B)])
-
-    dvar_a, dcov2, dvar_b = _pairwise_sums(products, 0, n * n) / (n * n)
+    sums = [], [], []
+    for A, B in zip(_centred_rows(a), _centred_rows(b)):
+        for total, (X, Y) in zip(sums, ((A, A), (A, B), (B, B))):
+            total.append(np.add.reduce(X * Y, axis=None))
+    dvar_a, dcov2, dvar_b = (math.fsum(total) / (n * n) for total in sums)
     if dvar_a <= 0 or dvar_b <= 0:
         return 0.0
     return math.sqrt(max(dcov2, 0.0) / math.sqrt(dvar_a * dvar_b))
 
 
 def diagnose(pool: SamplePool) -> dict:
-    """Moments plus normality and independence screens of a converged pool."""
-    from scipy import stats as sstats
-
+    """Moments plus normality and independence screens of a pool: the skew
+    of x, and for the bivariate maps the correlations of x with the real
+    part of w and, for the normal maps, a KS test of that part against the
+    standard normal."""
     if len(pool.x) < 1000:
         raise ValueError("pool too small to diagnose")
     out = {"map_kind": pool.spec.map_kind, "generation": pool.generation,
            "pool": len(pool.x)}
     out.update(pool.moments())
     x = pool.x
-    out["skew_x"] = float(sstats.skew(x))
+    d = x - x.mean()
+    d2 = d * d
+    out["skew_x"] = float(np.mean(d2 * d) / np.mean(d2) ** 1.5)
     if pool.w is not None:
         wr = pool.w.real if np.iscomplexobj(pool.w) else pool.w
         if not pool.spec.is_periodic:
+            from scipy import stats as sstats
+
             ks = sstats.kstest(wr, "norm")
             out["ks_stat"] = float(ks.statistic)
             out["ks_pvalue"] = float(ks.pvalue)

@@ -2,8 +2,12 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -311,24 +315,85 @@ def test_pool_csv_exports(tmp_path):
     assert len(tlines) == 5  # initial pool + 3 generations
 
 
-def test_distance_correlation_streams_bit_for_bit():
-    # n^2 is no power of two at 37, 1000 and 1999, and the pieces of the
-    # pairwise tree cut across rows at 1000 and 1999; 2048 is the
-    # subsample of ``diagnose``
+U = 2.0 ** -53  # unit roundoff of a double
+
+
+def _gamma(k: int) -> float:
+    return k * U / (1 - k * U)
+
+
+def _centring_ratio(a: np.ndarray) -> float:
+    """|S| / |A| (Frobenius) for the distance matrix d of ``a``, its doubly
+    centred A and S_ij = d_ij + r_i + r_j + g (row means r, grand mean g)."""
+    d = np.abs(np.subtract.outer(a, a))
+    r = d.mean(axis=1)
+    g = r.mean()
+    d += r + g
+    d += r[:, None]  # S
+    norm_s = math.sqrt(np.vdot(d, d))
+    d -= 2 * r
+    d -= 2 * r[:, None]  # A
+    return norm_s / math.sqrt(np.vdot(d, d))
+
+
+def test_distance_correlation_within_the_rounding_of_its_two_passes():
+    """The streamed distance correlation against the one-expression n x n
+    oracle, within the sum of a rounding bound for each of the two.
+
+    Both evaluate dCor^2 = <A, B> / (|A| |B|) (Frobenius) for the doubly
+    centred distance matrices A = P(d), d_ij = |a_i - a_j|, with P the exact
+    double centring, an orthogonal projection.  With u = 2^-53 and
+    S_ij = d_ij + r_i + c_j + g:
+
+    - A computed entry is P(d~)_ij - dr_i - dc_j + dg + e_ij.  d~ is d
+      with one rounding an entry, so |P(d~) - P(d)| <= u |S|; the three
+      operations of the centring give |e_ij| <= 3u S_ij.
+    - The errors dr, dc, dg of the means are constant along a row or a
+      column, and the other sample's P(d) sums to zero along every row and
+      column, so they cancel in <A, B> and |A|^2 at first order.  Every
+      entry error is at most (n + 6)u S_ij (a mean of n terms in any order
+      is within gamma_(n+2) of S), so the products of two errors are at
+      most ((n + 6)u (rho_a + rho_b))^2 (1 + dCor^2), rho = |S| / |A|.
+    - The products A_ij B_ij take u, and their sum s.  numpy sums a
+      contiguous run of N doubles pairwise down to blocks of at most 128,
+      which it adds in 8 interleaved accumulators, so no term meets more
+      than ceil(log2 N) + 19 roundings: s = gamma_(ceil(log2 N) + 19), with
+      N = n^2 for the oracle and the row block for the streamed form, whose
+      math.fsum across blocks adds u.
+    - By Cauchy-Schwarz <A, B> then moves by at most
+      |A| |B| (4u (rho_a + rho_b) + u + s), and |A|^2 by |A|^2
+      (8u rho_a + u + s), so dCor^2 moves by at most
+      (1 + dCor^2)(4u (rho_a + rho_b) + u + s).
+    - The divisions by n^2, the product and the two square roots of the
+      last step, and the squaring here, add 8u dCor^2.
+
+    The bound is on |dCor_streamed^2 - dCor_oracle^2|, the two charges
+    summed; n^2 is no power of two at 37, 1000 and 1999, and 2048 is the
+    subsample of ``diagnose``.  A constant sample gives exactly 0.0."""
     rng = rng_for(90)
     for n in (37, 1000, 1999, 2048):
+        block = max(1, fixpoint.WEIGHT_BLOCK // n) * n
         for scale in (1e-3, 1.0, 1e6):
             a = scale * rng.standard_normal(n)
+            rho_a = _centring_ratio(a)
             for b in (0.3 * a + scale * rng.standard_normal(n),
                       rng.standard_normal(n) ** 2, rng.exponential(scale, n)):
-                assert _distance_correlation(a, b) == distance_correlation(a, b)
+                got, want = _distance_correlation(a, b), distance_correlation(a, b)
+                rho = rho_a + _centring_ratio(b)
+                dcor2 = max(got, want) ** 2
+                first = 4 * U * rho + U
+                second = ((n + 6) * U * rho) ** 2
+                bound = sum((1 + dcor2) * (first + s + second) + 8 * U * dcor2
+                            for s in (_gamma(math.ceil(math.log2(block)) + 19) + U,
+                                      _gamma(math.ceil(math.log2(n * n)) + 19)))
+                assert abs(got ** 2 - want ** 2) <= bound, (n, scale, got, want, bound)
         assert _distance_correlation(a, np.full(n, 1.5)) == 0.0
 
 
 def test_distance_correlation_holds_no_distance_matrix():
-    # sub-blocks of WEIGHT_BLOCK elements stream both matrices (the former
-    # version held two n x n matrices, 64 MiB at this n; the one-expression
-    # oracle four)
+    # row blocks of about WEIGHT_BLOCK elements stream both matrices (an
+    # earlier version held two n x n matrices, 64 MiB at this n; the
+    # one-expression oracle four)
     n = 2048
     rng = rng_for(91)
     a, b = rng.standard_normal(n), rng.standard_normal(n)
@@ -339,6 +404,48 @@ def test_distance_correlation_holds_no_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+# the golden fixpoint runs (tests/test_golden_outputs.py)
+GOLDEN_POOLS = [(mary(3), "uniK"), (mary(3), "TNprime_normal"), (mary(27), "TN_periodic"),
+                (quadtree(2), "Tquad_normal"), (quadtree(9), "Tquad_periodic"),
+                (fbbst(1), "Tmed_normal"), (fbbst(59), "Tmed_periodic")]
+
+
+def test_skew_is_scipy_skew_bit_for_bit():
+    # scipy.stats.skew stays the oracle of the numpy skew in ``diagnose``
+    from scipy import stats as sstats
+
+    spec = fixed_point_spec(mary(3), "uniK")
+    rng = rng_for(92)
+    draws = (rng.standard_normal, rng.standard_exponential,
+             lambda size: rng.lognormal(0.0, 1.5, size))
+    samples = [scale * draw(10**5) + shift
+               for scale, shift in ((1e-3, 0.0), (1.0, 5.0), (1e6, -1.0)) for draw in draws]
+    for x in samples:
+        pool = fixpoint.SamplePool(spec=spec, x=x, w=None, generation=0)
+        assert diagnose(pool)["skew_x"] == float(sstats.skew(x))
+    for inst, map_kind in GOLDEN_POOLS:
+        pool = iterate(fixed_point_spec(inst, map_kind), 1000, 6, seed=5)
+        assert diagnose(pool)["skew_x"] == float(sstats.skew(pool.x)), map_kind
+
+
+def _fixpoint_stdout(args: list[str], block_scipy: bool) -> str:
+    block = "sys.modules['scipy'] = None; " if block_scipy else ""
+    code = f"import sys; {block}from logtrees.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(fixpoint.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+
+
+@pytest.mark.parametrize("map_kind,family,param", [
+    ("TN_periodic", "mary", 27), ("Tmed_periodic", "fbbst", 59),
+    ("Tquad_periodic", "quadtree", 9), ("uniK", "mary", 3)])
+def test_periodic_and_unik_fixpoint_runs_need_no_scipy(map_kind, family, param):
+    # only the normal maps' KS test imports scipy
+    args = ["fixpoint", "--map", map_kind, "--family", family, "--param", str(param),
+            "--pool", "2000", "--gens", "3", "--seed", "4"]
+    assert _fixpoint_stdout(args, block_scipy=True) == _fixpoint_stdout(args, block_scipy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,15 @@ rounding charge: certified_error went from 3.4464787043294554e-13 to
 5.6299973542588043e-14 (mary(27)) and from 1.1802272988373077e-11 to
 1.254684796923575e-12 (fbbst(59)); every other byte stayed the same.
 
+``fixpoint-TNprime_normal-mary-3`` was recorded again when the distance
+correlation of ``fixpoint.diagnose`` stopped replaying numpy's pairwise
+summation of the n x n matrices and became two streamed passes (row means,
+then centred products summed by ``math.fsum`` across row blocks): its
+distance_correlation moved by one ulp, from 0.048005874414183809 to
+0.048005874414183802 (as printed), and every other byte stayed the same.
+The other five bivariate fixpoint runs kept every byte, and so did every
+pool and trace file.
+
 ``CSV_CASES`` and the ``--trace-out`` / ``--pool-out`` files of
 ``FIXPOINT_CSV`` were recorded before every CSV body moved onto the one
 writer of ``logtrees.cli``; the move changed none of their bytes.  The
@@ -146,7 +155,7 @@ DIGESTS = {
     "simulate-quadtree-2-t2": "2437923a518a860ea715d0ea93d74ce4c9ed1fc6f0983ea9f8218d4f76486ca5",
     "fixpoint-uniK-mary-3": "accca1b888e10d39199da55b4b16883a018a0cced62cdc96fb398ef3d6a87349",
     "fixpoint-TNprime_normal-mary-3":
-        "68922a9132749c544f748c6347d23a94934d29dcafb3b7a4b33a330ac9ebfa5f",
+        "8d20234b3e9511a6419bc4af77090ff99c4030871e97ab8e69944d0e7f77e026",
     "fixpoint-TN_periodic-mary-27":
         "a89a960c5fd4103c5e0536708d09a0333b7dc36afc5ea6ca242f247b8dfa4c9c",
     "fixpoint-Tquad_normal-quadtree-2":

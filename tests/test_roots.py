@@ -655,6 +655,29 @@ def test_fallback_disks_hold_the_192_bit_roots(inst, fallback, monkeypatch):
             assert abs(w - mpmath.mpc(z)) <= r, (z, r)
 
 
+@pytest.mark.parametrize("inst", [mary(27), fbbst(59), fbbst(160)], ids=str)
+def test_exact_arm_charge_covers_the_residual(inst, monkeypatch):
+    # the exact arm's own charge, gamma_25 of |rho^|: with the S charge
+    # taken out (``_ratio`` reporting sum |1/(z+s)| as 0, so the denominator
+    # is |S^| of the double S^ it returns), every radius at a root, and at
+    # points a few ulps off it, is at least deg |1 - c/P(z)| / |S^| at 192
+    # bits: the 192-bit radius times |S| / |S^|.  The comparisons with the
+    # 192-bit radius above cannot see this charge, because the S charge
+    # lifts every radius; here a zero charge fails
+    shifts, const = indicial_shifts(inst)
+    spec = solve_spectrum(inst)
+    ratio = roots_module._ratio
+    monkeypatch.setattr(roots_module, "_ratio",
+                        lambda shifts, z: (*ratio(shifts, z)[:2], 0.0))
+    points = [complex(z.real + k * math.ulp(z.real), z.imag)
+              for z in spec.roots if z.imag >= 0 and z != 2 for k in (0, 1, -2, 5)]
+    for z, r in zip(points, roots_module._radii(shifts, inst.branches, points, const)):
+        with mpmath.workprec(192):
+            s = mpmath.fsum(1 / (mpmath.mpc(z) + t) for t in shifts)
+            want = inclusion_radius_mp(inst, z) * abs(s) / abs(mpmath.mpc(ratio(shifts, z)[1]))
+        assert r >= want, (z, r, want)
+
+
 def test_spectrum_needs_no_mpmath():
     # with the mpmath import blocked, fbbst(536) takes the exact fallback
     # and is certified
